@@ -28,12 +28,14 @@ __all__ = [
     "PowerLogModel",
     "PolyLogModel",
     "FitReport",
+    "model_from_dict",
     "fit",
     "classify",
     "evaluate_model",
 ]
 
 _KINDS = ("log", "powerlog", "polylog")
+_COEFFICIENT_NAMES = {"log": ("phi", "psi"), "powerlog": ("phi", "psi", "nu", "mu")}
 
 
 class ModelMismatchError(ValueError):
@@ -139,9 +141,8 @@ class FitReport:
             model["table"] = list(self.model.coefficients)
             model["order"] = self.model.order
         else:
-            for name, value in zip(
-                ("phi", "psi", "nu", "mu"), self.model.coefficients
-            ):
+            names = _COEFFICIENT_NAMES[self.model.kind]
+            for name, value in zip(names, self.model.coefficients):
                 model[name] = float(value)
         return {
             "model": model,
@@ -154,6 +155,23 @@ class FitReport:
         }
 
 
+def model_from_dict(payload):
+    """The model of a ``FitReport.to_dict()["model"]`` dict; other keys are
+    ignored.  Raises ``ValueError`` on an unknown kind or a missing or
+    non-numeric entry."""
+    kind = payload.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r} (one of {_KINDS})")
+    try:
+        if kind == "polylog":
+            table = [float(c) for c in payload["table"]]
+            return _make_model(kind, table, int(payload.get("order", 2)))
+        coeffs = [float(payload[name]) for name in _COEFFICIENT_NAMES[kind]]
+        return _make_model(kind, coeffs, None)
+    except (KeyError, TypeError) as exc:  # a missing or a non-numeric entry
+        raise ValueError(f"malformed {kind} model dict: {exc!r}") from None
+
+
 def _make_model(kind, coeffs, order):
     if kind == "log":
         return LogModel(*coeffs)
@@ -163,11 +181,8 @@ def _make_model(kind, coeffs, order):
 
 
 def _prototype(kind, degree):
-    if kind == "log":
-        return LogModel(0.0, 0.0)
-    if kind == "powerlog":
-        return PowerLogModel(0.0, 0.0, 0.0, 0.0)
-    return PolyLogModel(table=(0.0,) * (degree + 1))
+    ncoef = len(_COEFFICIENT_NAMES[kind]) if kind in _COEFFICIENT_NAMES else degree + 1
+    return _make_model(kind, [0.0] * ncoef, 2)
 
 
 def fit(samples, kind, tail_fraction=0.5, degree=2, order=2):

@@ -68,6 +68,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in ("tensor-gauss", "monte-carlo"):
             raise ValueError(f"unknown quadrature method '{self.method}'")
+        orders = np.asarray(self.angular_orders)
+        if orders.shape != (3,) or orders.dtype.kind not in "iu":
+            raise ValueError(f"need three integer angular_orders: {self.angular_orders}")
         if self.radial_order < 2 or any(n < 2 for n in self.angular_orders):
             raise ValueError("quadrature orders must be >= 2")
         if self.method == "monte-carlo":
@@ -209,19 +212,19 @@ def _monte_carlo(exprs, q4, m, radius, spec):
     return results
 
 
-def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec(), screen=True):
+def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     """Integral of f_re + i f_im over the 4-ball, with an error estimate.
 
     The tensor rule reports |value - refined value| with all orders increased
     by 1.5x; Monte-Carlo reports the standard error of the mean.  Unless
-    ``screen`` is disabled or Monte-Carlo is requested, flagged singular
-    integrands are refused with the screen report attached.
+    Monte-Carlo is requested, flagged singular integrands are refused with the
+    screen report attached.
     """
     if not isinstance(region, BallRegion):
         region = BallRegion(float(region))
     q4, m = _kinematics(q, m)
     exprs = (f_re, f_im)
-    if screen and spec.method == "tensor-gauss":
+    if spec.method == "tensor-gauss":
         for expr in exprs:
             if expr is None:
                 continue

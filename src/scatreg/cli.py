@@ -18,25 +18,21 @@ from pathlib import Path
 import numpy as np
 
 from . import asymfit, ballquad, deviation, dirac
-from .asymfit import (
-    LogModel,
-    ModelMismatchError,
-    PolyLogModel,
-    PowerLogModel,
-    UnclassifiedDivergenceError,
-)
+from .asymfit import IllPosedFitError, ModelMismatchError, UnclassifiedDivergenceError
 from .ballquad import CutoffSamples, QuadratureSpec, SingularIntegrandError
-from .integrand import IntegrandSyntaxError, parse_integrand
+from .integrand import EvaluationError, IntegrandSyntaxError, parse_integrand
 
 EXIT_CHECK_FAILED = 1
-EXIT_BAD_CONFIG = 2
-EXIT_PARSE_ERROR = 3
-EXIT_SINGULAR = 4
-EXIT_MODEL_MISMATCH = 5
 
-
-class ConfigError(ValueError):
-    pass
+# Exit code per exception, first match wins.  The library errors are all
+# ValueErrors, so the bad-config fallback (2) comes last; an OverflowError
+# comes from an extreme config value.
+_EXIT_CODES = (
+    (IntegrandSyntaxError, 3),
+    ((SingularIntegrandError, EvaluationError), 4),
+    ((ModelMismatchError, UnclassifiedDivergenceError, IllPosedFitError), 5),
+    ((ValueError, OSError, OverflowError), 2),
+)
 
 
 def _fmt(x):
@@ -56,65 +52,114 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _load_config(args):
-    if args.config is None:
-        return {}
-    try:
-        with open(args.config) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+def _read_json(path):
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return payload
 
 
-def _need(config, key, types, what=""):
+def _is(value, kind):
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(_is(value, k) for k in kind)
+    types = (int, float) if kind is float else kind
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _get(config, key, kind, default=...):
+    """``config[key]``, checked to be of ``kind`` and converted to it.
+
+    ``kind`` is float (which accepts an integer), int, str or dict; [kind] for
+    a list of that kind; or a tuple of kinds, whose value is returned as is.
+    Without a ``default`` the key is required.
+    """
     if key not in config:
-        raise ConfigError(f"config is missing required key '{key}' {what}".rstrip())
+        if default is ...:
+            raise ValueError(f"config is missing required key '{key}'")
+        return default
     value = config[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"config key '{key}' has the wrong type: {value!r}")
-    return value
+    if not _is(value, kind):
+        raise ValueError(f"config key '{key}' has the wrong type: {value!r}")
+    if isinstance(kind, list):
+        return [kind[0](v) for v in value]
+    return value if isinstance(kind, tuple) else kind(value)
+
+
+def _settings(args):
+    """The JSON config with each given flag merged over the key it overrides.
+
+    ``--out`` has a default, so it always wins.  In regularize an explicit
+    model dict beats ``--model``.
+    """
+    config = _read_json(args.config) if args.config else {}
+    flags = {
+        k: v for k, v in vars(args).items()
+        if v is not None and k not in ("command", "config", "threads")
+    }
+    quadrature = flags.pop("quad_orders", {})
+    if "quad_seed" in flags:
+        quadrature["seed"] = flags.pop("quad_seed")
+    if quadrature:
+        config["quadrature"] = {**_get(config, "quadrature", dict, {}), **quadrature}
+    if args.command == "regularize":
+        if isinstance(_get(config, "model", (dict, str), None), dict):
+            flags.pop("model", None)
+    config.update(flags)
+    return config
+
+
+def _out_dir(config):
+    out = Path(_get(config, "out", str))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _l_grid(config):
-    spec = _need(config, "L_grid", dict)
-    start = float(_need(spec, "start", (int, float)))
-    ratio = float(_need(spec, "ratio", (int, float)))
-    count = int(_need(spec, "count", int))
+    spec = _get(config, "L_grid", dict)
+    start = _get(spec, "start", float)
+    ratio = _get(spec, "ratio", float)
+    count = _get(spec, "count", int)
     if start <= 0 or ratio <= 1 or count < 1:
-        raise ConfigError("L_grid needs start > 0, ratio > 1, count >= 1")
+        raise ValueError("L_grid needs start > 0, ratio > 1, count >= 1")
     return start * ratio ** np.arange(count)
 
 
-def _quad_spec(config, args):
-    spec = dict(config.get("quadrature", {}))
-    if args.quad_orders:
-        try:
-            r, a1, a2, a3 = (int(x) for x in args.quad_orders.split(","))
-        except ValueError:
-            raise ConfigError("--quad-orders expects four integers r,a1,a2,a3")
-        spec["radial_order"] = r
-        spec["angular_orders"] = [a1, a2, a3]
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    try:
-        return QuadratureSpec(
-            method=spec.get("method", "tensor-gauss"),
-            radial_order=int(spec.get("radial_order", 64)),
-            angular_orders=tuple(spec.get("angular_orders", (32, 32, 32))),
-            samples=int(spec.get("samples", 100_000)),
-            seed=spec.get("seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _quad_spec(config):
+    spec = _get(config, "quadrature", dict, {})
+    return QuadratureSpec(
+        method=_get(spec, "method", str, "tensor-gauss"),
+        radial_order=_get(spec, "radial_order", int, 64),
+        angular_orders=tuple(_get(spec, "angular_orders", [int], [32, 32, 32])),
+        samples=_get(spec, "samples", int, 100_000),
+        seed=_get(spec, "seed", int, None),
+    )
+
+
+def _parse_expr(config, key):
+    source = _get(config, key, str, None)
+    return None if source is None else parse_integrand(source)
+
+
+def _sample(config):
+    """Cutoff samples of the config's integrands over its L grid."""
+    grid = _l_grid(config)
+    q = _get(config, "q", [float], [0.0, 0.0, 0.0, 0.0])
+    m = _get(config, "m", float, 0.0)
+    spec = _quad_spec(config)
+    f_re = _parse_expr(config, "integrand_re")
+    f_im = _parse_expr(config, "integrand_im")
+    if f_re is None and f_im is None:
+        raise ValueError("config needs 'integrand_re' and/or 'integrand_im'")
+    return ballquad.sample_over_cutoffs(f_re, f_im, q, m, grid, spec)
 
 
 def _read_samples_csv(path):
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read samples file {path}: {exc}") from None
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 3:
-        raise ConfigError(f"samples file {path} needs columns L,re,im[,err]")
+        raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
     err = data[:, 3] if data.shape[1] > 3 else None
     return CutoffSamples(
         q=(0.0, 0.0, 0.0, 0.0),
@@ -125,50 +170,41 @@ def _read_samples_csv(path):
     )
 
 
-def _model_from_dict(payload):
-    payload = dict(payload)
-    payload.pop("stderr", None)
-    kind = payload.get("kind")
-    if kind == "log":
-        return LogModel(float(payload["phi"]), float(payload["psi"]))
-    if kind == "powerlog":
-        return PowerLogModel(
-            float(payload["phi"]),
-            float(payload["psi"]),
-            float(payload["nu"]),
-            float(payload["mu"]),
-        )
-    if kind == "polylog":
-        return PolyLogModel(
-            table=tuple(float(c) for c in payload["table"]),
-            order=int(payload.get("order", 2)),
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+def _get_samples(config):
+    path = _get(config, "samples_file", str, "")
+    if path:
+        return _read_samples_csv(path)
+    if "integrand_re" not in config and "integrand_im" not in config:
+        raise ValueError("provide --samples, 'samples_file', or integrand + L_grid")
+    return _sample(config)
 
 
-def cmd_spectra(args):
-    config = _load_config(args)
-    m = float(_need(config, "m", (int, float)))
+def _fit_model(samples, config):
+    """The fit report of the config's model kind; "auto" classifies."""
+    kind = _get(config, "model", str, "auto")
+    tail = _get(config, "tail_fraction", float, 0.5)
+    degree = _get(config, "degree", int, 2)
+    if kind == "auto":
+        return asymfit.classify(samples, tail_fraction=tail, max_degree=degree + 2)
+    return asymfit.fit(samples, kind, tail_fraction=tail, degree=degree)
+
+
+def cmd_spectra(config):
+    m = _get(config, "m", float)
     if "q" in config:
-        points = [np.asarray(config["q"], dtype=float)]
+        points = [np.asarray(_get(config, "q", [float]))]
     elif "q_grid" in config:
-        spec = config["q_grid"]
+        spec = _get(config, "q_grid", dict)
         axis = np.linspace(
-            float(_need(spec, "min", (int, float))),
-            float(_need(spec, "max", (int, float))),
-            int(_need(spec, "count", int)),
+            _get(spec, "min", float), _get(spec, "max", float), _get(spec, "count", int)
         )
         points = [np.array([a, b, c]) for a in axis for b in axis for c in axis]
     else:
-        raise ConfigError("config needs 'q' or 'q_grid'")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise ValueError("config needs 'q' or 'q_grid'")
     rows = []
     vectors = []
     worst = 0.0
     for q in points:
-        if q.shape != (3,):
-            raise ConfigError(f"q must have 3 components: {q}")
         vals = dirac.eigenvalues(q, m)
         sys_ = dirac.eigenvectors_closed_form(q, m)
         h = dirac.build_hamiltonian(q, m)
@@ -188,6 +224,7 @@ def cmd_spectra(args):
                 "frame_positive_im": sub.positive.imag.tolist(),
             }
         )
+    out = _out_dir(config)
     _write_csv(
         out / "spectra.csv",
         ["q1", "q2", "q3", "m", "lambda1", "lambda2", "lambda3", "lambda4"],
@@ -198,35 +235,15 @@ def cmd_spectra(args):
     return 0
 
 
-def _parse_expr(config, key):
-    source = config.get(key)
-    if source is None:
-        return None
-    try:
-        return parse_integrand(str(source))
-    except IntegrandSyntaxError as exc:
-        print(f"{key}: {exc}", file=sys.stderr)
-        raise
-
-
-def cmd_integrate(args):
-    config = _load_config(args)
-    grid = _l_grid(config)
-    q = np.asarray(config.get("q", [0.0, 0.0, 0.0, 0.0]), dtype=float)
-    m = float(config.get("m", 0.0))
-    spec = _quad_spec(config, args)
-    f_re = _parse_expr(config, "integrand_re")
-    f_im = _parse_expr(config, "integrand_im")
-    if f_re is None and f_im is None:
-        raise ConfigError("config needs 'integrand_re' and/or 'integrand_im'")
-    samples = ballquad.sample_over_cutoffs(f_re, f_im, q, m, grid, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_integrate(config):
+    samples = _sample(config)
+    out = _out_dir(config)
     _write_csv(
         out / "samples.csv",
         ["L", "re", "im", "err"],
         zip(samples.grid, samples.values.real, samples.values.imag, samples.errors),
     )
+    grid = samples.grid
     print(
         f"integrate: {len(samples)} cutoffs in [{grid[0]:g}, {grid[-1]:g}], "
         f"max error estimate {np.max(samples.errors):.3e}"
@@ -234,47 +251,18 @@ def cmd_integrate(args):
     return 0
 
 
-def _get_samples(args, config):
-    path = args.samples or config.get("samples_file")
-    if path:
-        return _read_samples_csv(path)
-    if "integrand_re" in config or "integrand_im" in config:
-        grid = _l_grid(config)
-        q = np.asarray(config.get("q", [0.0, 0.0, 0.0, 0.0]), dtype=float)
-        m = float(config.get("m", 0.0))
-        return ballquad.sample_over_cutoffs(
-            _parse_expr(config, "integrand_re"),
-            _parse_expr(config, "integrand_im"),
-            q,
-            m,
-            grid,
-            _quad_spec(config, args),
+def cmd_fit(config):
+    samples = _get_samples(config)
+    try:
+        report = _fit_model(samples, config)
+    except UnclassifiedDivergenceError as exc:
+        _write_json(
+            _out_dir(config) / "fit.json",
+            {"error": "unclassified divergence",
+             "attempts": [r.to_dict() for r in exc.reports]},
         )
-    raise ConfigError("provide --samples, 'samples_file', or integrand + L_grid")
-
-
-def cmd_fit(args):
-    config = _load_config(args)
-    samples = _get_samples(args, config)
-    kind = args.model or config.get("model", "auto")
-    tail = float(config.get("tail_fraction", 0.5))
-    degree = int(config.get("degree", 2))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if kind == "auto":
-        try:
-            report = asymfit.classify(samples, tail_fraction=tail, max_degree=degree + 2)
-        except UnclassifiedDivergenceError as exc:
-            _write_json(
-                out / "fit.json",
-                {"error": "unclassified divergence",
-                 "attempts": [r.to_dict() for r in exc.reports]},
-            )
-            print(f"fit: {exc}", file=sys.stderr)
-            return EXIT_MODEL_MISMATCH
-    else:
-        report = asymfit.fit(samples, kind, tail_fraction=tail, degree=degree)
-    _write_json(out / "fit.json", report.to_dict())
+        raise
+    _write_json(_out_dir(config) / "fit.json", report.to_dict())
     names = (
         [f"ln^{p}" for p in range(len(report.model.coefficients))]
         if report.model.kind == "polylog"
@@ -287,26 +275,20 @@ def cmd_fit(args):
     return 0
 
 
-def cmd_regularize(args):
-    config = _load_config(args)
-    samples = _get_samples(args, config)
-    eps = args.epsilon if args.epsilon is not None else float(config.get("epsilon", 0.1))
-    if "model" in config and isinstance(config["model"], dict):
-        model = _model_from_dict(config["model"])
-    elif "fit_report" in config:
-        with open(config["fit_report"]) as fh:
-            model = _model_from_dict(json.load(fh)["model"])
+def cmd_regularize(config):
+    samples = _get_samples(config)
+    eps = _get(config, "epsilon", float, 0.1)
+    model = _get(config, "model", (dict, str), "auto")
+    fit_report = _get(config, "fit_report", str, None)
+    if isinstance(model, dict):
+        model = asymfit.model_from_dict(model)
+    elif fit_report is not None:
+        model = asymfit.model_from_dict(_get(_read_json(fit_report), "model", dict))
     else:
-        kind = args.model or config.get("model", "auto")
-        tail = float(config.get("tail_fraction", 0.5))
-        if kind == "auto":
-            model = asymfit.classify(samples, tail_fraction=tail).model
-        else:
-            model = asymfit.fit(samples, kind, tail_fraction=tail).model
+        model = _fit_model(samples, config).model
     regular = deviation.regularize_coefficient(samples, model)
     factor = deviation.factor_from_model(model, eps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     _write_json(out / "deviation_factor.json", factor.to_dict())
     _write_csv(
         out / "regularized.csv",
@@ -384,11 +366,10 @@ def _check_factor_suite(rng, trials):
     return failures, lin_check.verdict
 
 
-def cmd_check(args):
-    config = _load_config(args)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 20260826))
-    trials = int(config.get("trials", 200))
-    tamper = float(config.get("tamper", 0.0))
+def cmd_check(config):
+    seed = _get(config, "seed", int, 20260826)
+    trials = _get(config, "trials", int, 200)
+    tamper = _get(config, "tamper", float, 0.0)
     rng = np.random.default_rng(seed)
     failures = _check_spectra_suite(rng, trials, tamper)
     factor_failures, linear_in_class_a = _check_factor_suite(rng, trials)
@@ -405,18 +386,12 @@ def cmd_check(args):
     return 0
 
 
-def cmd_resum(args):
-    config = _load_config(args)
-    psi = [float(x) for x in _need(config, "psi", list)]
-    if not psi or psi[0] != 1.0:
-        print("resum: the constant list must start with psi_0 = 1", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    phi = float(_need(config, "phi", (int, float)))
-    eps = args.epsilon if args.epsilon is not None else float(config.get("epsilon", 0.1))
-    nmax = int(config.get("order", len(psi) - 1))
-    l_values = [float(x) for x in config.get("L_values", [1.0, np.e, 10.0, 100.0])]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_resum(config):
+    psi = _get(config, "psi", [float])
+    phi = _get(config, "phi", float)
+    eps = _get(config, "epsilon", float, 0.1)
+    nmax = _get(config, "order", int, len(psi) - 1)
+    l_values = _get(config, "L_values", [float], [1.0, np.e, 10.0, 100.0])
     rows = []
     worst = 0.0
     for L in l_values:
@@ -424,9 +399,40 @@ def cmd_resum(args):
         for order, residual in enumerate(result.residuals):
             rows.append([L, order, residual])
         worst = max(worst, float(np.max(result.residuals)))
+    out = _out_dir(config)
     _write_csv(out / "resum_residuals.csv", ["L", "order", "residual"], rows)
     print(f"resum: max per-order residual {worst:.3e}")
     return 0 if worst <= 1e-12 else EXIT_CHECK_FAILED
+
+
+def _quad_orders(text):
+    try:
+        r, a1, a2, a3 = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects four integers r,a1,a2,a3") from None
+    return {"radial_order": r, "angular_orders": [a1, a2, a3]}
+
+
+# (flag, the subcommands that take it, add_argument keywords).  A flag's dest
+# is the config key it overrides; "quad_*" dests override keys of the
+# "quadrature" table.
+_SAMPLING = ("integrate", "fit", "regularize")
+_FLAGS = (
+    ("--samples", ("fit", "regularize"),
+     dict(dest="samples_file", metavar="CSV",
+          help="CSV file of cutoff samples (L,re,im[,err])")),
+    ("--model", ("fit", "regularize"),
+     dict(choices=["log", "powerlog", "polylog", "auto"])),
+    ("--seed", _SAMPLING,
+     dict(type=int, dest="quad_seed", metavar="SEED", help="monte-carlo seed")),
+    ("--quad-orders", _SAMPLING,
+     dict(type=_quad_orders, metavar="R,A1,A2,A3", help="quadrature orders")),
+    ("--threads", ("integrate",),
+     dict(type=int, default=1,
+          help="advisory worker count; results are identical for any value")),
+    ("--seed", ("check",), dict(type=int, help="random seed")),
+    ("--epsilon", ("regularize", "resum"), dict(type=float, help="coupling value")),
+)
 
 
 def _build_parser():
@@ -436,44 +442,25 @@ def _build_parser():
         "divergence fits, deviation factors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "spectra": cmd_spectra,
-        "integrate": cmd_integrate,
-        "fit": cmd_fit,
-        "regularize": cmd_regularize,
-        "check": cmd_check,
-        "resum": cmd_resum,
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="advisory worker count; results are identical for any value")
-        p.add_argument("--quad-orders", help="radial,ang1,ang2,ang3")
-        p.add_argument("--model", choices=["log", "powerlog", "polylog", "auto"])
-        p.add_argument("--epsilon", type=float, help="coupling value")
-        p.add_argument("--samples", help="CSV file of cutoff samples (L,re,im[,err])")
-        p.set_defaults(handler=handler)
+    commands = {}
+    for name in ("spectra", "integrate", "fit", "regularize", "check", "resum"):
+        commands[name] = sub.add_parser(name)
+        commands[name].add_argument("--config", help="JSON config file")
+        commands[name].add_argument("--out", default=".", help="output directory")
+    for flag, names, options in _FLAGS:
+        for name in names:
+            commands[name].add_argument(flag, **options)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except IntegrandSyntaxError:
-        return EXIT_PARSE_ERROR
-    except SingularIntegrandError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SINGULAR
-    except (ModelMismatchError, UnclassifiedDivergenceError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MODEL_MISMATCH
+        # looked up at call time, so a patched cmd_* runs
+        return globals()[f"cmd_{args.command}"](_settings(args))
+    except (ValueError, OSError, OverflowError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

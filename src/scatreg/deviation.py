@@ -273,6 +273,8 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError(f"order {nmax} exceeds the {psi.size - 1} supplied constants")
     if L <= 0:
         raise ValueError("the cutoff must be positive")
+    if eps == 0:
+        raise ValueError("the coupling must be nonzero to recover per-order terms")
     x = 1j * phi * math.log(L)
     powers = np.array([x**k / math.factorial(k) for k in range(nmax + 1)])
     a = np.array(

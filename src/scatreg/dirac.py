@@ -63,7 +63,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def eigenvectors_closed_form(q, m):
     if sm == 0.0:
         # q = 0 up to underflow: H is diagonal, use the canonical basis
         vecs = np.eye(4, dtype=complex)[:, [2, 3, 0, 1]]
-        return EigenSystem(values=vals, vectors=vecs, degenerate=True)
+        return EigenSystem(values=vals, vectors=vecs)
     q1, q2, q3 = q
     g1 = np.array([(-q1 + 1j * q2) / sp, q3 / sp, 0.0, 1.0])
     g2 = np.array([-q3 / sp, (-q1 - 1j * q2) / sp, 1.0, 0.0])
@@ -187,7 +186,7 @@ def eigenvectors_closed_form(q, m):
     vecs /= np.linalg.norm(vecs, axis=0)
     for k in range(4):
         vecs[:, k] = _fix_phase(vecs[:, k])
-    return EigenSystem(values=vals, vectors=vecs, degenerate=True)
+    return EigenSystem(values=vals, vectors=vecs)
 
 
 def _gram_schmidt(columns):

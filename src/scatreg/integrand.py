@@ -186,26 +186,13 @@ class _Parser:
             self.expect_op((")",))
             return node
         if kind == "op" and text == "-":
-            return Neg(self.atom_with_power())
+            # so that -x^2 parses as -(x^2), matching usual convention
+            return Neg(self.factor())
         raise IntegrandSyntaxError(
             f"unexpected token '{text or 'end of input'}'",
             offset,
             expected=("number", "identifier", "(", "-"),
         )
-
-    def atom_with_power(self):
-        # so that -x^2 parses as -(x^2), matching usual convention
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
-            nkind, ntext, noffset = self.take()
-            if nkind != "num" or not re.fullmatch(r"\d+", ntext):
-                raise IntegrandSyntaxError(
-                    "exponent must be an integer literal", noffset, expected=("integer",)
-                )
-            node = Pow(node, int(ntext))
-        return node
 
 
 def parse_integrand(source):

@@ -160,3 +160,13 @@ def test_report_serializes():
     assert payload["model"]["kind"] == "log"
     assert payload["decay_ok"] is True
     assert len(payload["residuals"]) == len(payload["grid"])
+    for kind in ("log", "powerlog", "polylog"):
+        report = fit(log_samples(GRID), kind)
+        assert asymfit.model_from_dict(report.to_dict()["model"]) == report.model
+    for bad in (
+        {"kind": "log", "psi": 1.0},
+        {"kind": "cubic"},
+        {"kind": "log", "phi": [1], "psi": 0},
+    ):
+        with pytest.raises(ValueError):
+            asymfit.model_from_dict(bad)

@@ -29,6 +29,10 @@ def test_region_and_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(radial_order=1)
     with pytest.raises(ValueError):
+        QuadratureSpec(angular_orders=(8, 8))
+    with pytest.raises(ValueError):
+        QuadratureSpec(angular_orders=(8.0, 8, 8))
+    with pytest.raises(ValueError):
         QuadratureSpec(method="monte-carlo", seed=None)
     with pytest.raises(ValueError):
         QuadratureSpec(method="monte-carlo", samples=10, seed=1)

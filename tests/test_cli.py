@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scatreg.cli import main
 
@@ -197,3 +198,207 @@ def test_determinism_across_thread_flags(tmp_path):
         assert code == 0
         outputs.append((out / "samples.csv").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+ONE_CUTOFF = {"start": 10.0, "ratio": 2.0, "count": 1}
+SMALL_QUAD = {"radial_order": 8, "angular_orders": [8, 8, 8]}
+
+
+def integrate_config(**overrides):
+    return {"integrand_im": "1/(P2+1)^2", "L_grid": ONE_CUTOFF, "quadrature": SMALL_QUAD,
+            **overrides}
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, expected",
+    [
+        ("regularize", {"fit_report": "missing.json"}, ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "log", "psi": 1.0}}, ["--samples", "log.csv"], 2),
+        ("integrate", integrate_config(quadrature={"angular_orders": [8, 8]}), [], 2),
+        ("integrate", integrate_config(quadrature={"angular_orders": "abc"}), [], 2),
+        ("integrate", integrate_config(m="abc"), [], 2),
+        ("integrate", integrate_config(q=[1.0, 2.0]), [], 2),
+        ("fit", None, ["--samples", "one_row.csv", "--model", "log"], 5),
+        ("fit", None, ["--samples", "one_row.csv", "--model", "auto"], 5),
+        ("fit", None, ["--samples", "descending.csv"], 2),
+        ("fit", None, ["--samples", "text.csv"], 2),
+        ("fit", {"tail_fraction": 2}, ["--samples", "log.csv"], 2),
+        ("fit", {"tail_fraction": "x"}, ["--samples", "log.csv"], 2),
+        ("fit", {"degree": "x"}, ["--samples", "log.csv"], 2),
+        ("regularize", {"epsilon": "x"}, ["--samples", "log.csv", "--model", "log"], 2),
+        ("regularize", None, ["--samples", "log.csv", "--epsilon", "1e200"], 2),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "order": 2}, [], 2),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": [0]}, [], 2),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "epsilon": 0}, [], 2),
+        ("spectra", {"q": [0, 0, 0], "m": -1}, [], 2),
+        ("check", {"trials": "x"}, [], 2),
+        ("integrate", integrate_config(integrand_im="(P2+1)^200"), [], 4),
+    ],
+)
+def test_malformed_invocations_exit_with_documented_code(
+    tmp_path, monkeypatch, command, config, extra, expected
+):
+    monkeypatch.chdir(tmp_path)
+    grid = np.geomspace(10, 1e4, 17)
+    (tmp_path / "log.csv").write_text(
+        "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"
+    )
+    (tmp_path / "one_row.csv").write_text("L,re,im,err\n10,0,1,0\n")
+    (tmp_path / "descending.csv").write_text(
+        "L,re,im\n" + "".join(f"{100 - i},0,{i}\n" for i in range(10))
+    )
+    (tmp_path / "text.csv").write_text("L,re,im\na,b,c\n")
+    code, _ = run(tmp_path, command, config, extra)
+    assert code == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectra", "--epsilon", "3", "--model", "log", "--quad-orders", "1,2,3,4"],
+        ["fit", "--threads", "2"],
+    ],
+)
+def test_flags_of_other_subcommands_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+# Config fuzzing: a valid config of small values, then up to two of its keys
+# (at any depth) dropped or replaced by junk.  Quadrature orders stay <= 8 and
+# cutoff counts <= 3 so that no example allocates much memory; the quadrature
+# orders are never dropped, since their defaults are large.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-1e3, 1e3) | st.sampled_from([float("nan"), float("inf")]),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 8), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+SMALL_FLOAT = st.floats(-20, 200)
+FLOATS = st.lists(st.floats(-5, 5), max_size=5)
+VECTOR = st.lists(st.floats(-5, 5), min_size=3, max_size=4) | FLOATS
+
+
+@st.composite
+def spoiled(draw, keep=(), **entries):
+    """A dict of ``entries``, up to two of them dropped or junk; ``keep``
+    entries are never dropped."""
+    config = draw(st.fixed_dictionaries(entries))
+    for key in draw(st.lists(st.sampled_from(sorted(entries)), max_size=2, unique=True)):
+        if key in keep or draw(st.booleans()):
+            config[key] = draw(JUNK)
+        else:
+            del config[key]
+    return config
+
+
+QUADRATURE = spoiled(
+    keep=("radial_order", "angular_orders"),
+    radial_order=st.integers(2, 8),
+    angular_orders=st.lists(st.integers(2, 8), min_size=3, max_size=3),
+    method=st.sampled_from(["tensor-gauss", "tensor-gauss", "monte-carlo"]),
+    samples=st.integers(1000, 2000),
+    seed=st.integers(0, 9),
+)
+SAMPLING = {
+    "integrand_re": st.sampled_from(
+        ["1", "PQ/(P2+m^2)^3", "-p1^2/(P2+1)^4", "1/(P2", "1/P2"]
+    ),
+    "integrand_im": st.sampled_from(["1/(P2+m^2)^2", "1/(P2+1)^2", "(P2+1)^200", "P2^"]),
+    "L_grid": spoiled(
+        start=st.floats(0.5, 200), ratio=st.floats(1.1, 4), count=st.integers(1, 3)
+    ),
+    "q": VECTOR,
+    "m": SMALL_FLOAT,
+    "quadrature": QUADRATURE,
+}
+FIT = {
+    **SAMPLING,
+    "samples_file": st.sampled_from(["log.csv", "one_row.csv", "text.csv", "descending.csv",
+                                     "missing.csv", ""]),
+    "model": st.sampled_from(["log", "powerlog", "polylog", "auto", "cubic"]),
+    "tail_fraction": st.floats(0.1, 1),
+    "degree": st.integers(0, 4),
+}
+MODEL_DICT = spoiled(
+    kind=st.sampled_from(["log", "powerlog", "polylog"]),
+    **{name: SMALL_FLOAT for name in ("phi", "psi", "nu", "mu")},
+    table=FLOATS,
+    order=st.integers(0, 3),
+)
+CONFIGS = {
+    "spectra": dict(
+        m=SMALL_FLOAT,
+        q=VECTOR,
+        q_grid=spoiled(min=SMALL_FLOAT, max=SMALL_FLOAT, count=st.integers(1, 3)),
+    ),
+    "integrate": SAMPLING,
+    "fit": FIT,
+    "regularize": {
+        **FIT,
+        "model": st.sampled_from(["log", "auto"]) | MODEL_DICT,
+        "epsilon": st.floats(-2, 2),
+        "fit_report": st.sampled_from(["fit.json", "list.json", "missing.json"]),
+    },
+    "check": dict(
+        seed=st.integers(0, 9), trials=st.integers(0, 3), tamper=st.floats(0, 1e-3)
+    ),
+    "resum": dict(
+        psi=st.lists(st.floats(-2, 2), min_size=3, max_size=4).map(lambda psi: [1.0, *psi]),
+        phi=st.floats(-5, 5),
+        epsilon=st.floats(-2, 2),
+        order=st.integers(0, 3),
+        L_values=st.lists(st.floats(0.5, 1e3), max_size=3),
+    ),
+}
+FLAGS = st.lists(
+    st.tuples(
+        st.sampled_from(["--seed", "--threads", "--quad-orders", "--model", "--epsilon",
+                         "--samples"]),
+        st.sampled_from(["1", "x", "8,8,8,8", "log", "0.5", "log.csv"]),
+    ).map(list),
+    max_size=1,
+)
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(CONFIGS)))
+    # defaults that would make an example slow are never dropped
+    keep = ("quadrature", "trials")
+    return command, draw(spoiled(keep, **CONFIGS[command])), sum(draw(FLAGS), [])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    grid = np.geomspace(10, 1e4, 9)
+    (root / "log.csv").write_text(
+        "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"
+    )
+    (root / "one_row.csv").write_text("L,re,im,err\n10,0,1,0\n")
+    (root / "text.csv").write_text("L,re,im\na,b,c\n")
+    (root / "descending.csv").write_text("L,re,im\n20,0,1\n10,0,2\n")
+    (root / "fit.json").write_text(json.dumps({"model": {"kind": "log", "phi": 1, "psi": 0}}))
+    (root / "list.json").write_text("[1, 2]")
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocation=invocations())
+def test_fuzzed_configs_exit_with_documented_codes(fuzz_dir, invocation):
+    command, config, flags = invocation
+    (fuzz_dir / "config.json").write_text(json.dumps(config))
+    argv = [command, "--config", "config.json", "--out", "out", *flags]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(fuzz_dir)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag
+            assert exc.code == 2
+        else:
+            assert code in range(6)

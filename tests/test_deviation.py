@@ -154,6 +154,11 @@ def test_resum_requires_unit_leading_constant():
         resum_coulomb_series([0.5, 1.0], 2.0, 0.1, 1, 10.0)
 
 
+def test_resum_requires_nonzero_coupling():
+    with pytest.raises(ValueError):
+        resum_coulomb_series([1.0, 0.5], 2.0, 0.0, 1, 10.0)
+
+
 def test_resum_phi_zero_is_identity():
     psi = [1.0, 0.7, -0.3]
     out = resum_coulomb_series(psi, 0.0, 0.1, 2, 100.0)
