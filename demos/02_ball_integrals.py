@@ -5,8 +5,9 @@ cutoff integral over |p| <= L has the closed form
 
     pi^2 [ ln(1 + L^2) - L^2 / (1 + L^2) ]
 
-which diverges like 2 pi^2 ln L.  We compare the tensor Gauss-Legendre rule
-and the Monte-Carlo estimator against it, and against the 1-d radial oracle.
+which diverges like 2 pi^2 ln L.  We compare the Gauss-Legendre rule (the 2-D
+(r, chi) product, since the integrand is O(4)-invariant) and the Monte-Carlo
+estimator against it, and against the 1-d radial oracle.
 """
 
 import numpy as np

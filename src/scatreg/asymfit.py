@@ -185,6 +185,13 @@ def _prototype(kind, degree):
     return _make_model(kind, [0.0] * ncoef, 2)
 
 
+def _tail_length(n, tail_fraction):
+    """Number of samples in the tail window: the last ``tail_fraction`` of n."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must lie in (0, 1]")
+    return int(np.ceil(tail_fraction * n))
+
+
 def fit(samples, kind, tail_fraction=0.5, degree=2, order=2):
     """Fit one divergence model to cutoff samples over a tail window.
 
@@ -193,12 +200,10 @@ def fit(samples, kind, tail_fraction=0.5, degree=2, order=2):
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind '{kind}' (one of {_KINDS})")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
+    n = len(samples.grid)
+    start = n - _tail_length(n, tail_fraction)
     proto = _prototype(kind, degree)
     ncoef = len(proto.coefficients)
-    n = len(samples.grid)
-    start = n - int(np.ceil(tail_fraction * n))
     grid = samples.grid[start:]
     values = samples.values[start:]
     if len(grid) <= ncoef:
@@ -246,9 +251,10 @@ def classify(samples, tail_fraction=0.5, max_degree=4, order=2):
     if len(samples.grid) < 8:
         raise IllPosedFitError("classification needs at least 8 samples")
     reports = []
-    attempts = [("log", 0), ("powerlog", 0)] + [
-        ("polylog", d) for d in range(2, max_degree + 1)
-    ]
+    # fit refuses a polylog of degree d unless d + 1 < the tail length, and
+    # then refuses every higher degree too
+    top = min(max_degree, _tail_length(len(samples.grid), tail_fraction) - 2)
+    attempts = [("log", 0), ("powerlog", 0)] + [("polylog", d) for d in range(2, top + 1)]
     for kind, degree in attempts:
         try:
             report = fit(samples, kind, tail_fraction, degree=degree, order=order)

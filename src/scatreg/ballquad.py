@@ -1,15 +1,24 @@
 """Cutoff integrals over the Euclidean 4-ball |P| <= L.
 
-The default rule is a tensor product of Gauss-Legendre quadratures in
+The default rule is a product of Gauss-Legendre quadratures in
 hyperspherical coordinates
 
     P = r (cos chi, sin chi cos theta, sin chi sin theta cos phi,
            sin chi sin theta sin phi),      d^4P = r^3 sin^2(chi) sin(theta)
 
-with r in [0, L], chi, theta in [0, pi], phi in [0, 2 pi).  A plain
-Monte-Carlo estimator on the ball is available for integrands the screen
-rejects.  Partial sums are reduced in a fixed chunk order so results are
-bit-identical regardless of how the host parallelizes.
+with r in [0, L], chi, theta in [0, pi], phi in [0, 2 pi).  Which product
+runs follows from the integrand alone:
+
+* An O(4)-invariant integrand, one that names no coordinate p0..p3, q0..q3
+  and depends on P and Q only through P2, PQ and Q2, is integrated on the 2-D
+  rule in (r, chi): q is rotated onto the p0 axis, theta and phi integrate
+  to 4 pi, and only ``angular_orders[0]`` of the spec is used.
+* Any other integrand is integrated on the 4-D tensor rule in
+  (r, chi, theta, phi) with all three angular orders.
+
+A plain Monte-Carlo estimator on the ball is available for integrands the
+screen rejects.  Partial sums are reduced in a fixed chunk order so results
+are bit-identical regardless of how the host parallelizes.
 """
 
 from __future__ import annotations
@@ -18,9 +27,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .integrand import evaluate, screen_singularities
+from .integrand import evaluate, o4_invariant, screen_singularities
 
 __all__ = [
     "SingularIntegrandError",
@@ -133,13 +141,16 @@ def _gauss(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
-def _tensor_sum(exprs, q4, m, radius, spec):
-    """Weighted sums of each expr over the tensor rule, chunked deterministically."""
+def _radial(radius, n):
     # graded radial map r = L t^2: clusters nodes toward the origin, where
     # rational integrands with O(1) mass scales vary fastest relative to L
-    t, wt = _gauss(spec.radial_order, 0.0, 1.0)
-    r = radius * t**2
-    wr = wt * 2.0 * radius * t
+    t, wt = _gauss(n, 0.0, 1.0)
+    return radius * t**2, wt * 2.0 * radius * t
+
+
+def _tensor_rule(q4, radius, spec):
+    """The 4-D product rule in (r, chi, theta, phi): points, q and weights."""
+    r, wr = _radial(radius, spec.radial_order)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
     theta, wth = _gauss(spec.angular_orders[1], 0.0, np.pi)
     phi, wphi = _gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
@@ -156,13 +167,38 @@ def _tensor_sum(exprs, q4, m, radius, spec):
     )
     sinchi = np.sin(chi4)
     sinth = np.sin(th4)
-    coords = {
+    points = {
         "p0": np.broadcast_to(r4 * np.cos(chi4), weight.shape).ravel(),
         "p1": np.broadcast_to(r4 * sinchi * np.cos(th4), weight.shape).ravel(),
         "p2": np.broadcast_to(r4 * sinchi * sinth * np.cos(phi4), weight.shape).ravel(),
         "p3": np.broadcast_to(r4 * sinchi * sinth * np.sin(phi4), weight.shape).ravel(),
     }
-    wflat = weight.ravel()
+    return points, q4, weight.ravel()
+
+
+def _reduced_rule(q4, radius, spec):
+    """The 2-D product rule in (r, chi) for O(4)-invariant integrands.
+
+    q is rotated onto the p0 axis, so the integrand depends on the direction
+    of P only through chi, the angle between P and q; theta and phi integrate
+    to the area 4 pi of the unit 2-sphere.  Only ``angular_orders[0]`` is used.
+    """
+    r, wr = _radial(radius, spec.radial_order)
+    chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
+    weight = (wr * r**3)[:, None] * (4 * np.pi * wchi * np.sin(chi) ** 2)[None, :]
+    zeros = np.zeros(weight.size)
+    points = {
+        "p0": (r[:, None] * np.cos(chi)[None, :]).ravel(),
+        "p1": (r[:, None] * np.sin(chi)[None, :]).ravel(),
+        "p2": zeros,
+        "p3": zeros,
+    }
+    return points, np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0]), weight.ravel()
+
+
+def _rule_sum(exprs, rule, m, radius):
+    """Weighted sums of each expr over one rule, chunked deterministically."""
+    points, q4, weights = rule
     fixed = {f"q{i}": q4[i] for i in range(4)}
     fixed.update({"m": m, "L": radius})
 
@@ -172,12 +208,12 @@ def _tensor_sum(exprs, q4, m, radius, spec):
             totals.append(0.0)
             continue
         chunk_sums = []
-        for start in range(0, wflat.size, _CHUNK):
+        for start in range(0, weights.size, _CHUNK):
             sl = slice(start, start + _CHUNK)
-            ctx = {k: v[sl] for k, v in coords.items()}
+            ctx = {k: v[sl] for k, v in points.items()}
             ctx.update(fixed)
             values = evaluate(expr, ctx)
-            chunk_sums.append(np.sum(values * wflat[sl]))
+            chunk_sums.append(np.sum(values * weights[sl]))
         totals.append(float(np.sum(np.asarray(chunk_sums))))
     return totals
 
@@ -215,10 +251,14 @@ def _monte_carlo(exprs, q4, m, radius, spec):
 def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     """Integral of f_re + i f_im over the 4-ball, with an error estimate.
 
-    The tensor rule reports |value - refined value| with all orders increased
-    by 1.5x; Monte-Carlo reports the standard error of the mean.  Unless
-    Monte-Carlo is requested, flagged singular integrands are refused with the
-    screen report attached.
+    With ``method="tensor-gauss"`` the integral runs on the 2-D (r, chi) rule
+    when both given parts are O(4)-invariant (see the module docstring; only
+    ``angular_orders[0]`` is used), and on the 4-D tensor rule otherwise.
+    Either rule reports |value - refined value| with all orders increased by
+    1.5x; Monte-Carlo reports the standard error of the mean.  Unless
+    Monte-Carlo is requested, the singularity screen scans every denominator
+    on the 4-D coarse grid with the given q, and flagged singular integrands
+    are refused with the screen report attached.
     """
     if not isinstance(region, BallRegion):
         region = BallRegion(float(region))
@@ -234,14 +274,23 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     if spec.method == "monte-carlo":
         (re, re_err), (im, im_err) = _monte_carlo(exprs, q4, m, region.radius, spec)
         return complex(re, im), math.hypot(re_err, im_err)
-    re, im = _tensor_sum(exprs, q4, m, region.radius, spec)
-    re_f, im_f = _tensor_sum(exprs, q4, m, region.radius, _refined(spec))
+    rule = (
+        _reduced_rule
+        if all(expr is None or o4_invariant(expr) for expr in exprs)
+        else _tensor_rule
+    )
+    re, im = _rule_sum(exprs, rule(q4, region.radius, spec), m, region.radius)
+    re_f, im_f = _rule_sum(exprs, rule(q4, region.radius, _refined(spec)), m, region.radius)
     return complex(re, im), abs(complex(re - re_f, im - im_f))
 
 
 def radial_oracle(f, radius):
     """Independent 1-d oracle for radially symmetric integrands:
     2 pi^2 * integral of r^3 f(r) over [0, L], by adaptive quadrature."""
+    # imported here: scipy costs most of the package's import time, and only
+    # this reference helper needs it
+    from scipy.integrate import quad
+
     value, err = quad(
         lambda r: r**3 * f(r), 0.0, radius, epsabs=1e-12, epsrel=1e-12, limit=200
     )

@@ -31,6 +31,7 @@ __all__ = [
     "evaluate",
     "pretty_print",
     "division_denominators",
+    "o4_invariant",
     "screen_singularities",
     "VARIABLES",
     "BUILTINS",
@@ -38,6 +39,7 @@ __all__ = [
 
 VARIABLES = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3", "m", "L")
 BUILTINS = ("P2", "Q2", "PQ")
+_COORDINATES = VARIABLES[:8]  # p0..p3, q0..q3
 
 
 class IntegrandSyntaxError(ValueError):
@@ -215,7 +217,10 @@ def _builtin(name, ctx):
 
 def evaluate(expr, ctx):
     """Evaluate the tree with the bindings in ``ctx`` (scalars or arrays)."""
-    result = _eval(expr, ctx)
+    # overflow and invalid operations surface as the EvaluationError below,
+    # not as a numpy RuntimeWarning on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _eval(expr, ctx)
     if not np.all(np.isfinite(result)):
         raise EvaluationError("non-finite result", expr)
     return result
@@ -245,8 +250,7 @@ def _eval(expr, ctx):
         return left * right
     if np.any(right == 0):
         raise EvaluationError("division by zero", expr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = left / right
+    out = left / right
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite quotient", expr)
     return out
@@ -282,21 +286,33 @@ def _pp(expr, parent_prec):
     return text
 
 
-def division_denominators(expr):
-    """All denominator subtrees, for singularity screening."""
-    found = []
+def _nodes(expr):
+    """Every node of the tree, depth first, right subtree before left."""
     stack = [expr]
     while stack:
         node = stack.pop()
+        yield node
         if isinstance(node, BinOp):
-            if node.op == "/":
-                found.append(node.right)
             stack.extend([node.left, node.right])
         elif isinstance(node, Neg):
             stack.append(node.operand)
         elif isinstance(node, Pow):
             stack.append(node.base)
-    return found
+
+
+def division_denominators(expr):
+    """All denominator subtrees, for singularity screening."""
+    return [
+        node.right for node in _nodes(expr) if isinstance(node, BinOp) and node.op == "/"
+    ]
+
+
+def o4_invariant(expr):
+    """True when ``expr`` depends on P and Q only through P2, PQ and Q2, so
+    its integral over the ball is unchanged by any rotation of P and Q."""
+    return not any(
+        isinstance(node, Var) and node.name in _COORDINATES for node in _nodes(expr)
+    )
 
 
 @dataclass(frozen=True)
@@ -350,7 +366,8 @@ def screen_singularities(expr, q, m, radius, threshold=1e-8):
     overall_min = np.inf
     flagged = False
     for den in division_denominators(expr):
-        values = np.asarray(_eval(den, ctx), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(_eval(den, ctx), dtype=float)
         min_abs = float(np.min(np.abs(values)))
         sign_change = bool(np.any(values > 0) and np.any(values < 0))
         overall_min = min(overall_min, min_abs)

@@ -170,3 +170,26 @@ def test_report_serializes():
     ):
         with pytest.raises(ValueError):
             asymfit.model_from_dict(bad)
+
+
+def test_classify_skips_degrees_the_tail_cannot_fit(monkeypatch):
+    grid = np.geomspace(10, 1000, 24)
+    # no model fits an alternating sequence, so every degree is tried
+    samples = make_samples(grid, (-1.0) ** np.arange(24) * grid)
+    tail = 12  # the default tail_fraction 0.5 of 24 samples
+    calls = []
+    real_fit = asymfit.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(kwargs["degree"])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(asymfit, "fit", counting_fit)
+    with pytest.raises(UnclassifiedDivergenceError) as hopeless:
+        classify(samples, max_degree=20000)
+    assert len(calls) <= tail
+    # every degree left out is one fit refuses: the reports are those of the
+    # highest degree the tail can fit
+    with pytest.raises(UnclassifiedDivergenceError) as fitting:
+        classify(samples, max_degree=tail - 2)
+    assert [r.model for r in hopeless.value.reports] == [r.model for r in fitting.value.reports]

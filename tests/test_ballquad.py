@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scatreg import ballquad
 from scatreg.ballquad import (
@@ -11,7 +14,7 @@ from scatreg.ballquad import (
     radial_oracle,
     sample_over_cutoffs,
 )
-from scatreg.integrand import parse_integrand
+from scatreg.integrand import evaluate, o4_invariant, parse_integrand
 
 RATIONAL = parse_integrand("1/(P2+1)^2")
 
@@ -143,3 +146,83 @@ def test_integrand_with_kinematic_dependence():
     f = parse_integrand("PQ/(P2+1)^3")
     value, err = integrate_ball(f, None, (0.5, 1.0, -2.0, 0.3), 1.0, BallRegion(4.0))
     assert abs(value.real) <= 1e-10
+
+
+def test_invariant_integrand_takes_the_reduced_rule(monkeypatch):
+    sizes = []
+
+    def counting_evaluate(expr, ctx):
+        sizes.append(ctx["p0"].size)
+        return evaluate(expr, ctx)
+
+    monkeypatch.setattr(ballquad, "evaluate", counting_evaluate)
+    value, _ = integrate_ball(None, RATIONAL, (0, 0, 0), 0.0, BallRegion(10.0))
+    assert value.imag == pytest.approx(closed_form(10.0), rel=1e-10)
+    # one point per (r, chi) node of the default 64 x 32 rule and its 1.5x refinement
+    assert sizes == [64 * 32, 96 * 48]
+
+
+def test_coordinate_integrand_takes_the_tensor_rule(monkeypatch):
+    sizes = []
+
+    def counting_evaluate(expr, ctx):
+        sizes.append(ctx["p0"].size)
+        return evaluate(expr, ctx)
+
+    monkeypatch.setattr(ballquad, "evaluate", counting_evaluate)
+    spec = QuadratureSpec(radial_order=24, angular_orders=(16, 16, 16))
+    f = parse_integrand("p1^2/(P2+1)^3")
+    value, _ = integrate_ball(f, None, (0, 0, 0), 0.0, BallRegion(10.0), spec)
+    oracle = radial_oracle(lambda r: r**2 / 4 / (r**2 + 1) ** 3, 10.0)
+    assert abs(value.real - oracle) <= max(1e-8, 1e-6 * abs(oracle))
+    assert sizes == [24 * 16**3, 36 * 24**3]
+
+
+# Invariant integrands that are positive on the ball, so a relative tolerance
+# applies: numerators are sums of products of nonnegative invariants (P2 + PQ
+# + Q2 >= (P2 + Q2) / 2), denominators products of powers of positive ones.
+NUMERATOR_FACTORS = st.sampled_from(
+    ["2.5", "P2", "Q2", "m^2", "L", "(P2+PQ+Q2)", "(P2-PQ+Q2)", "(P2+2*PQ+Q2)"]
+)
+DENOMINATOR_FACTORS = st.sampled_from(
+    ["(P2+1)", "(P2+2.5)", "(P2+m^2)", "(P2+2*PQ+Q2+m^2)", "(P2-2*PQ+Q2+m^2)"]
+)
+EXPANSIONS = {
+    "P2": "(p0^2+p1^2+p2^2+p3^2)",
+    "PQ": "(p0*q0+p1*q1+p2*q2+p3*q3)",
+    "Q2": "(q0^2+q1^2+q2^2+q3^2)",
+}
+
+
+@st.composite
+def invariant_sources(draw):
+    terms = draw(
+        st.lists(st.lists(NUMERATOR_FACTORS, min_size=1, max_size=2), min_size=1, max_size=2)
+    )
+    powers = draw(
+        st.lists(st.tuples(DENOMINATOR_FACTORS, st.integers(1, 3)), min_size=1, max_size=2)
+    )
+    numerator = "+".join("*".join(factors) for factors in terms)
+    denominator = "*".join(f"{base}^{k}" for base, k in powers)
+    return f"({numerator})/({denominator})"
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    source=invariant_sources(),
+    radius=st.floats(0.5, 10.0),
+    m=st.floats(1.0, 2.0),
+)
+def test_reduced_rule_matches_tensor_rule(source, radius, m):
+    expanded = re.sub(r"\b(P2|PQ|Q2)\b", lambda match: EXPANSIONS[match.group(1)], source)
+    f, f4 = parse_integrand(source), parse_integrand(expanded)
+    assert o4_invariant(f) and not o4_invariant(f4)
+    spec = QuadratureSpec(radial_order=24, angular_orders=(16, 16, 16))
+    # |q| well below m keeps the 16-node tensor rule itself converged to ~1e-10
+    # in every direction of q; at |q| ~ m its angular error reaches 1e-8
+    q = (0.1, 0.15, -0.05, 0.12)
+    reduced, _ = integrate_ball(f, None, q, m, BallRegion(radius), spec)
+    tensor, _ = integrate_ball(f4, None, q, m, BallRegion(radius), spec)
+    assert reduced.real == pytest.approx(tensor.real, rel=1e-8)
+    rotated, _ = integrate_ball(f, None, q[::-1], m, BallRegion(radius), spec)
+    assert rotated.real == pytest.approx(reduced.real, rel=1e-14)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scatreg
 from scatreg.cli import main
 
 
@@ -236,7 +242,7 @@ def integrate_config(**overrides):
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
-    tmp_path, monkeypatch, command, config, extra, expected
+    tmp_path, monkeypatch, capsys, command, config, extra, expected
 ):
     monkeypatch.chdir(tmp_path)
     grid = np.geomspace(10, 1e4, 17)
@@ -248,8 +254,26 @@ def test_malformed_invocations_exit_with_documented_code(
         "L,re,im\n" + "".join(f"{100 - i},0,{i}\n" for i in range(10))
     )
     (tmp_path / "text.csv").write_text("L,re,im\na,b,c\n")
-    code, _ = run(tmp_path, command, config, extra)
+    # a warning recorded here is one a command-line run prints on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, command, config, extra)
     assert code == expected
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every subcommand runs in a fresh process; scipy would dominate its start-up
+    src = Path(scatreg.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, scatreg.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
