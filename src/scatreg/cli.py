@@ -206,24 +206,19 @@ def cmd_spectra(config):
     worst = 0.0
     for q in points:
         vals = dirac.eigenvalues(q, m)
-        sys_ = dirac.eigenvectors_closed_form(q, m)
+        vecs = dirac.eigenvectors_closed_form(q, m).vectors
         h = dirac.build_hamiltonian(q, m)
-        res = np.linalg.norm(h @ sys_.vectors - sys_.vectors * vals, axis=0)
+        res = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         worst = max(worst, float(np.max(res)) / max(np.linalg.norm(h), 1e-300))
         rows.append([*q, m, *vals])
-        sub = dirac.spectral_subspaces(q, m)
-        vectors.append(
-            {
-                "q": list(q),
-                "eigenvalues": list(vals),
-                "vectors_re": sys_.vectors.real.tolist(),
-                "vectors_im": sys_.vectors.imag.tolist(),
-                "frame_negative_re": sub.negative.real.tolist(),
-                "frame_negative_im": sub.negative.imag.tolist(),
-                "frame_positive_re": sub.positive.real.tolist(),
-                "frame_positive_im": sub.positive.imag.tolist(),
-            }
-        )
+        # the frames are the column split spectral_subspaces makes
+        entry = {"q": list(q), "eigenvalues": list(vals)}
+        for name, block in (
+            ("vectors", vecs), ("frame_negative", vecs[:, :2]), ("frame_positive", vecs[:, 2:])
+        ):
+            entry[f"{name}_re"] = block.real.tolist()
+            entry[f"{name}_im"] = block.imag.tolist()
+        vectors.append(entry)
     out = _out_dir(config)
     _write_csv(
         out / "spectra.csv",
@@ -370,6 +365,8 @@ def cmd_check(config):
     seed = _get(config, "seed", int, 20260826)
     trials = _get(config, "trials", int, 200)
     tamper = _get(config, "tamper", float, 0.0)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     failures = _check_spectra_suite(rng, trials, tamper)
     factor_failures, linear_in_class_a = _check_factor_suite(rng, trials)

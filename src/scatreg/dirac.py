@@ -108,9 +108,14 @@ def _check_point(q, m):
 
 
 def energy(q, m):
-    """E = sqrt(m^2 + |q|^2)."""
+    """E = sqrt(m^2 + |q|^2); a momentum or mass whose E overflows is a
+    ValueError."""
     q, m = _check_point(q, m)
-    return float(np.sqrt(m * m + q @ q))
+    with np.errstate(over="ignore"):
+        e = float(np.sqrt(m * m + q @ q))
+    if not np.isfinite(e):
+        raise ValueError(f"energy sqrt(m^2 + |q|^2) overflows at q={q}, m={m}")
+    return e
 
 
 def build_hamiltonian(q, m):
@@ -166,7 +171,7 @@ def eigenvectors_closed_form(q, m):
     if scale > 0:
         q = q / scale
         m = m / scale
-    e = energy(q, m)
+    e = float(np.sqrt(m * m + q @ q))
     vals = scale * np.array([-e, -e, e, e])
     sp = m + e  # m + lambda_3
     # m - lambda_3 = -|q|^2 / (m + E): stable against cancellation for |q| << m
@@ -189,25 +194,16 @@ def eigenvectors_closed_form(q, m):
     return EigenSystem(values=vals, vectors=vecs)
 
 
-def _gram_schmidt(columns):
-    out = []
-    for v in columns.T:
-        w = v.astype(complex).copy()
-        for u in out:
-            w -= (u.conj() @ w) * u
-        w /= np.linalg.norm(w)
-        out.append(w)
-    return np.column_stack(out)
-
-
 def spectral_subspaces(q, m):
     """Orthonormal frames for the invariant spans M1 (negative eigenvalues)
-    and M2 (positive)."""
-    sys = eigenvectors_closed_form(q, m)
-    return SpectralSubspaces(
-        negative=_gram_schmidt(sys.vectors[:, :2]),
-        positive=_gram_schmidt(sys.vectors[:, 2:]),
-    )
+    and M2 (positive): the first and last two closed-form eigenvector columns.
+
+    They are orthonormal by construction: g1 and g2 (g3 and g4) are orthogonal
+    identically, and the two pairs belong to the distinct eigenvalues -E and +E
+    of the Hermitian H.
+    """
+    vectors = eigenvectors_closed_form(q, m).vectors
+    return SpectralSubspaces(negative=vectors[:, :2], positive=vectors[:, 2:])
 
 
 def apply_multiplication_operator(h_field, f):

@@ -239,7 +239,10 @@ def _eval(expr, ctx):
     if isinstance(expr, Neg):
         return -_eval(expr.operand, ctx)
     if isinstance(expr, Pow):
-        return _eval(expr.base, ctx) ** expr.exponent
+        try:
+            return _eval(expr.base, ctx) ** expr.exponent
+        except OverflowError:  # a Python float base; numpy gives inf instead
+            raise EvaluationError("overflow", expr) from None
     left = _eval(expr.left, ctx)
     right = _eval(expr.right, ctx)
     if expr.op == "+":

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scatreg
+from scatreg import dirac
 from scatreg.cli import main
 
 
@@ -43,6 +44,27 @@ def test_spectra_grid(tmp_path):
     )
     assert code == 0
     assert read_csv(out / "spectra.csv").shape == (27, 8)
+
+
+def test_spectra_solves_each_point_once(tmp_path, monkeypatch):
+    calls = []
+    solve = dirac.eigenvectors_closed_form
+
+    def counted(q, m):
+        calls.append(1)
+        return solve(q, m)
+
+    monkeypatch.setattr(dirac, "eigenvectors_closed_form", counted)
+    code, out = run(
+        tmp_path, "spectra", {"q_grid": {"min": -1, "max": 1, "count": 3}, "m": 0.5}
+    )
+    assert code == 0
+    assert len(calls) == 27
+    for entry in json.loads((out / "eigenvectors.json").read_text()):
+        for part in ("re", "im"):
+            vectors = np.array(entry[f"vectors_{part}"])
+            assert np.array_equal(entry[f"frame_negative_{part}"], vectors[:, :2])
+            assert np.array_equal(entry[f"frame_positive_{part}"], vectors[:, 2:])
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -239,6 +261,11 @@ def integrate_config(**overrides):
         ("spectra", {"q": [0, 0, 0], "m": -1}, [], 2),
         ("check", {"trials": "x"}, [], 2),
         ("integrate", integrate_config(integrand_im="(P2+1)^200"), [], 4),
+        ("integrate", integrate_config(integrand_im="10^400/(P2+1)^2"), [], 4),
+        ("integrate", integrate_config(integrand_im="1/(P2+L^400)"), [], 4),
+        ("spectra", {"q": [1e300, 1e300, 0], "m": 1}, [], 2),
+        ("check", {"trials": 0}, [], 2),
+        ("check", {"trials": -3}, [], 2),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(

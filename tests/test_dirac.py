@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from scatreg import dirac
@@ -93,9 +93,15 @@ def test_closed_form_matches_generic_eigensolver(q, m):
 
 
 @given(momenta, masses)
+@example(q=(1e-13, 2e-13, 0.0), m=1.0)  # last entry just above _fix_phase's tolerance
+@example(q=(1e-14, 2e-14, 0.0), m=1.0)  # below it: _fix_phase takes a complex entry
+@example(q=(1e150, -1e150, 1e150), m=0.0)
+@example(q=(1e-208, -3e-208, 2e-208), m=1e-213)
 @settings(max_examples=100, deadline=None)
 def test_subspaces_complete_and_orthogonal(q, m):
     sub = dirac.spectral_subspaces(q, m)
+    for frame in (sub.negative, sub.positive):
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(2)) <= 1e-12
     p1 = sub.projector_negative
     p2 = sub.projector_positive
     assert np.linalg.norm(p1 + p2 - np.eye(4)) <= 1e-12
