@@ -12,7 +12,6 @@ import numpy as np
 from scatreg import (
     DeviationFactor,
     class_a_check,
-    evaluate_factor,
     resum_coulomb_series,
 )
 
@@ -23,7 +22,7 @@ linear = DeviationFactor(quad_coeff=0.0, linear_coeff=0.25, log_coeffs=(), gauge
 for name, factor in (("pure log", pure), ("linear", linear)):
     result = class_a_check(factor, shift=5.0, grid=grid)
     print(f"{name:9s} class A: {result.verdict}")
-    print("  |U0(L)| - 1:", f"{max(abs(abs(evaluate_factor(factor, L)) - 1) for L in grid):.1e}")
+    print("  |U0(L)| - 1:", f"{max(abs(abs(factor(L)) - 1) for L in grid):.1e}")
     print("  ratio U0(L+5)/U0(L) at largest L:", f"{result.ratios[-1]:+.6f}")
 print(f"  (constant phase e^(i c1 s) = {np.exp(1j * 0.25 * 5.0):+.6f})")
 

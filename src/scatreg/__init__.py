@@ -27,7 +27,6 @@ from .ballquad import (
 from .deviation import (
     DeviationFactor,
     class_a_check,
-    evaluate_factor,
     factor_from_model,
     gauge_multiply,
     regularize_coefficient,

@@ -192,41 +192,33 @@ def _fit_model(samples, config):
 def cmd_spectra(config):
     m = _get(config, "m", float)
     if "q" in config:
-        points = [np.asarray(_get(config, "q", [float]))]
+        points = np.array([_get(config, "q", [float])])
     elif "q_grid" in config:
         spec = _get(config, "q_grid", dict)
         axis = np.linspace(
             _get(spec, "min", float), _get(spec, "max", float), _get(spec, "count", int)
         )
-        points = [np.array([a, b, c]) for a in axis for b in axis for c in axis]
+        points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     else:
         raise ValueError("config needs 'q' or 'q_grid'")
-    rows = []
-    vectors = []
-    worst = 0.0
-    for q in points:
-        vals = dirac.eigenvalues(q, m)
-        vecs = dirac.eigenvectors_closed_form(q, m).vectors
-        h = dirac.build_hamiltonian(q, m)
-        res = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
-        worst = max(worst, float(np.max(res)) / max(np.linalg.norm(h), 1e-300))
-        rows.append([*q, m, *vals])
-        # the frames are the column split spectral_subspaces makes
-        entry = {"q": list(q), "eigenvalues": list(vals)}
-        for name, block in (
-            ("vectors", vecs), ("frame_negative", vecs[:, :2]), ("frame_positive", vecs[:, 2:])
-        ):
-            entry[f"{name}_re"] = block.real.tolist()
-            entry[f"{name}_im"] = block.imag.tolist()
-        vectors.append(entry)
+    vals = dirac.eigenvalues(points, m)
+    vecs = dirac.eigenvectors_closed_form(points, m).vectors
+    h = dirac.build_hamiltonian(points, m)
+    # relative to ||H||_F = 2E, which overflows long before E does; H = 0
+    # where E = 0, so those rows report 0
+    e = np.where(vals[:, 3] > 0, vals[:, 3], np.inf)[:, None, None]
+    res = np.linalg.norm((h @ vecs - vecs * vals[:, None, :]) / e, axis=1) / 2
+    worst = float(np.max(res, initial=0.0))
     out = _out_dir(config)
     _write_csv(
         out / "spectra.csv",
         ["q1", "q2", "q3", "m", "lambda1", "lambda2", "lambda3", "lambda4"],
-        rows,
+        np.column_stack([points, np.full(len(points), m), vals]),
     )
-    _write_json(out / "eigenvectors.json", vectors)
-    print(f"spectra: {len(rows)} points, max relative eigen-residual {worst:.3e}")
+    keys = ("q", "eigenvalues", "vectors_re", "vectors_im")
+    entries = zip(points.tolist(), vals.tolist(), vecs.real.tolist(), vecs.imag.tolist())
+    _write_json(out / "eigenvectors.json", [dict(zip(keys, e)) for e in entries])
+    print(f"spectra: {len(points)} points, max relative eigen-residual {worst:.3e}")
     return 0
 
 

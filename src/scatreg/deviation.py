@@ -25,7 +25,6 @@ __all__ = [
     "ResummationResult",
     "RegularizedSeries",
     "factor_from_model",
-    "evaluate_factor",
     "regularize_coefficient",
     "regularized_series",
     "series_exp",
@@ -141,11 +140,6 @@ def factor_from_model(model, eps, order=2):
     return DeviationFactor(
         log_coeffs=tuple(coeffs), eps=eps, eps_order=single
     )
-
-
-def evaluate_factor(factor, L):
-    """U0(L); unit modulus by construction."""
-    return factor(L)
 
 
 def gauge_multiply(factor, gamma):

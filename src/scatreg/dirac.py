@@ -33,9 +33,8 @@ __all__ = [
     "random_unitary",
 ]
 
-# Below this (relative) momentum the closed-form eigenvectors divide by ~0 and
-# H is already diagonal; we fall back to the canonical basis.
-_Q_SINGULAR_RTOL = 1e-12
+# eigenvectors of H(0) = diag(m, m, -m, -m) in the order (-E, -E, +E, +E)
+_AT_REST = np.eye(4, dtype=complex)[:, [2, 3, 0, 1]]
 
 
 class CommutationError(ValueError):
@@ -59,7 +58,8 @@ class SubspaceLeakageError(ValueError):
 @dataclass(frozen=True)
 class EigenSystem:
     """Closed-form spectral data of H(q): columns of ``vectors`` are the
-    normalized eigenvectors, ordered to match ``values`` = (-E, -E, +E, +E)."""
+    normalized eigenvectors, ordered to match ``values`` = (-E, -E, +E, +E);
+    stacked along a leading axis for stacked momenta."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -75,11 +75,11 @@ class SpectralSubspaces:
 
     @property
     def projector_negative(self):
-        return self.negative @ self.negative.conj().T
+        return self.negative @ np.swapaxes(self.negative.conj(), -1, -2)
 
     @property
     def projector_positive(self):
-        return self.positive @ self.positive.conj().T
+        return self.positive @ np.swapaxes(self.positive.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,12 @@ class ScatteringDiagonal:
 
 
 def _check_point(q, m):
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3,):
-        raise ValueError(f"momentum must have 3 components, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    """One momentum (3,) or a stack (n, 3), checked finite, and a finite
+    non-negative mass."""
+    q = np.ascontiguousarray(q, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[-1] != 3:
+        raise ValueError(f"momentum must have shape (3,) or (n, 3), got {q.shape}")
+    if not np.isfinite(q).all():
         raise ValueError("momentum components must be finite")
     m = float(m)
     if not np.isfinite(m) or m < 0.0:
@@ -107,30 +109,40 @@ def _check_point(q, m):
     return q, m
 
 
+def _norm2(q):
+    """|q|^2 per momentum, bitwise equal to ``q @ q`` (einsum and
+    ``(q * q).sum(-1)`` round differently)."""
+    return (q[..., None, :] @ q[..., :, None])[..., 0, 0]
+
+
 def energy(q, m):
-    """E = sqrt(m^2 + |q|^2); a momentum or mass whose E overflows is a
-    ValueError."""
+    """E = sqrt(m^2 + |q|^2) per momentum; a momentum or mass whose E
+    overflows is a ValueError."""
     q, m = _check_point(q, m)
     with np.errstate(over="ignore"):
-        e = float(np.sqrt(m * m + q @ q))
-    if not np.isfinite(e):
+        e = np.sqrt(m * m + _norm2(q))
+    if not np.all(np.isfinite(e)):
+        q = q.reshape(-1, 3)[np.argmin(np.isfinite(e))]  # the first that overflows
         raise ValueError(f"energy sqrt(m^2 + |q|^2) overflows at q={q}, m={m}")
     return e
 
 
 def build_hamiltonian(q, m):
-    """The 4x4 Hermitian momentum-space Dirac matrix H(q)."""
+    """The 4x4 Hermitian momentum-space Dirac matrix H(q), stacked (n, 4, 4)
+    for stacked momenta."""
     q, m = _check_point(q, m)
-    q1, q2, q3 = q
-    return np.array(
-        [
-            [m, 0.0, q3, q1 - 1j * q2],
-            [0.0, m, q1 + 1j * q2, -q3],
-            [q3, q1 - 1j * q2, -m, 0.0],
-            [q1 + 1j * q2, -q3, 0.0, -m],
-        ],
-        dtype=complex,
-    )
+    q1, q2, q3 = q.T
+    zero = np.zeros(q.shape[:-1])
+    mm = zero + m
+    # listed by columns, which .T puts last (np.stack costs ~10 us a call):
+    # H is Hermitian, so column j is the conjugate of row j
+    columns = [
+        [mm, zero, q3, q1 + 1j * q2],
+        [zero, mm, q1 - 1j * q2, -q3],
+        [q3, q1 + 1j * q2, -mm, zero],
+        [q1 - 1j * q2, -q3, zero, -mm],
+    ]
+    return np.array(columns, dtype=complex).T
 
 
 def build_doubled(q, m):
@@ -143,54 +155,56 @@ def build_doubled(q, m):
 
 
 def eigenvalues(q, m):
-    """(-E, -E, +E, +E) with E = sqrt(m^2 + |q|^2)."""
+    """(-E, -E, +E, +E) with E = sqrt(m^2 + |q|^2), one row per momentum."""
     e = energy(q, m)
-    return np.array([-e, -e, e, e])
-
-
-def _fix_phase(v, tol=1e-13):
-    """Rotate so the last component with non-negligible modulus is real positive."""
-    idx = np.flatnonzero(np.abs(v) > tol * np.max(np.abs(v)))
-    if idx.size == 0:
-        return v
-    c = v[idx[-1]]
-    return v * (np.conj(c) / np.abs(c))
+    return np.array([-e, -e, e, e]).T
 
 
 def eigenvectors_closed_form(q, m):
-    """Normalized eigenvectors of H(q) from the closed-form expressions.
+    """Normalized eigenvectors of H(q) from the closed-form expressions, for
+    one momentum (3,) or a stack (n, 3).
 
-    The raw expressions divide by m -/+ E, which vanishes at q = 0; there H is
-    already diagonal and the canonical basis is returned instead (e3, e4 for
-    the negative pair, e1, e2 for the positive pair).
+    Each column is rotated so that its last entry above 1e-13 of the column's
+    largest is real positive.  The raw expressions divide by m -/+ E, which
+    vanishes at q = 0; there H is already diagonal and the canonical basis is
+    used instead (e3, e4 for the negative pair, e1, e2 for the positive pair).
     """
     q, m = _check_point(q, m)
     # H is jointly linear in (q, m): rescale to O(1) so no intermediate
     # quantity goes subnormal, then scale the eigenvalues back.
-    scale = max(np.max(np.abs(q)), m)
-    if scale > 0:
-        q = q / scale
-        m = m / scale
-    e = float(np.sqrt(m * m + q @ q))
-    vals = scale * np.array([-e, -e, e, e])
-    sp = m + e  # m + lambda_3
-    # m - lambda_3 = -|q|^2 / (m + E): stable against cancellation for |q| << m
-    sm = -(q @ q) / sp if sp > 0 else 0.0
-    if sm == 0.0:
-        # q = 0 up to underflow: H is diagonal, use the canonical basis
-        vecs = np.eye(4, dtype=complex)[:, [2, 3, 0, 1]]
-        return EigenSystem(values=vals, vectors=vecs)
-    q1, q2, q3 = q
-    g1 = np.array([(-q1 + 1j * q2) / sp, q3 / sp, 0.0, 1.0])
-    g2 = np.array([-q3 / sp, (-q1 - 1j * q2) / sp, 1.0, 0.0])
-    # multiplied through by sm (|sm| can underflow |q|^2): entries stay bounded
-    g3 = np.array([-q1 + 1j * q2, q3, 0.0, sm])
-    g4 = np.array([-q3, -q1 - 1j * q2, sm, 0.0])
-    vecs = np.column_stack([g1, g2, g3, g4])
-    vecs /= np.max(np.abs(vecs), axis=0)  # avoid squaring subnormal entries
-    vecs /= np.linalg.norm(vecs, axis=0)
-    for k in range(4):
-        vecs[:, k] = _fix_phase(vecs[:, k])
+    scale = np.maximum(np.abs(q).max(axis=-1), m)
+    safe = np.where(scale > 0, scale, 1.0)
+    q = q / safe[..., None]
+    m = m / safe
+    qq = _norm2(q)
+    e = np.sqrt(m * m + qq)
+    vals = (scale * np.array([-e, -e, e, e])).T
+    # at-rest rows divide by ~0 here; they are replaced below
+    with np.errstate(all="ignore"):
+        sp = m + e  # m + lambda_3
+        # m - lambda_3 = -|q|^2 / (m + E): stable against cancellation for |q| << m
+        sm = np.where(sp > 0, -qq / sp, 0.0)
+        q1, q2, q3 = q.T
+        zero = np.zeros(q.shape[:-1])
+        one = zero + 1.0
+        columns = [  # g1, g2, g3, g4
+            [(-q1 + 1j * q2) / sp, q3 / sp, zero, one],
+            [-q3 / sp, (-q1 - 1j * q2) / sp, one, zero],
+            # multiplied through by sm (|sm| can underflow |q|^2): entries stay bounded
+            [-q1 + 1j * q2, q3, zero, sm],
+            [-q3, -q1 - 1j * q2, sm, zero],
+        ]
+        vecs = np.array(columns, dtype=complex).T
+        vecs /= np.abs(vecs).max(axis=-2, keepdims=True)  # avoid squaring subnormals
+        vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
+        # rotate the last entry above 1e-13 of each column's largest to real positive
+        size = np.abs(vecs)
+        big = size > 1e-13 * size.max(axis=-2, keepdims=True)
+        last = 3 - big[..., ::-1, :].argmax(axis=-2, keepdims=True)
+        c = np.take_along_axis(vecs, last, axis=-2)
+        vecs = vecs * (np.conj(c) / np.abs(c))
+    # q = 0 up to underflow: H is diagonal, use the canonical basis
+    vecs = np.where((sm == 0.0)[..., None, None], _AT_REST, vecs)
     return EigenSystem(values=vals, vectors=vecs)
 
 
@@ -203,7 +217,7 @@ def spectral_subspaces(q, m):
     of the Hermitian H.
     """
     vectors = eigenvectors_closed_form(q, m).vectors
-    return SpectralSubspaces(negative=vectors[:, :2], positive=vectors[:, 2:])
+    return SpectralSubspaces(negative=vectors[..., :2], positive=vectors[..., 2:])
 
 
 def apply_multiplication_operator(h_field, f):

@@ -51,7 +51,7 @@ def test_spectra_solves_each_point_once(tmp_path, monkeypatch):
     solve = dirac.eigenvectors_closed_form
 
     def counted(q, m):
-        calls.append(1)
+        calls.append(np.shape(q))
         return solve(q, m)
 
     monkeypatch.setattr(dirac, "eigenvectors_closed_form", counted)
@@ -59,12 +59,30 @@ def test_spectra_solves_each_point_once(tmp_path, monkeypatch):
         tmp_path, "spectra", {"q_grid": {"min": -1, "max": 1, "count": 3}, "m": 0.5}
     )
     assert code == 0
-    assert len(calls) == 27
+    assert calls == [(27, 3)]
     for entry in json.loads((out / "eigenvectors.json").read_text()):
-        for part in ("re", "im"):
-            vectors = np.array(entry[f"vectors_{part}"])
-            assert np.array_equal(entry[f"frame_negative_{part}"], vectors[:, :2])
-            assert np.array_equal(entry[f"frame_positive_{part}"], vectors[:, 2:])
+        assert set(entry) == {"q", "eigenvalues", "vectors_re", "vectors_im"}
+
+
+@pytest.mark.parametrize(
+    "config, points, low, high",
+    [
+        # ||H||_F = 2E overflows while E does not
+        ({"q": [1.2e154, 3e153, -1e153], "m": 1}, 1, 1e-18, 1e-15),
+        ({"q": [0, 0, 0], "m": 0}, 1, 0.0, 0.0),  # H = 0
+        ({"q_grid": {"min": -1, "max": 1, "count": 0}, "m": 0.5}, 0, 0.0, 0.0),
+    ],
+)
+def test_spectra_residual_is_relative_to_twice_the_energy(
+    tmp_path, capsys, config, points, low, high
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, "spectra", config)
+    assert code == 0
+    head, residual = capsys.readouterr().out.rsplit(" ", 1)
+    assert head == f"spectra: {points} points, max relative eigen-residual"
+    assert low <= float(residual) <= high
 
 
 def test_malformed_config_exits_2(tmp_path):

@@ -93,8 +93,8 @@ def test_closed_form_matches_generic_eigensolver(q, m):
 
 
 @given(momenta, masses)
-@example(q=(1e-13, 2e-13, 0.0), m=1.0)  # last entry just above _fix_phase's tolerance
-@example(q=(1e-14, 2e-14, 0.0), m=1.0)  # below it: _fix_phase takes a complex entry
+@example(q=(1e-13, 2e-13, 0.0), m=1.0)  # last entry just above the phase tolerance
+@example(q=(1e-14, 2e-14, 0.0), m=1.0)  # below it: the phase fix takes a complex entry
 @example(q=(1e150, -1e150, 1e150), m=0.0)
 @example(q=(1e-208, -3e-208, 2e-208), m=1e-213)
 @settings(max_examples=100, deadline=None)
@@ -111,6 +111,47 @@ def test_subspaces_complete_and_orthogonal(q, m):
     hnorm = max(np.linalg.norm(h), 1e-30)
     for p in (p1, p2):
         assert np.linalg.norm((np.eye(4) - p) @ h @ p) <= 1e-10 * hnorm
+
+
+@st.composite
+def stacks(draw):
+    rows = draw(st.lists(momenta, min_size=1, max_size=8))
+    rows += [(1e-13, 2e-13, 0.0), (1e-14, 2e-14, 0.0), (0.0, 0.0, 0.0)]
+    return np.array(draw(st.permutations(rows)))
+
+
+@given(stacks(), masses)
+@example(
+    q=np.array([(1e150, -1e150, 1e150), (0.0, 0.0, 0.0), (1e-208, -3e-208, 2e-208)]),
+    m=0.0,
+)
+@example(q=np.array([(1e-208, -3e-208, 2e-208), (0.0, 0.0, 0.0), (1.0, 2.0, 3.0)]), m=1e-213)
+@example(q=np.array([(1e-13, 2e-13, 0.0), (0.0, 0.0, 0.0), (1e-14, 2e-14, 0.0)]), m=1.0)
+@settings(max_examples=100, deadline=None)
+def test_stacked_momenta_match_per_row_calls(q, m):
+    sys_ = dirac.eigenvectors_closed_form(q, m)
+    values = dirac.eigenvalues(q, m)
+    h = dirac.build_hamiltonian(q, m)
+    for i, row in enumerate(q):
+        one = dirac.eigenvectors_closed_form(row, m)
+        assert np.array_equal(sys_.vectors[i], one.vectors)
+        assert np.array_equal(sys_.values[i], one.values)
+        assert np.array_equal(values[i], dirac.eigenvalues(row, m))
+        assert np.array_equal(h[i], dirac.build_hamiltonian(row, m))
+    # each column's last entry above 1e-13 of its largest is real positive
+    for column in np.swapaxes(sys_.vectors, -1, -2).reshape(-1, 4):
+        size = np.abs(column)
+        c = column[np.flatnonzero(size > 1e-13 * size.max())[-1]]
+        assert c.real > 0 and abs(c.imag) <= 1e-15 * c.real
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3)])
+def test_momentum_stack_shape_is_checked(shape):
+    for point_function in (
+        dirac.eigenvectors_closed_form, dirac.eigenvalues, dirac.build_hamiltonian
+    ):
+        with pytest.raises(ValueError):
+            point_function(np.ones(shape), 1.0)
 
 
 def test_doubled_structure():
