@@ -205,9 +205,11 @@ def cmd_spectra(config):
     vecs = dirac.eigenvectors_closed_form(points, m).vectors
     h = dirac.build_hamiltonian(points, m)
     # relative to ||H||_F = 2E, which overflows long before E does; H = 0
-    # where E = 0, so those rows report 0
+    # where E = 0, so those rows report 0.  The complex division by a
+    # subnormal E overflows, so those rows are first scaled by 2^600 (exact).
+    up = np.where(vals[:, 3] < np.finfo(float).tiny, 2.0**600, 1.0)[:, None, None]
     e = np.where(vals[:, 3] > 0, vals[:, 3], np.inf)[:, None, None]
-    res = np.linalg.norm((h @ vecs - vecs * vals[:, None, :]) / e, axis=1) / 2
+    res = np.linalg.norm((h @ vecs - vecs * vals[:, None, :]) * up / (e * up), axis=1) / 2
     worst = float(np.max(res, initial=0.0))
     out = _out_dir(config)
     _write_csv(
@@ -299,31 +301,74 @@ def cmd_regularize(config):
     return 0
 
 
+# trials per stacked pass of the spectral suite, so memory stays bounded for
+# any number of trials
+_CHUNK = 256
+
+
+def _draw_trials(rng, count):
+    """``count`` trials drawn in the suite's order: q (3) and m, then doubled
+    and seed; with the generator state between each trial's m and doubled."""
+    q = np.empty((count, 3))
+    m = np.empty(count)
+    doubled = np.empty(count, dtype=bool)
+    seeds = np.empty(count, dtype=np.int64)
+    marks = []
+    for i in range(count):
+        q[i] = rng.uniform(-10, 10, size=3)
+        m[i] = rng.uniform(0, 10)
+        marks.append(rng.bit_generator.state)
+        doubled[i] = rng.random() < 0.5
+        seeds[i] = rng.integers(2**32)
+    return q, m, doubled, seeds, marks
+
+
+def _check_commuting(q, m, doubled, seeds, tamper):
+    """Failure messages, in trial order, of random unitaries commuting with H
+    (doubled rows: with diag(H, H)), each jointly diagonalized with it."""
+    messages = [None] * len(q)
+    for flag in (False, True):
+        rows = np.flatnonzero(doubled == flag)
+        if not rows.size:
+            continue
+        s = dirac.random_commuting_unitary(
+            q[rows], m[rows], seed=seeds[rows].tolist(), doubled=flag
+        )
+        if tamper:
+            s = s + tamper * np.eye(s.shape[-1]) * 1j  # breaks unitarity/commutation
+        diag, errors = dirac._joint_diagonalize(q[rows], m[rows], s)
+        off_circle = np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1)
+        defect = np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1))
+        for row, error, off, rec in zip(rows, errors, off_circle, defect):
+            seed = seeds[row]
+            if error is not None:
+                messages[row] = f"seed {seed}, q={q[row]}, m={m[row].item()}: {error}"
+            elif off > 1e-10:
+                messages[row] = f"seed {seed}: |d_k| deviates from 1"
+            elif rec > 1e-9:
+                messages[row] = f"seed {seed}: reconstruction defect"
+    return [message for message in messages if message is not None]
+
+
 def _check_spectra_suite(rng, trials, tamper):
+    """Closed-form eigenpairs and joint diagonalization on random trials, in
+    stacked passes.  A trial whose eigen-residual fails draws no doubled and
+    seed, so the pass stops there and the next one redraws from its m on."""
     failures = []
-    for _ in range(trials):
-        q = rng.uniform(-10, 10, size=3)
-        m = rng.uniform(0, 10)
+    while trials > 0:
+        q, m, doubled, seeds, marks = _draw_trials(rng, min(trials, _CHUNK))
         h = dirac.build_hamiltonian(q, m)
         sys_ = dirac.eigenvectors_closed_form(q, m)
-        res = np.linalg.norm(h @ sys_.vectors - sys_.vectors * sys_.values, axis=0)
-        if np.max(res) > 1e-10 * np.linalg.norm(h):
-            failures.append(f"eigen-residual {np.max(res):.3e} at q={q}, m={m}")
-            continue
-        doubled = rng.random() < 0.5
-        seed = int(rng.integers(2**32))
-        s = dirac.random_commuting_unitary(q, m, seed=seed, doubled=doubled)
-        if tamper:
-            s = s + tamper * np.eye(s.shape[0]) * 1j  # breaks unitarity/commutation
-        try:
-            diag = dirac.simultaneous_diagonalize(q, m, s)
-        except (dirac.CommutationError, dirac.SubspaceLeakageError) as exc:
-            failures.append(f"seed {seed}, q={q}, m={m}: {exc}")
-            continue
-        if np.max(np.abs(np.abs(diag.diagonal) - 1)) > 1e-10:
-            failures.append(f"seed {seed}: |d_k| deviates from 1")
-        elif np.linalg.norm(diag.reconstruct() - s) > 1e-9:
-            failures.append(f"seed {seed}: reconstruction defect")
+        vectors, values = sys_.vectors, sys_.values[:, None, :]
+        res = np.max(np.linalg.norm(h @ vectors - vectors * values, axis=1), axis=1)
+        bad = np.flatnonzero(res > 1e-10 * np.linalg.norm(h, axis=(1, 2)))
+        n = bad[0] if bad.size else len(q)
+        failures += _check_commuting(q[:n], m[:n], doubled[:n], seeds[:n], tamper)
+        if bad.size:
+            failures.append(f"eigen-residual {res[n]:.3e} at q={q[n]}, m={m[n].item()}")
+            rng.bit_generator.state = marks[n]
+            n += 1
+        trials -= n
     return failures
 
 

@@ -85,28 +85,30 @@ class SpectralSubspaces:
 @dataclass(frozen=True)
 class ScatteringDiagonal:
     """Common eigenvectors (columns) of H and S with the unit-modulus diagonal
-    elements of S on them."""
+    elements of S on them; stacked along a leading axis for stacked momenta."""
 
     vectors: np.ndarray
     diagonal: np.ndarray
 
     def reconstruct(self):
         """Sum of d_k h_k h_k*, which must reproduce S."""
-        return (self.vectors * self.diagonal) @ self.vectors.conj().T
+        return (self.vectors * self.diagonal[..., None, :]) @ _adjoint(self.vectors)
 
 
 def _check_point(q, m):
     """One momentum (3,) or a stack (n, 3), checked finite, and a finite
-    non-negative mass."""
+    non-negative mass: a scalar, or one per momentum (n,) for a stack."""
     q = np.ascontiguousarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != 3:
         raise ValueError(f"momentum must have shape (3,) or (n, 3), got {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("momentum components must be finite")
-    m = float(m)
-    if not np.isfinite(m) or m < 0.0:
+    m = np.asarray(m, dtype=float)
+    if m.shape not in ((), q.shape[:-1]):
+        raise ValueError(f"mass must be a scalar or one per momentum, got shape {m.shape}")
+    if not (np.isfinite(m) & (m >= 0.0)).all():
         raise ValueError(f"mass must be finite and non-negative, got {m}")
-    return q, m
+    return q, (float(m) if m.ndim == 0 else m)
 
 
 def _norm2(q):
@@ -115,15 +117,37 @@ def _norm2(q):
     return (q[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
+def _fro(x):
+    """Frobenius norm of each trailing matrix, bitwise equal to
+    ``np.linalg.norm`` of a C-ordered one (or of a Hermitian one)."""
+    x = x.reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(_norm2(x.real) + _norm2(x.imag))
+
+
+def _rescaled(q, m):
+    """H is jointly linear in (q, m): the scale max(|q_i|, m) of each momentum
+    and (q, m) divided by it, so no intermediate quantity goes subnormal."""
+    scale = np.maximum(np.abs(q).max(axis=-1), m)
+    safe = np.where(scale > 0, scale, 1.0)
+    return scale, q / safe[..., None], m / safe
+
+
 def energy(q, m):
     """E = sqrt(m^2 + |q|^2) per momentum; a momentum or mass whose E
     overflows is a ValueError."""
     q, m = _check_point(q, m)
     with np.errstate(over="ignore"):
-        e = np.sqrt(m * m + _norm2(q))
+        e2 = m * m + _norm2(q)
+    e = np.sqrt(e2)
     if not np.all(np.isfinite(e)):
-        q = q.reshape(-1, 3)[np.argmin(np.isfinite(e))]  # the first that overflows
+        i = np.argmin(np.isfinite(e))  # the first that overflows
+        q, m = q.reshape(-1, 3)[i], np.broadcast_to(m, np.shape(e)).ravel()[i]
         raise ValueError(f"energy sqrt(m^2 + |q|^2) overflows at q={q}, m={m}")
+    # where m^2 + |q|^2 underflows, take E on the rescaled momentum
+    under = e2 < np.finfo(float).tiny
+    if np.any(under):
+        scale, q, m = _rescaled(q, m)
+        e = np.where(under, scale * np.sqrt(m * m + _norm2(q)), e)[()]
     return e
 
 
@@ -146,11 +170,12 @@ def build_hamiltonian(q, m):
 
 
 def build_doubled(q, m):
-    """Block-diagonal 8x8 matrix diag(H(q), H(q)) for the doubled system."""
+    """Block-diagonal 8x8 matrix diag(H(q), H(q)) for the doubled system,
+    stacked (n, 8, 8) for stacked momenta."""
     h = build_hamiltonian(q, m)
-    out = np.zeros((8, 8), dtype=complex)
-    out[:4, :4] = h
-    out[4:, 4:] = h
+    out = np.zeros(h.shape[:-2] + (8, 8), dtype=complex)
+    out[..., :4, :4] = h
+    out[..., 4:, 4:] = h
     return out
 
 
@@ -169,13 +194,8 @@ def eigenvectors_closed_form(q, m):
     vanishes at q = 0; there H is already diagonal and the canonical basis is
     used instead (e3, e4 for the negative pair, e1, e2 for the positive pair).
     """
-    q, m = _check_point(q, m)
-    # H is jointly linear in (q, m): rescale to O(1) so no intermediate
-    # quantity goes subnormal, then scale the eigenvalues back.
-    scale = np.maximum(np.abs(q).max(axis=-1), m)
-    safe = np.where(scale > 0, scale, 1.0)
-    q = q / safe[..., None]
-    m = m / safe
+    # rescaled to O(1), the eigenvalues scaled back
+    scale, q, m = _rescaled(*_check_point(q, m))
     qq = _norm2(q)
     e = np.sqrt(m * m + qq)
     vals = (scale * np.array([-e, -e, e, e])).T
@@ -236,6 +256,23 @@ def apply_multiplication_operator(h_field, f):
     return np.einsum("nij,nj->ni", h_field, f)
 
 
+def _adjoint(x):
+    """Conjugate transpose of each trailing matrix."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _defects(h, s):
+    """Unitarity defect ||S*S - I|| / sqrt(n) and relative commutation defect
+    ||HS - SH|| / (||H|| ||S||), per matrix of a stack; an exact commutator
+    (H = 0 included) has defect 0."""
+    n = s.shape[-1]
+    unitarity = _fro(_adjoint(s) @ s - np.eye(n)) / np.sqrt(n)
+    commutator = _fro(h @ s - s @ h)
+    with np.errstate(invalid="ignore"):
+        defect = commutator / (_fro(h) * _fro(s))
+    return unitarity, np.where(commutator == 0, 0.0, defect)[()]
+
+
 def commutes(h, s, tol=1e-8):
     """Relative commutation defect ||HS - SH|| / (||H|| ||S||) and its verdict.
 
@@ -245,55 +282,92 @@ def commutes(h, s, tol=1e-8):
     s = np.asarray(s, dtype=complex)
     if h.shape != s.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {s.shape}")
-    n = h.shape[0]
-    unitarity = np.linalg.norm(s.conj().T @ s - np.eye(n)) / np.sqrt(n)
+    unitarity, defect = _defects(h, s)
     if unitarity > tol:
         raise CommutationError("matrix is not unitary", unitarity)
-    defect = np.linalg.norm(h @ s - s @ h) / (np.linalg.norm(h) * np.linalg.norm(s))
     return defect <= tol, defect
 
 
 def _diagonalize_unitary(u):
-    """Eigendecomposition of a (small) unitary matrix via its Hermitian and
-    anti-Hermitian parts; deterministic up to phases of degenerate clusters.
+    """Eigendecomposition of a stack of small unitary matrices via their
+    Hermitian and anti-Hermitian parts; deterministic up to phases of
+    degenerate clusters.
 
     Returns (phases d, eigenvector columns) sorted by angle(d) ascending in
     (-pi, pi].
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    re = (u + u.conj().T) / 2
-    w, v = np.linalg.eigh(re)
-    # split degenerate clusters of the Hermitian part with (U - U*)/2i
-    im = (u - u.conj().T) / 2j
-    k = 0
-    while k < n:
-        jend = k + 1
-        while jend < n and w[jend] - w[k] < 1e-10 * max(1.0, abs(w[k])):
-            jend += 1
-        if jend - k > 1:
-            block = v[:, k:jend]
-            _, rot = np.linalg.eigh(block.conj().T @ im @ block)
-            v[:, k:jend] = block @ rot
-        k = jend
-    d = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
+    n = u.shape[-1]
+    w, v = np.linalg.eigh((u + _adjoint(u)) / 2)
+    # split degenerate clusters of the Hermitian part with (U - U*)/2i, on the
+    # matrices that have one: a cluster exists iff two neighbours are close
+    close = np.diff(w, axis=-1) < 1e-10 * np.maximum(1.0, np.abs(w[..., :-1]))
+    for row in np.argwhere(close.any(axis=-1)):
+        w1, v1, u1 = w[tuple(row)], v[tuple(row)], u[tuple(row)]
+        im = (u1 - u1.conj().T) / 2j
+        k = 0
+        while k < n:
+            jend = k + 1
+            while jend < n and w1[jend] - w1[k] < 1e-10 * max(1.0, abs(w1[k])):
+                jend += 1
+            if jend - k > 1:
+                block = v1[:, k:jend]
+                _, rot = np.linalg.eigh(block.conj().T @ im @ block)
+                v1[:, k:jend] = block @ rot
+            k = jend
+    d = np.einsum("...ij,...jk,...ki->...i", _adjoint(v), u, v)
     d = d / np.abs(d)
-    order = np.argsort(np.angle(d), kind="stable")
-    return d[order], v[:, order]
+    order = np.argsort(np.angle(d), axis=-1, kind="stable")
+    d = np.take_along_axis(d, order, -1)
+    return d, np.take_along_axis(v, order[..., None, :], -1)
 
 
 def _frames(q, m, size):
-    """Eigenspace frames of H (size 4) or of diag(H, H) (size 8)."""
+    """Eigenspace frames of H (size 4) or of diag(H, H) (size 8), stacked for
+    stacked momenta."""
     sub = spectral_subspaces(q, m)
     if size == 4:
         return sub.negative, sub.positive
-    neg = np.zeros((8, 4), dtype=complex)
-    pos = np.zeros((8, 4), dtype=complex)
-    neg[:4, :2] = sub.negative
-    neg[4:, 2:] = sub.negative
-    pos[:4, :2] = sub.positive
-    pos[4:, 2:] = sub.positive
-    return neg, pos
+    frames = []
+    for frame in (sub.negative, sub.positive):
+        doubled = np.zeros(frame.shape[:-2] + (8, 4), dtype=complex)
+        doubled[..., :4, :2] = frame
+        doubled[..., 4:, 2:] = frame
+        frames.append(doubled)
+    return frames
+
+
+def _joint_diagonalize(q, m, s, tol=1e-8):
+    """Stacked core of :func:`simultaneous_diagonalize` for momenta (n, 3) and
+    S (n, size, size): the common eigenbases, and per row the error that row
+    fails with, or None.  Failing rows are not diagonalized (zero columns)."""
+    size = s.shape[-1]
+    h = build_hamiltonian(q, m) if size == 4 else build_doubled(q, m)
+    unitarity, defect = _defects(h, s)
+    neg, pos = _frames(q, m, size)
+    leak = _fro(_adjoint(neg) @ s @ pos)
+    back = _fro(_adjoint(pos) @ s @ neg)
+    leakage = np.where(back > leak, back, leak)  # the one max(leak, back) returns
+    errors = []
+    for unit, comm, leaks, bound in zip(unitarity, defect, leakage, tol * _fro(s)):
+        if unit > tol:
+            errors.append(CommutationError("matrix is not unitary", unit))
+        elif not comm <= tol:
+            errors.append(CommutationError("S does not commute with H", comm))
+        elif leaks > bound:
+            errors.append(SubspaceLeakageError(leaks))
+        else:
+            errors.append(None)
+    ok = np.array([error is None for error in errors], dtype=bool)
+    vectors = np.zeros(s.shape, dtype=complex)
+    diagonal = np.zeros(s.shape[:-1], dtype=complex)
+    half = size // 2
+    for i, frame in enumerate((neg[ok], pos[ok])):
+        d, v = _diagonalize_unitary(_adjoint(frame) @ s[ok] @ frame)
+        cols = slice(i * half, (i + 1) * half)
+        vectors[ok, :, cols] = frame @ v
+        diagonal[ok, cols] = d
+    return ScatteringDiagonal(vectors=vectors, diagonal=diagonal), errors
 
 
 def simultaneous_diagonalize(q, m, s, tol=1e-8):
@@ -302,62 +376,78 @@ def simultaneous_diagonalize(q, m, s, tol=1e-8):
     S is restricted to the two degenerate eigenspaces of H, each restriction is
     diagonalized, and the resulting unit-modulus eigenvalues d_k are returned
     together with the common eigenvectors h_k.  Within each block the d_k are
-    ordered by phase angle ascending.
+    ordered by phase angle ascending.  Stacked momenta (n, 3) take a stack of
+    S (n, size, size); the first row that fails raises.
     """
+    q, m = _check_point(q, m)
     s = np.asarray(s, dtype=complex)
-    size = s.shape[0]
-    if s.shape != (size, size) or size not in (4, 8):
-        raise ValueError(f"expected a 4x4 or 8x8 matrix, got shape {s.shape}")
-    h = build_hamiltonian(q, m) if size == 4 else build_doubled(q, m)
-    ok, defect = commutes(h, s, tol)
-    if not ok:
-        raise CommutationError("S does not commute with H", defect)
-    neg, pos = _frames(q, m, size)
-    leakage = max(
-        np.linalg.norm(neg.conj().T @ s @ pos), np.linalg.norm(pos.conj().T @ s @ neg)
+    size = s.shape[-1] if s.ndim else 0
+    if s.shape != q.shape[:-1] + (size, size) or size not in (4, 8):
+        raise ValueError(
+            f"expected a 4x4 or 8x8 matrix per momentum, got shape {s.shape} "
+            f"for momenta {q.shape}"
+        )
+    diag, errors = _joint_diagonalize(
+        q.reshape(-1, 3), m, s.reshape(-1, size, size), tol
     )
-    if leakage > tol * np.linalg.norm(s):
-        raise SubspaceLeakageError(leakage)
-    vectors = np.zeros((size, size), dtype=complex)
-    diagonal = np.zeros(size, dtype=complex)
-    half = size // 2
-    for i, frame in enumerate((neg, pos)):
-        d, v = _diagonalize_unitary(frame.conj().T @ s @ frame)
-        cols = slice(i * half, (i + 1) * half)
-        vectors[:, cols] = frame @ v
-        diagonal[cols] = d
-    return ScatteringDiagonal(vectors=vectors, diagonal=diagonal)
+    for error in errors:
+        if error is not None:
+            raise error
+    if q.ndim == 1:
+        return ScatteringDiagonal(vectors=diag.vectors[0], diagonal=diag.diagonal[0])
+    return diag
+
+
+def _haar(z):
+    """Haar unitaries from a stack of complex Gaussian matrices: the Q of a QR
+    factorization, with the phases of diag(R) moved into it."""
+    qmat, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return qmat * (phases / np.abs(phases))[..., None, :]
 
 
 def random_unitary(size, rng):
     """Haar-like random unitary from a QR factorization."""
     z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    qmat, r = np.linalg.qr(z)
-    return qmat * (np.diag(r) / np.abs(np.diag(r)))
+    return _haar(z)
 
 
 def random_commuting_unitary(q, m, seed=None, block_unitaries=None, doubled=False):
-    """A unitary commuting with H(q) (or diag(H, H) when ``doubled``).
+    """A unitary commuting with H(q) (or diag(H, H) when ``doubled``), stacked
+    (n, size, size) for stacked momenta.
 
     Built as B diag(U1, U2, ...) B* where B stacks the eigenspace frames and
-    the U_i are 2x2 unitary blocks, either supplied explicitly or drawn from
-    ``seed``.  Two blocks for the 4x4 system, four for the doubled one.
+    the U_i are 2x2 unitary blocks, either supplied explicitly (the same for
+    every momentum) or drawn from ``seed``: for a stack, a sequence of one seed
+    per momentum, each drawing from its own generator as :func:`random_unitary`
+    would.  Two blocks for the 4x4 system, four for the doubled one.
     """
+    q, m = _check_point(q, m)
     size = 8 if doubled else 4
     nblocks = size // 2
     if block_unitaries is None:
         if seed is None:
             raise ValueError("either a seed or explicit block unitaries is required")
-        rng = np.random.default_rng(seed)
-        block_unitaries = [random_unitary(2, rng) for _ in range(nblocks)]
-    if len(block_unitaries) != nblocks:
-        raise ValueError(f"expected {nblocks} 2x2 blocks, got {len(block_unitaries)}")
+        if q.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != len(q)):
+            raise ValueError(f"expected one seed per momentum ({len(q)}), got {seed!r}")
+        seeds = [seed] if q.ndim == 1 else seed
+        # per block: the real part, then the imaginary part
+        gauss = np.array([
+            np.random.default_rng(s).standard_normal((nblocks, 2, 2, 2)) for s in seeds
+        ])
+        blocks = _haar(gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :])
+        blocks = blocks.reshape(q.shape[:-1] + (nblocks, 2, 2))
+    else:
+        if len(block_unitaries) != nblocks:
+            raise ValueError(f"expected {nblocks} 2x2 blocks, got {len(block_unitaries)}")
+        blocks = [np.asarray(u, dtype=complex) for u in block_unitaries]
+        for i, u in enumerate(blocks):
+            if u.shape != (2, 2):
+                raise ValueError(f"block {i} is not 2x2: shape {u.shape}")
+        blocks = np.array(blocks)
     neg, pos = _frames(q, m, size)
-    basis = np.hstack([neg, pos])
-    core = np.zeros((size, size), dtype=complex)
-    for i, u in enumerate(block_unitaries):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"block {i} is not 2x2: shape {u.shape}")
-        core[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = u
-    return basis @ core @ basis.conj().T
+    basis = np.concatenate([neg, pos], axis=-1)
+    core = np.zeros(q.shape[:-1] + (size, size), dtype=complex)
+    for i in range(nblocks):
+        core[..., 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[..., i, :, :]
+    return basis @ core @ _adjoint(basis)

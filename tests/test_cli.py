@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scatreg
-from scatreg import dirac
+from scatreg import cli, dirac
 from scatreg.cli import main
 
 
@@ -83,6 +83,24 @@ def test_spectra_residual_is_relative_to_twice_the_energy(
     head, residual = capsys.readouterr().out.rsplit(" ", 1)
     assert head == f"spectra: {points} points, max relative eigen-residual"
     assert low <= float(residual) <= high
+
+
+@pytest.mark.parametrize(
+    "config, energy",
+    [
+        ({"q": [0, 0, 0], "m": 1e-200}, 1e-200),
+        ({"q": [1e-310, 0, 0], "m": 0}, 1e-310),  # E itself is subnormal
+    ],
+)
+def test_spectra_eigenvalues_survive_underflow(tmp_path, capsys, config, energy):
+    # m^2 + |q|^2 underflows: E is taken on the rescaled momentum, as the
+    # vectors are
+    code, out = run(tmp_path, "spectra", config)
+    assert code == 0
+    values = read_csv(out / "spectra.csv")[0, 4:]
+    assert values.tolist() == [-energy, -energy, energy, energy]
+    residual = float(capsys.readouterr().out.rsplit(" ", 1)[1])
+    assert np.isfinite(residual) and residual <= 1e-15
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -210,6 +228,77 @@ def test_check_tampered_fails(tmp_path, capsys):
     code, _ = run(tmp_path, "check", {"trials": 5, "tamper": 1e-3})
     assert code == 1
     assert "commut" in capsys.readouterr().err.lower() or True
+
+
+def per_trial_spectra_suite(rng, trials, tamper):
+    """The spectral check suite one trial at a time: the reference for the
+    stacked suite."""
+    failures = []
+    for _ in range(trials):
+        q = rng.uniform(-10, 10, size=3)
+        m = rng.uniform(0, 10)
+        h = dirac.build_hamiltonian(q, m)
+        sys_ = dirac.eigenvectors_closed_form(q, m)
+        res = np.linalg.norm(h @ sys_.vectors - sys_.vectors * sys_.values, axis=0)
+        if np.max(res) > 1e-10 * np.linalg.norm(h):
+            failures.append(f"eigen-residual {np.max(res):.3e} at q={q}, m={m}")
+            continue
+        doubled = rng.random() < 0.5
+        seed = int(rng.integers(2**32))
+        s = dirac.random_commuting_unitary(q, m, seed=seed, doubled=doubled)
+        if tamper:
+            s = s + tamper * np.eye(s.shape[0]) * 1j
+        try:
+            diag = dirac.simultaneous_diagonalize(q, m, s)
+        except (dirac.CommutationError, dirac.SubspaceLeakageError) as exc:
+            failures.append(f"seed {seed}, q={q}, m={m}: {exc}")
+            continue
+        if np.max(np.abs(np.abs(diag.diagonal) - 1)) > 1e-10:
+            failures.append(f"seed {seed}: |d_k| deviates from 1")
+        elif np.linalg.norm(diag.reconstruct() - s) > 1e-9:
+            failures.append(f"seed {seed}: reconstruction defect")
+    return failures
+
+
+def assert_suites_agree(seed, trials, tamper):
+    reference, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+    failures = per_trial_spectra_suite(reference, trials, tamper)
+    assert cli._check_spectra_suite(stacked, trials, tamper) == failures
+    assert stacked.bit_generator.state == reference.bit_generator.state
+    return failures
+
+
+@pytest.mark.parametrize(
+    "seed, trials, tamper",
+    [
+        (1, 2000, 0.0),
+        (11, 2000, 0.0),
+        (2026, 2000, 0.0),
+        (20260826, 2000, 0.0),
+        (20260826, 600, 1e-9),  # some trials fail, some pass
+        (20260826, 600, 3e-8),
+        (20260826, 600, 1e-3),
+        (5, cli._CHUNK + 1, 0.0),
+    ],
+)
+def test_stacked_check_suite_matches_per_trial_loop(seed, trials, tamper):
+    failures = assert_suites_agree(seed, trials, tamper)
+    assert (not failures) == (tamper == 0.0)
+
+
+def test_stacked_check_suite_redraws_after_an_eigen_residual_failure(monkeypatch):
+    solve = dirac.eigenvectors_closed_form
+
+    def corrupted(q, m):
+        # rows with q1 > 8 get their eigenvector columns reversed
+        sys_ = solve(q, m)
+        bad = (np.asarray(q)[..., 0] > 8)[..., None, None]
+        vectors = np.where(bad, sys_.vectors[..., ::-1], sys_.vectors)
+        return dirac.EigenSystem(values=sys_.values, vectors=vectors)
+
+    monkeypatch.setattr(dirac, "eigenvectors_closed_form", corrupted)
+    failures = assert_suites_agree(7, 700, 0.0)
+    assert 20 < len(failures) == sum(f.startswith("eigen-residual") for f in failures)
 
 
 def test_resum_pipeline(tmp_path):

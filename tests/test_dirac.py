@@ -145,13 +145,69 @@ def test_stacked_momenta_match_per_row_calls(q, m):
         assert c.real > 0 and abs(c.imag) <= 1e-15 * c.real
 
 
-@pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3)])
+@pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3), (4, 3), (3,)])
 def test_momentum_stack_shape_is_checked(shape):
+    # (4, 3) and (3,) are valid momenta, refused for a mass array of length 3
+    m = np.ones(3) if shape in ((4, 3), (3,)) else 1.0
     for point_function in (
-        dirac.eigenvectors_closed_form, dirac.eigenvalues, dirac.build_hamiltonian
+        dirac.eigenvectors_closed_form, dirac.eigenvalues, dirac.build_hamiltonian,
+        dirac.energy, dirac.build_doubled,
     ):
         with pytest.raises(ValueError):
-            point_function(np.ones(shape), 1.0)
+            point_function(np.ones(shape), m)
+
+
+@st.composite
+def trial_stacks(draw):
+    """Momenta with per-row masses and seeds; "identity" and "exp" rows get a
+    degenerate S (1 or exp(iH)), whose Hermitian part has clusters to split."""
+    rows = draw(st.lists(
+        st.tuples(momenta, masses, st.integers(0, 2**32 - 1),
+                  st.sampled_from(["random", "identity", "exp"])),
+        min_size=1, max_size=6,
+    ))
+    q, m, seeds, kinds = (list(column) for column in zip(*rows))
+    return np.array(q), np.array(m), seeds, kinds
+
+
+@given(trial_stacks(), st.booleans())
+@example(
+    stack=(np.array([(1.0, 2.0, 2.0), (3.0, 4.0, 0.0), (0.0, 0.0, 0.0)]),
+           np.array([1.0, 0.0, 1.0]), [5, 6, 7], ["identity", "exp", "exp"]),
+    doubled=True,
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_joint_diagonalization_matches_per_row_calls(stack, doubled):
+    q, m, seeds, kinds = stack
+    s = dirac.random_commuting_unitary(q, m, seed=seeds, doubled=doubled)
+    h = dirac.build_doubled(q, m) if doubled else dirac.build_hamiltonian(q, m)
+    for i, kind in enumerate(kinds):
+        one = dirac.random_commuting_unitary(q[i], m[i], seed=seeds[i], doubled=doubled)
+        assert np.array_equal(s[i], one)
+        if kind == "identity":
+            s[i] = np.eye(len(s[i]))
+        elif kind == "exp":
+            s[i] = expm(1j * h[i])
+    diag = dirac.simultaneous_diagonalize(q, m, s)
+    for i in range(len(q)):
+        one = dirac.simultaneous_diagonalize(q[i], m[i], s[i])
+        assert np.array_equal(diag.vectors[i], one.vectors)
+        assert np.array_equal(diag.diagonal[i], one.diagonal)
+    assert np.max(np.abs(diag.reconstruct() - s)) <= 1e-9
+
+
+def test_stacked_calls_check_their_rows():
+    q, m = np.ones((3, 3)), np.ones(3)
+    with pytest.raises(ValueError):
+        dirac.random_commuting_unitary(q, m, seed=5)  # one seed per momentum
+    with pytest.raises(ValueError):
+        dirac.random_commuting_unitary(q, m, seed=[5, 6])
+    s = dirac.random_commuting_unitary(q, m, seed=[5, 6, 7])
+    with pytest.raises(ValueError):
+        dirac.simultaneous_diagonalize(q[:2], m[:2], s)  # one S per momentum
+    s[1] = s[1] @ np.diag([1, 1, 1, -1])  # commutes no longer
+    with pytest.raises(dirac.CommutationError, match="does not commute"):
+        dirac.simultaneous_diagonalize(q, m, s)
 
 
 def test_doubled_structure():
