@@ -192,11 +192,11 @@ def _tail_length(n, tail_fraction):
     return int(np.ceil(tail_fraction * n))
 
 
-def fit(samples, kind, tail_fraction=0.5, degree=2, order=2):
+def fit(samples, kind, tail_fraction=0.5, degree=2):
     """Fit one divergence model to cutoff samples over a tail window.
 
     ``tail_fraction`` selects the last fraction of the grid; ``degree`` is the
-    highest ln power for the polylog model and ``order`` its coupling order.
+    highest ln power for the polylog model, whose coupling order is 2.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind '{kind}' (one of {_KINDS})")
@@ -232,7 +232,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2, order=2):
     floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)
     decay_ok = bool(np.max(scaled) <= max(10.0 * np.median(scaled[:half]), floor))
     return FitReport(
-        model=_make_model(kind, coeffs, order),
+        model=_make_model(kind, coeffs, 2),
         window=(float(grid[0]), float(grid[-1])),
         stderr=stderr,
         residuals=residuals,
@@ -242,7 +242,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2, order=2):
     )
 
 
-def classify(samples, tail_fraction=0.5, max_degree=4, order=2):
+def classify(samples, tail_fraction=0.5, max_degree=4):
     """Smallest model whose O(1/L) remainder check passes.
 
     Tries log, then powerlog, then polylog with increasing degree; raises
@@ -257,7 +257,7 @@ def classify(samples, tail_fraction=0.5, max_degree=4, order=2):
     attempts = [("log", 0), ("powerlog", 0)] + [("polylog", d) for d in range(2, top + 1)]
     for kind, degree in attempts:
         try:
-            report = fit(samples, kind, tail_fraction, degree=degree, order=order)
+            report = fit(samples, kind, tail_fraction, degree=degree)
         except IllPosedFitError:
             continue
         reports.append(report)

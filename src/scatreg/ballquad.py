@@ -17,12 +17,16 @@ runs follows from the integrand alone:
   (r, chi, theta, phi) with all three angular orders.
 
 A plain Monte-Carlo estimator on the ball is available for integrands the
-screen rejects.  Partial sums are reduced in a fixed chunk order so results
-are bit-identical regardless of how the host parallelizes.
+screen rejects.  The product rules are summed in chunks of ``_CHUNK``
+consecutive grid points, each built from the axis nodes it uses, so memory
+stays bounded whatever the quadrature orders.  The chunk edges and the order
+in which the chunk sums are reduced are fixed, so results are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -149,31 +153,25 @@ def _radial(radius, n):
 
 
 def _tensor_rule(q4, radius, spec):
-    """The 4-D product rule in (r, chi, theta, phi): points, q and weights."""
+    """The 4-D product rule in (r, chi, theta, phi): axis weights, point map, q."""
     r, wr = _radial(radius, spec.radial_order)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
     theta, wth = _gauss(spec.angular_orders[1], 0.0, np.pi)
     phi, wphi = _gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
+    coschi, costh, cosphi = np.cos(chi), np.cos(theta), np.cos(phi)
+    sinchi, sinth, sinphi = np.sin(chi), np.sin(theta), np.sin(phi)
 
-    r4 = r[:, None, None, None]
-    chi4 = chi[None, :, None, None]
-    th4 = theta[None, None, :, None]
-    phi4 = phi[None, None, None, :]
-    weight = (
-        (wr * r**3)[:, None, None, None]
-        * (wchi * np.sin(chi) ** 2)[None, :, None, None]
-        * (wth * np.sin(theta))[None, None, :, None]
-        * wphi[None, None, None, :]
-    )
-    sinchi = np.sin(chi4)
-    sinth = np.sin(th4)
-    points = {
-        "p0": np.broadcast_to(r4 * np.cos(chi4), weight.shape).ravel(),
-        "p1": np.broadcast_to(r4 * sinchi * np.cos(th4), weight.shape).ravel(),
-        "p2": np.broadcast_to(r4 * sinchi * sinth * np.cos(phi4), weight.shape).ravel(),
-        "p3": np.broadcast_to(r4 * sinchi * sinth * np.sin(phi4), weight.shape).ravel(),
-    }
-    return points, q4, weight.ravel()
+    def points(i, j, k, l):
+        r_sinchi = r[i] * sinchi[j]
+        return {
+            "p0": r[i] * coschi[j],
+            "p1": r_sinchi * costh[k],
+            "p2": r_sinchi * sinth[k] * cosphi[l],
+            "p3": r_sinchi * sinth[k] * sinphi[l],
+        }
+
+    weights = (wr * r**3, wchi * sinchi**2, wth * sinth, wphi)
+    return weights, points, q4
 
 
 def _reduced_rule(q4, radius, spec):
@@ -185,37 +183,41 @@ def _reduced_rule(q4, radius, spec):
     """
     r, wr = _radial(radius, spec.radial_order)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
-    weight = (wr * r**3)[:, None] * (4 * np.pi * wchi * np.sin(chi) ** 2)[None, :]
-    zeros = np.zeros(weight.size)
-    points = {
-        "p0": (r[:, None] * np.cos(chi)[None, :]).ravel(),
-        "p1": (r[:, None] * np.sin(chi)[None, :]).ravel(),
-        "p2": zeros,
-        "p3": zeros,
-    }
-    return points, np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0]), weight.ravel()
+    coschi, sinchi = np.cos(chi), np.sin(chi)
+
+    def points(i, j):
+        return {"p0": r[i] * coschi[j], "p1": r[i] * sinchi[j], "p2": 0.0, "p3": 0.0}
+
+    weights = (wr * r**3, 4 * np.pi * wchi * sinchi**2)
+    return weights, points, np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0])
 
 
 def _rule_sum(exprs, rule, m, radius):
-    """Weighted sums of each expr over one rule, chunked deterministically."""
-    points, q4, weights = rule
-    fixed = {f"q{i}": q4[i] for i in range(4)}
-    fixed.update({"m": m, "L": radius})
+    """Weighted sums of each expr over one rule, in chunks of ``_CHUNK``
+    consecutive points of the flattened grid.  Each chunk is built from the
+    rows of the last axis that it touches, so no array spans the whole grid."""
+    weights, points, q4 = rule
+    fixed = {f"q{i}": q4[i] for i in range(4)} | {"m": m, "L": radius}
+    shape = tuple(w.size for w in weights)
+    width, size = shape[-1], math.prod(shape)
 
-    totals = []
-    for expr in exprs:
-        if expr is None:
-            totals.append(0.0)
-            continue
-        chunk_sums = []
-        for start in range(0, weights.size, _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            ctx = {k: v[sl] for k, v in points.items()}
-            ctx.update(fixed)
-            values = evaluate(expr, ctx)
-            chunk_sums.append(np.sum(values * weights[sl]))
-        totals.append(float(np.sum(np.asarray(chunk_sums))))
-    return totals
+    chunk_sums = [[] for _ in exprs]
+    for start in range(0, size, _CHUNK):
+        first, end = start // width, -(-min(start + _CHUNK, size) // width)
+        index = [i[:, None] for i in np.unravel_index(np.arange(first, end), shape[:-1])]
+        index.append(np.arange(width))
+        run = slice(start - first * width, start - first * width + _CHUNK)
+        weight = functools.reduce(np.multiply, [w[i] for w, i in zip(weights, index)])
+        ctx = {
+            k: v if np.ndim(v) == 0 else np.broadcast_to(v, weight.shape).reshape(-1)[run]
+            for k, v in points(*index).items()
+        }
+        ctx.update(fixed)
+        weight = weight.reshape(-1)[run]
+        for expr, sums in zip(exprs, chunk_sums):
+            if expr is not None:
+                sums.append(np.sum(evaluate(expr, ctx) * weight))
+    return [float(np.sum(np.asarray(sums))) if sums else 0.0 for sums in chunk_sums]
 
 
 def _refined(spec):

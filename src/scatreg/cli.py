@@ -25,13 +25,13 @@ from .integrand import EvaluationError, IntegrandSyntaxError, parse_integrand
 EXIT_CHECK_FAILED = 1
 
 # Exit code per exception, first match wins.  The library errors are all
-# ValueErrors, so the bad-config fallback (2) comes last; an OverflowError
-# comes from an extreme config value.
+# ValueErrors, so the bad-config fallback (2) comes last; an OverflowError or
+# a MemoryError comes from an extreme config value.
 _EXIT_CODES = (
     (IntegrandSyntaxError, 3),
     ((SingularIntegrandError, EvaluationError), 4),
     ((ModelMismatchError, UnclassifiedDivergenceError, IllPosedFitError), 5),
-    ((ValueError, OSError, OverflowError), 2),
+    ((ValueError, OSError, OverflowError, MemoryError), 2),
 )
 
 
@@ -492,7 +492,7 @@ def main(argv=None):
     try:
         # looked up at call time, so a patched cmd_* runs
         return globals()[f"cmd_{args.command}"](_settings(args))
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

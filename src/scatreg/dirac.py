@@ -26,7 +26,6 @@ __all__ = [
     "eigenvalues",
     "eigenvectors_closed_form",
     "spectral_subspaces",
-    "apply_multiplication_operator",
     "commutes",
     "simultaneous_diagonalize",
     "random_commuting_unitary",
@@ -238,22 +237,6 @@ def spectral_subspaces(q, m):
     """
     vectors = eigenvectors_closed_form(q, m).vectors
     return SpectralSubspaces(negative=vectors[..., :2], positive=vectors[..., 2:])
-
-
-def apply_multiplication_operator(h_field, f):
-    """Pointwise product H(q_n) f(q_n) over a sampled momentum grid.
-
-    ``h_field`` has shape (n, k, k) and ``f`` shape (n, k) with k = 4 or 8.
-    """
-    h_field = np.asarray(h_field, dtype=complex)
-    f = np.asarray(f, dtype=complex)
-    if h_field.ndim != 3 or h_field.shape[1] != h_field.shape[2]:
-        raise ValueError(f"expected stacked square matrices, got shape {h_field.shape}")
-    if f.shape != h_field.shape[:2]:
-        raise ValueError(
-            f"field shape {f.shape} does not match operator grid {h_field.shape[:2]}"
-        )
-    return np.einsum("nij,nj->ni", h_field, f)
 
 
 def _adjoint(x):

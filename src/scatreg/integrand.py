@@ -40,6 +40,8 @@ __all__ = [
 VARIABLES = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3", "m", "L")
 BUILTINS = ("P2", "Q2", "PQ")
 _COORDINATES = VARIABLES[:8]  # p0..p3, q0..q3
+_SCREEN_THRESHOLD = 1e-8  # a denominator smaller than this on the scan is flagged
+_SCAN_RADIAL, _SCAN_ANGULAR = 24, 10  # coarse scan nodes in r and per angle
 
 
 class IntegrandSyntaxError(ValueError):
@@ -331,7 +333,7 @@ class SingularityReport:
             return "no divisions: nothing to screen"
         lines = []
         for text, min_abs, sign_change in self.details:
-            status = "FLAG" if (min_abs < 1e-8 or sign_change) else "ok"
+            status = "FLAG" if (min_abs < _SCREEN_THRESHOLD or sign_change) else "ok"
             lines.append(
                 f"[{status}] 1/({text}): min |den| = {min_abs:.3e}"
                 + (", sign change inside ball" if sign_change else "")
@@ -339,12 +341,12 @@ class SingularityReport:
         return "\n".join(lines)
 
 
-def _scan_points(radius, n_radial=24, n_angular=10):
+def _scan_points(radius):
     """Deterministic coarse grid over the 4-ball, biased toward the origin."""
-    r = radius * np.linspace(0.0, 1.0, n_radial) ** 2
-    chi = np.linspace(0.0, np.pi, n_angular)
-    theta = np.linspace(0.0, np.pi, n_angular)
-    phi = np.linspace(0.0, 2 * np.pi, n_angular, endpoint=False)
+    r = radius * np.linspace(0.0, 1.0, _SCAN_RADIAL) ** 2
+    chi = np.linspace(0.0, np.pi, _SCAN_ANGULAR)
+    theta = np.linspace(0.0, np.pi, _SCAN_ANGULAR)
+    phi = np.linspace(0.0, 2 * np.pi, _SCAN_ANGULAR, endpoint=False)
     r, chi, theta, phi = np.meshgrid(r, chi, theta, phi, indexing="ij")
     return {
         "p0": (r * np.cos(chi)).ravel(),
@@ -354,10 +356,10 @@ def _scan_points(radius, n_radial=24, n_angular=10):
     }
 
 
-def screen_singularities(expr, q, m, radius, threshold=1e-8):
+def screen_singularities(expr, q, m, radius):
     """Scan every denominator of ``expr`` over a coarse grid of the ball.
 
-    Flags a denominator whose modulus drops below ``threshold`` or whose sign
+    Flags a denominator whose modulus drops below ``_SCREEN_THRESHOLD`` or whose sign
     changes inside the ball (a zero crossing the coarse grid straddled).
     Report-only; never raises for singular integrands.
     """
@@ -374,7 +376,7 @@ def screen_singularities(expr, q, m, radius, threshold=1e-8):
         min_abs = float(np.min(np.abs(values)))
         sign_change = bool(np.any(values > 0) and np.any(values < 0))
         overall_min = min(overall_min, min_abs)
-        if min_abs < threshold or sign_change:
+        if min_abs < _SCREEN_THRESHOLD or sign_change:
             flagged = True
         details.append((pretty_print(den), min_abs, sign_change))
     return SingularityReport(

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,3 +227,116 @@ def test_reduced_rule_matches_tensor_rule(source, radius, m):
     assert reduced.real == pytest.approx(tensor.real, rel=1e-8)
     rotated, _ = integrate_ball(f, None, q[::-1], m, BallRegion(radius), spec)
     assert rotated.real == pytest.approx(reduced.real, rel=1e-14)
+
+
+# Reference: product rules that materialize every coordinate and weight of
+# the whole grid, summed by slicing those arrays into chunks of the same size.
+# The rules that build each chunk from its axis indices must match bit for bit.
+def reference_tensor_rule(q4, radius, spec):
+    r, wr = ballquad._radial(radius, spec.radial_order)
+    chi, wchi = ballquad._gauss(spec.angular_orders[0], 0.0, np.pi)
+    theta, wth = ballquad._gauss(spec.angular_orders[1], 0.0, np.pi)
+    phi, wphi = ballquad._gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
+    r4 = r[:, None, None, None]
+    chi4 = chi[None, :, None, None]
+    th4 = theta[None, None, :, None]
+    phi4 = phi[None, None, None, :]
+    weight = (
+        (wr * r**3)[:, None, None, None]
+        * (wchi * np.sin(chi) ** 2)[None, :, None, None]
+        * (wth * np.sin(theta))[None, None, :, None]
+        * wphi[None, None, None, :]
+    )
+    sinchi = np.sin(chi4)
+    sinth = np.sin(th4)
+    points = {
+        "p0": np.broadcast_to(r4 * np.cos(chi4), weight.shape).ravel(),
+        "p1": np.broadcast_to(r4 * sinchi * np.cos(th4), weight.shape).ravel(),
+        "p2": np.broadcast_to(r4 * sinchi * sinth * np.cos(phi4), weight.shape).ravel(),
+        "p3": np.broadcast_to(r4 * sinchi * sinth * np.sin(phi4), weight.shape).ravel(),
+    }
+    return points, q4, weight.ravel()
+
+
+def reference_reduced_rule(q4, radius, spec):
+    r, wr = ballquad._radial(radius, spec.radial_order)
+    chi, wchi = ballquad._gauss(spec.angular_orders[0], 0.0, np.pi)
+    weight = (wr * r**3)[:, None] * (4 * np.pi * wchi * np.sin(chi) ** 2)[None, :]
+    zeros = np.zeros(weight.size)
+    points = {
+        "p0": (r[:, None] * np.cos(chi)[None, :]).ravel(),
+        "p1": (r[:, None] * np.sin(chi)[None, :]).ravel(),
+        "p2": zeros,
+        "p3": zeros,
+    }
+    return points, np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0]), weight.ravel()
+
+
+def reference_rule_sum(exprs, rule, m, radius):
+    points, q4, weights = rule
+    fixed = {f"q{i}": q4[i] for i in range(4)}
+    fixed.update({"m": m, "L": radius})
+    totals = []
+    for expr in exprs:
+        if expr is None:
+            totals.append(0.0)
+            continue
+        chunk_sums = []
+        for start in range(0, weights.size, ballquad._CHUNK):
+            sl = slice(start, start + ballquad._CHUNK)
+            ctx = {k: v[sl] for k, v in points.items()}
+            ctx.update(fixed)
+            chunk_sums.append(np.sum(evaluate(expr, ctx) * weights[sl]))
+        totals.append(float(np.sum(np.asarray(chunk_sums))))
+    return totals
+
+
+REFERENCE_RULES = {
+    "_reduced_rule": (
+        reference_reduced_rule,
+        ("1/(P2+m^2)^2", "PQ/((P2+2*PQ+Q2+m^2)*(P2+m^2))"),
+    ),
+    "_tensor_rule": (
+        reference_tensor_rule,
+        ("p1^2/(P2+1)^3", "(p3^2+q1*p2)/((P2+2*PQ+Q2+m^2)*(P2+m^2))"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, radial, angular",
+    [
+        # the default 2-D rule, and one whose chunk edges fall mid-row
+        ("_reduced_rule", 64, (32, 32, 32)),
+        ("_reduced_rule", 1000, (700, 2, 2)),
+        # 4-D: a last axis that divides the chunk size, and one that does not
+        ("_tensor_rule", 64, (32, 32, 32)),
+        ("_tensor_rule", 70, (40, 33, 30)),
+    ],
+    ids=["2d-64x32", "2d-1000x700", "4d-64x32^3", "4d-70x40x33x30"],
+)
+def test_chunks_from_axis_indices_match_the_materialized_grid(rule, radial, angular):
+    reference, sources = REFERENCE_RULES[rule]
+    spec = QuadratureSpec(radial_order=radial, angular_orders=angular)
+    exprs = tuple(parse_integrand(source) for source in sources)
+    q4, m = np.array([0.5, 1.0, -2.0, 0.3]), 1.3
+    for radius in (1.0, 1e5):
+        got = ballquad._rule_sum(exprs, getattr(ballquad, rule)(q4, radius, spec), m, radius)
+        want = reference_rule_sum(exprs, reference(q4, radius, spec), m, radius)
+        assert got == want
+        assert 0.0 not in got
+
+
+def test_tensor_rule_memory_is_bounded():
+    # the whole 64 x 32^3 grid (and its 96 x 48^3 refinement) would need
+    # hundreds of MiB per coordinate array set; one chunk needs a few tens
+    f = parse_integrand("p1^2/(P2+1)^3")
+    tracemalloc.start()
+    try:
+        value, _ = integrate_ball(f, None, (0, 0, 0), 0.0, BallRegion(10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    oracle = radial_oracle(lambda r: r**2 / 4 / (r**2 + 1) ** 3, 10.0)
+    assert abs(value.real - oracle) <= 1e-6 * abs(oracle)
+    assert peak < 100 * 2**20

@@ -373,6 +373,12 @@ def integrate_config(**overrides):
         ("spectra", {"q": [1e300, 1e300, 0], "m": 1}, [], 2),
         ("check", {"trials": 0}, [], 2),
         ("check", {"trials": -3}, [], 2),
+        # sizes past the 128 TiB x86-64 address space, so that the allocation
+        # fails at once whatever the host's overcommit setting
+        ("spectra", {"m": 1, "q_grid": {"min": -1, "max": 1, "count": 10**6}}, [], 2),
+        ("integrate",
+         integrate_config(quadrature={"method": "monte-carlo", "samples": 10**16, "seed": 1}),
+         [], 2),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(

@@ -217,25 +217,6 @@ def test_doubled_structure():
     assert vals == pytest.approx([-5] * 4 + [5] * 4)
 
 
-def test_apply_multiplication_operator():
-    grid = [np.array([0.5, -1.0, 2.0]), np.array([0.0, 0.0, 1.0])]
-    m = 0.7
-    h_field = np.stack([dirac.build_hamiltonian(q, m) for q in grid])
-    zero = np.zeros((2, 4))
-    assert np.array_equal(dirac.apply_multiplication_operator(h_field, zero), zero)
-    # eigenvector field maps to eigenvalue * itself
-    f = np.stack([dirac.eigenvectors_closed_form(q, m).vectors[:, 0] for q in grid])
-    lam = np.array([dirac.eigenvalues(q, m)[0] for q in grid])
-    out = dirac.apply_multiplication_operator(h_field, f)
-    assert np.allclose(out, lam[:, None] * f)
-    # direct single-node product
-    h1 = dirac.build_hamiltonian((0, 0, 1), 0.0)[None]
-    out = dirac.apply_multiplication_operator(h1, np.array([[1.0, 0, 0, 0]]))
-    assert np.allclose(out, [[0, 0, 1, 0]])
-    with pytest.raises(ValueError):
-        dirac.apply_multiplication_operator(h_field, np.zeros((2, 5)))
-
-
 def test_commutes_identity_and_exponential():
     h = dirac.build_hamiltonian((1, 2, 2), 1.0)
     ok, defect = dirac.commutes(h, np.eye(4))
