@@ -35,21 +35,42 @@ _EXIT_CODES = (
 )
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path, header, rows):
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(template % tuple(row) for row in rows)
 
 
 def _write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_json_rows(path, columns):
+    """The bytes of ``_write_json(path, [{name: column[i].tolist() ...} ...])``
+    for named float arrays of one length, written row by row: ``json`` lays
+    out one entry with a ``%r`` slot per value (it writes a finite float as
+    its repr), and each row fills that template."""
+    columns = dict(sorted(columns.items()))
+    n = len(next(iter(columns.values())))
+    flat = np.concatenate(
+        [a.reshape(n, np.prod(a.shape[1:], dtype=int)) for a in columns.values()], axis=1
+    )
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path.name}: non-finite value, which JSON cannot hold")
+    slots = {k: np.full(a.shape[1:], "%r", dtype=object).tolist() for k, a in columns.items()}
+    entry = json.dumps([slots], indent=2).replace('"%r"', "%r")[1:-2]
+    with open(path, "w", newline="\n") as fh:
+        if not n:
+            fh.write("[]\n")
+            return
+        rows = flat.tolist()
+        fh.write("[" + entry % tuple(rows[0]))
+        later = "," + entry
+        fh.writelines(later % tuple(row) for row in rows[1:])
+        fh.write("\n]\n")
 
 
 def _read_json(path):
@@ -215,11 +236,12 @@ def cmd_spectra(config):
     _write_csv(
         out / "spectra.csv",
         ["q1", "q2", "q3", "m", "lambda1", "lambda2", "lambda3", "lambda4"],
-        np.column_stack([points, np.full(len(points), m), vals]),
+        np.column_stack([points, np.full(len(points), m), vals]).tolist(),
     )
-    keys = ("q", "eigenvalues", "vectors_re", "vectors_im")
-    entries = zip(points.tolist(), vals.tolist(), vecs.real.tolist(), vecs.imag.tolist())
-    _write_json(out / "eigenvectors.json", [dict(zip(keys, e)) for e in entries])
+    _write_json_rows(
+        out / "eigenvectors.json",
+        {"q": points, "eigenvalues": vals, "vectors_re": vecs.real, "vectors_im": vecs.imag},
+    )
     print(f"spectra: {len(points)} points, max relative eigen-residual {worst:.3e}")
     return 0
 

@@ -103,6 +103,109 @@ def test_spectra_eigenvalues_survive_underflow(tmp_path, capsys, config, energy)
     assert np.isfinite(residual) and residual <= 1e-15
 
 
+def reference_write_csv(path, header, rows):
+    """The per-value CSV writer that ``cli._write_csv`` replaced: the reference
+    for its bytes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(x):.17g}" for x in row) + "\n")
+
+
+def reference_write_json_rows(path, columns):
+    """``eigenvectors.json`` as ``json`` writes it: the reference for
+    ``cli._write_json_rows``."""
+    entries = [
+        {key: np.asarray(column)[i].tolist() for key, column in columns.items()}
+        for i in range(len(next(iter(columns.values()))))
+    ]
+    with open(path, "w", newline="\n") as fh:
+        json.dump(entries, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# finite floats at the edges of what repr and %.17g write
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-200, 1.7e308, -1.7e308])
+VALUES = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+ROWS = st.sampled_from([0, 1]) | st.integers(2, 6)
+SPECTRA_SHAPES = {"q": (3,), "eigenvalues": (4,), "vectors_re": (4, 4), "vectors_im": (4, 4)}
+
+
+@st.composite
+def json_columns(draw):
+    """Named per-row arrays: the spectra shapes, or trailing shapes with
+    scalar and empty axes."""
+    n = draw(ROWS)
+    columns = {}
+    for key, shape in SPECTRA_SHAPES.items():
+        if draw(st.booleans()):
+            shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        size = n * int(np.prod(shape, dtype=int))
+        values = draw(st.lists(VALUES, min_size=size, max_size=size))
+        columns[key] = np.array(values, dtype=float).reshape((n, *shape))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=json_columns())
+def test_json_rows_match_json_dump(tmp_path_factory, columns):
+    root = tmp_path_factory.getbasetemp()
+    reference_write_json_rows(root / "reference.json", columns)
+    cli._write_json_rows(root / "rows.json", columns)
+    assert (root / "rows.json").read_bytes() == (root / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_rows_refuse_non_finite_values(tmp_path, bad):
+    columns = {"q": np.zeros((3, 3)), "eigenvalues": np.ones((3, 4))}
+    columns["eigenvalues"][2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._write_json_rows(tmp_path / "e.json", columns)
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_spectra_with_non_finite_vectors_exits_2(tmp_path, monkeypatch):
+    # no config reaches this: dirac refuses non-finite momenta, masses and
+    # energies first; json would write NaN where a row template writes nan
+    solve = dirac.eigenvectors_closed_form
+
+    def spoiled_solve(q, m):
+        sys_ = solve(q, m)
+        return dirac.EigenSystem(values=sys_.values, vectors=sys_.vectors * np.nan)
+
+    monkeypatch.setattr(dirac, "eigenvectors_closed_form", spoiled_solve)
+    code, out = run(tmp_path, "spectra", {"q": [0.1, 0.2, 0.3], "m": 1.0})
+    assert code == 2
+    assert not (out / "eigenvectors.json").exists()
+
+
+CSV_INTS = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows as the subcommands pass them: ndarray rows, np.float64 values
+    from zip, or lists with an int column (resum's order)."""
+    n = draw(ROWS)
+    kind = draw(st.sampled_from(["ndarray", "zip", "ints"]))
+    columns = [np.array(draw(st.lists(VALUES, min_size=n, max_size=n))) for _ in range(3)]
+    if kind == "ndarray":
+        return list(np.column_stack(columns))
+    if kind == "zip":
+        return list(zip(*columns))
+    orders = draw(st.lists(CSV_INTS, min_size=n, max_size=n))
+    return [[a, order, b] for a, order, b in zip(columns[0].tolist(), orders, columns[1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=csv_rows())
+def test_csv_rows_match_per_value_format(tmp_path_factory, rows):
+    root = tmp_path_factory.getbasetemp()
+    reference_write_csv(root / "reference.csv", ["a", "b", "c"], rows)
+    cli._write_csv(root / "rows.csv", ["a", "b", "c"], rows)
+    assert (root / "rows.csv").read_bytes() == (root / "reference.csv").read_bytes()
+
+
 def test_malformed_config_exits_2(tmp_path):
     code, _ = run(tmp_path, "spectra", {"m": 1.0})
     assert code == 2
