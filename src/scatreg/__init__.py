@@ -12,37 +12,37 @@ Subpackages by capability:
 * :mod:`scatreg.deviation` -- deviation factors U0(L, q), regularized series,
   class-A membership, Coulomb-type resummation.
 * :mod:`scatreg.cli` -- batch front end (``scatreg`` entry point).
+
+The subpackages and the names below are imported on first use (PEP 562), so
+``import scatreg.cli`` loads only what the CLI itself needs.
 """
 
-from . import asymfit, ballquad, deviation, dirac, integrand
-from .asymfit import LogModel, PolyLogModel, PowerLogModel, classify, fit
-from .ballquad import (
-    BallRegion,
-    CutoffSamples,
-    QuadratureSpec,
-    integrate_ball,
-    radial_oracle,
-    sample_over_cutoffs,
-)
-from .deviation import (
-    DeviationFactor,
-    class_a_check,
-    factor_from_model,
-    gauge_multiply,
-    regularize_coefficient,
-    regularized_series,
-    resum_coulomb_series,
-)
-from .dirac import (
-    build_doubled,
-    build_hamiltonian,
-    commutes,
-    eigenvalues,
-    eigenvectors_closed_form,
-    random_commuting_unitary,
-    simultaneous_diagonalize,
-    spectral_subspaces,
-)
-from .integrand import evaluate, parse_integrand, pretty_print, screen_singularities
+import importlib
 
+_EXPORTS = {
+    "asymfit": ("LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"),
+    "ballquad": ("BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
+                 "radial_oracle", "sample_over_cutoffs"),
+    "deviation": ("DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
+                  "regularize_coefficient", "regularized_series", "resum_coulomb_series"),
+    "dirac": ("build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
+              "eigenvectors_closed_form", "random_commuting_unitary",
+              "simultaneous_diagonalize", "spectral_subspaces"),
+    "integrand": ("evaluate", "parse_integrand", "pretty_print", "screen_singularities"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

@@ -192,6 +192,16 @@ def _tail_length(n, tail_fraction):
     return int(np.ceil(tail_fraction * n))
 
 
+def _median(values):
+    """``np.median`` of a 1-d float array, bit for bit, without the import of
+    ``numpy.ma`` that ``np.median`` costs a fresh process: like it, the mean
+    of the middle value, or of the middle two, of the sorted array.  A NaN is
+    not special-cased; in :func:`fit` it also reaches the max, which fails
+    the decay check either way."""
+    n = len(values)
+    return np.mean(np.sort(values)[(n - 1) // 2 : n // 2 + 1])
+
+
 def fit(samples, kind, tail_fraction=0.5, degree=2):
     """Fit one divergence model to cutoff samples over a tail window.
 
@@ -230,7 +240,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     scaled = np.abs(residuals * grid)
     half = max(len(scaled) // 2, 1)
     floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)
-    decay_ok = bool(np.max(scaled) <= max(10.0 * np.median(scaled[:half]), floor))
+    decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), floor))
     return FitReport(
         model=_make_model(kind, coeffs, 2),
         window=(float(grid[0]), float(grid[-1])),

@@ -140,8 +140,18 @@ def _kinematics(q, m):
     return q, float(m)
 
 
-def _gauss(n, a, b):
+@functools.lru_cache(maxsize=None)
+def _legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per order:
+    a cutoff grid integrates every radius at the same few orders.  The arrays
+    are shared by every caller, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss(n, a, b):
+    x, w = _legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 

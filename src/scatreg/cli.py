@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymfit, ballquad, deviation, dirac
+# dirac and deviation are imported by the commands that use them, so each
+# subcommand's fresh process compiles and loads only the modules it runs
+from . import asymfit, ballquad
 from .asymfit import IllPosedFitError, ModelMismatchError, UnclassifiedDivergenceError
 from .ballquad import CutoffSamples, QuadratureSpec, SingularIntegrandError
 from .integrand import EvaluationError, IntegrandSyntaxError, parse_integrand
@@ -211,14 +213,19 @@ def _fit_model(samples, config):
 
 
 def cmd_spectra(config):
+    from . import dirac
+
     m = _get(config, "m", float)
     if "q" in config:
         points = np.array([_get(config, "q", [float])])
     elif "q_grid" in config:
         spec = _get(config, "q_grid", dict)
-        axis = np.linspace(
-            _get(spec, "min", float), _get(spec, "max", float), _get(spec, "count", int)
-        )
+        lo, hi = _get(spec, "min", float), _get(spec, "max", float)
+        # refused here, since linspace would make inf/NaN nodes with numpy
+        # warnings before dirac refused them with this message
+        if not np.isfinite([lo, hi, hi - lo]).all():
+            raise ValueError("momentum components must be finite")
+        axis = np.linspace(lo, hi, _get(spec, "count", int))
         points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     else:
         raise ValueError("config needs 'q' or 'q_grid'")
@@ -287,6 +294,8 @@ def cmd_fit(config):
 
 
 def cmd_regularize(config):
+    from . import deviation
+
     samples = _get_samples(config)
     eps = _get(config, "epsilon", float, 0.1)
     model = _get(config, "model", (dict, str), "auto")
@@ -348,6 +357,8 @@ def _draw_trials(rng, count):
 def _check_commuting(q, m, doubled, seeds, tamper):
     """Failure messages, in trial order, of random unitaries commuting with H
     (doubled rows: with diag(H, H)), each jointly diagonalized with it."""
+    from . import dirac
+
     messages = [None] * len(q)
     for flag in (False, True):
         rows = np.flatnonzero(doubled == flag)
@@ -376,6 +387,8 @@ def _check_spectra_suite(rng, trials, tamper):
     """Closed-form eigenpairs and joint diagonalization on random trials, in
     stacked passes.  A trial whose eigen-residual fails draws no doubled and
     seed, so the pass stops there and the next one redraws from its m on."""
+    from . import dirac
+
     failures = []
     while trials > 0:
         q, m, doubled, seeds, marks = _draw_trials(rng, min(trials, _CHUNK))
@@ -395,6 +408,8 @@ def _check_spectra_suite(rng, trials, tamper):
 
 
 def _check_factor_suite(rng, trials):
+    from . import deviation
+
     failures = []
     for _ in range(trials):
         factor = deviation.DeviationFactor(
@@ -443,6 +458,8 @@ def cmd_check(config):
 
 
 def cmd_resum(config):
+    from . import deviation
+
     psi = _get(config, "psi", [float])
     phi = _get(config, "phi", float)
     eps = _get(config, "epsilon", float, 0.1)

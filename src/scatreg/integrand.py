@@ -342,18 +342,25 @@ class SingularityReport:
 
 
 def _scan_points(radius):
-    """Deterministic coarse grid over the 4-ball, biased toward the origin."""
-    r = radius * np.linspace(0.0, 1.0, _SCAN_RADIAL) ** 2
-    chi = np.linspace(0.0, np.pi, _SCAN_ANGULAR)
-    theta = np.linspace(0.0, np.pi, _SCAN_ANGULAR)
+    """Deterministic coarse grid over the 4-ball, biased toward the origin.
+
+    The trig is taken on the axis nodes and the products broadcast over the
+    (r, chi, theta, phi) grid, in the same order as on a full meshgrid, so
+    each point has the same bits."""
+    r = radius * np.linspace(0.0, 1.0, _SCAN_RADIAL)[:, None, None, None] ** 2
+    chi = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None, None]
+    theta = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None]
     phi = np.linspace(0.0, 2 * np.pi, _SCAN_ANGULAR, endpoint=False)
-    r, chi, theta, phi = np.meshgrid(r, chi, theta, phi, indexing="ij")
-    return {
-        "p0": (r * np.cos(chi)).ravel(),
-        "p1": (r * np.sin(chi) * np.cos(theta)).ravel(),
-        "p2": (r * np.sin(chi) * np.sin(theta) * np.cos(phi)).ravel(),
-        "p3": (r * np.sin(chi) * np.sin(theta) * np.sin(phi)).ravel(),
+    r_sinchi = r * np.sin(chi)
+    r_sinchi_sinth = r_sinchi * np.sin(theta)
+    shape = (_SCAN_RADIAL,) + (_SCAN_ANGULAR,) * 3
+    points = {
+        "p0": r * np.cos(chi),
+        "p1": r_sinchi * np.cos(theta),
+        "p2": r_sinchi_sinth * np.cos(phi),
+        "p3": r_sinchi_sinth * np.sin(phi),
     }
+    return {k: np.broadcast_to(v, shape).ravel() for k, v in points.items()}
 
 
 def screen_singularities(expr, q, m, radius):

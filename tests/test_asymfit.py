@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scatreg import asymfit
 from scatreg.asymfit import (
@@ -193,3 +196,29 @@ def test_classify_skips_degrees_the_tail_cannot_fit(monkeypatch):
     with pytest.raises(UnclassifiedDivergenceError) as fitting:
         classify(samples, max_degree=tail - 2)
     assert [r.model for r in hopeless.value.reports] == [r.model for r in fitting.value.reports]
+
+
+# non-negative like the |residual * L| that fit hands in: among equal values
+# np.median's partition may pick either of 0.0 and -0.0
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1.0, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+    st.floats(min_value=0.0, max_value=1e-307),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(MEDIAN_VALUES, min_size=1, max_size=12),
+        # ties: few distinct values
+        st.lists(st.sampled_from([0.0, 5e-324, 3.0, 1e308]), min_size=1, max_size=12),
+    )
+)
+def test_median_matches_numpy_bit_for_bit(values):
+    values = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # two middles near 1e308
+        got, expected = asymfit._median(values), np.median(values)
+    assert type(got) is type(expected)
+    assert got.tobytes() == expected.tobytes()

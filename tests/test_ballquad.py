@@ -340,3 +340,35 @@ def test_tensor_rule_memory_is_bounded():
     oracle = radial_oracle(lambda r: r**2 / 4 / (r**2 + 1) ** 3, 10.0)
     assert abs(value.real - oracle) <= 1e-6 * abs(oracle)
     assert peak < 100 * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 96])
+def test_cached_nodes_equal_leggauss_and_are_read_only(n):
+    x, w = ballquad._legendre(n)
+    expected_x, expected_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, expected_x) and np.array_equal(w, expected_w)
+    assert ballquad._legendre(n)[0] is x
+    for array in (x, w):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_nodes_are_solved_once_per_order(monkeypatch):
+    orders = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(n):
+        orders.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    ballquad._legendre.cache_clear()
+    try:
+        samples = sample_over_cutoffs(
+            None, RATIONAL, (0, 0, 0), 0.0, np.geomspace(10, 1e5, 9)
+        )
+    finally:
+        ballquad._legendre.cache_clear()
+    # the default 64 x 32 rule and its 1.5x refinement, over all nine cutoffs
+    assert sorted(orders) == [32, 48, 64, 96]
+    assert np.allclose(samples.values.imag, closed_form(samples.grid), rtol=1e-2)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -482,6 +483,9 @@ def integrate_config(**overrides):
         ("integrate",
          integrate_config(quadrature={"method": "monte-carlo", "samples": 10**16, "seed": 1}),
          [], 2),
+        # max - min overflows, and a non-finite end
+        ("spectra", {"q_grid": {"min": -1e308, "max": 1e308, "count": 3}, "m": 1}, [], 2),
+        ("spectra", {"q_grid": {"min": -np.inf, "max": 1, "count": 3}, "m": 1}, [], 2),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -517,6 +521,87 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert probe.stdout.strip() == "False"
+
+
+# prints the exit code and the loaded modules, as JSON, after one command
+MODULE_PROBE = (
+    "import json, sys, scatreg.cli; code = scatreg.cli.main(sys.argv[1:]); "
+    "print(json.dumps([code, sorted(sys.modules)]))"
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, unloaded",
+    [
+        ("integrate", integrate_config(), [], ["scatreg.dirac", "scatreg.deviation"]),
+        ("fit", None, ["--samples", "log.csv", "--model", "auto"],
+         ["scatreg.dirac", "scatreg.deviation", "numpy.ma"]),
+        ("regularize", None, ["--samples", "log.csv", "--model", "log"],
+         ["scatreg.dirac", "numpy.ma"]),
+        ("spectra", {"q": [0, 0, 0], "m": 1}, [], ["scatreg.deviation"]),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(
+    tmp_path, command, config, extra, unloaded
+):
+    # every subcommand runs in a fresh process, which pays for each module it
+    # loads; numpy.ma comes with np.median
+    grid = np.geomspace(10, 1e4, 17)
+    (tmp_path / "log.csv").write_text(
+        "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"
+    )
+    argv = [command, "--out", str(tmp_path / "out"), *extra]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    src = Path(scatreg.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, modules = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 0
+    assert not set(unloaded) & set(modules)
+
+
+# the names the package exported when it imported every module up front
+PACKAGE_EXPORTS = {
+    "asymfit": ["LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"],
+    "ballquad": ["BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
+                 "radial_oracle", "sample_over_cutoffs"],
+    "deviation": ["DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
+                  "regularize_coefficient", "regularized_series", "resum_coulomb_series"],
+    "dirac": ["build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
+              "eigenvectors_closed_form", "random_commuting_unitary",
+              "simultaneous_diagonalize", "spectral_subspaces"],
+    "integrand": ["evaluate", "parse_integrand", "pretty_print", "screen_singularities"],
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, module) for module in PACKAGE_EXPORTS]
+    + [(module, name) for module, names in PACKAGE_EXPORTS.items() for name in names],
+)
+def test_package_exports_resolve_on_first_use(module, name):
+    home = importlib.import_module(f"scatreg.{module}")
+    expected = home if name == module else getattr(home, name)
+    assert getattr(scatreg, name) is expected
+    namespace = {}
+    exec(f"from scatreg import {name}", namespace)
+    assert namespace[name] is expected
+    assert name in scatreg.__all__ and name in dir(scatreg)
+
+
+def test_package_refuses_unknown_names():
+    with pytest.raises(AttributeError, match="no attribute 'integrate'"):
+        scatreg.integrate
+    with pytest.raises(ImportError):
+        exec("from scatreg import integrate", {})
 
 
 @pytest.mark.parametrize(

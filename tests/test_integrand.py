@@ -176,3 +176,29 @@ def test_screen_flags_interior_zero_crossing():
 def test_screen_no_divisions():
     report = screen_singularities(parse_integrand("P2 + 1"), (0, 0, 0, 0), 0, 3.0)
     assert not report.flagged and report.details == ()
+
+
+def meshgrid_scan_points(radius):
+    """The scan grid built on a full meshgrid, as ``integrand._scan_points``
+    did before it took the trig on the axis nodes: the reference."""
+    r = radius * np.linspace(0.0, 1.0, integrand._SCAN_RADIAL) ** 2
+    chi = np.linspace(0.0, np.pi, integrand._SCAN_ANGULAR)
+    theta = np.linspace(0.0, np.pi, integrand._SCAN_ANGULAR)
+    phi = np.linspace(0.0, 2 * np.pi, integrand._SCAN_ANGULAR, endpoint=False)
+    r, chi, theta, phi = np.meshgrid(r, chi, theta, phi, indexing="ij")
+    return {
+        "p0": (r * np.cos(chi)).ravel(),
+        "p1": (r * np.sin(chi) * np.cos(theta)).ravel(),
+        "p2": (r * np.sin(chi) * np.sin(theta) * np.cos(phi)).ravel(),
+        "p3": (r * np.sin(chi) * np.sin(theta) * np.sin(phi)).ravel(),
+    }
+
+
+@pytest.mark.parametrize("radius", [1e-300, 0.37, 10.0, 3.16e4, 1e5, 1e300])
+def test_scan_points_match_the_meshgrid(radius):
+    got = integrand._scan_points(radius)
+    expected = meshgrid_scan_points(radius)
+    assert got.keys() == expected.keys()
+    for name, points in expected.items():
+        assert got[name].shape == points.shape
+        assert np.array_equal(got[name], points)
