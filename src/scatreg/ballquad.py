@@ -16,6 +16,9 @@ runs follows from the integrand alone:
 * Any other integrand is integrated on the 4-D tensor rule in
   (r, chi, theta, phi) with all three angular orders.
 
+The radial axis is split at a = 4 max(|m|, |q|), graded on [0, a] and
+logarithmic on [a, L]; the error estimate is |I(n) - I(n/2)|, orders halved.
+
 A plain Monte-Carlo estimator on the ball is available for integrands the
 screen rejects.  The product rules are summed in chunks of ``_CHUNK``
 consecutive grid points, each built from the axis nodes it uses, so memory
@@ -26,9 +29,10 @@ bit for bit.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19  # evaluation points per reduction chunk
+_MAX_ORDER = 1024  # leggauss(n) eigen-solves an n x n matrix, O(n^2) memory
 
 
 class SingularIntegrandError(ValueError):
@@ -83,8 +88,8 @@ class QuadratureSpec:
         orders = np.asarray(self.angular_orders)
         if orders.shape != (3,) or orders.dtype.kind not in "iu":
             raise ValueError(f"need three integer angular_orders: {self.angular_orders}")
-        if self.radial_order < 2 or any(n < 2 for n in self.angular_orders):
-            raise ValueError("quadrature orders must be >= 2")
+        if not all(2 <= n <= _MAX_ORDER for n in (self.radial_order, *self.angular_orders)):
+            raise ValueError(f"quadrature orders must be between 2 and {_MAX_ORDER}")
         if self.method == "monte-carlo":
             if self.samples < 1000:
                 raise ValueError("monte-carlo needs at least 1000 samples")
@@ -155,16 +160,23 @@ def _gauss(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
-def _radial(radius, n):
-    # graded radial map r = L t^2: clusters nodes toward the origin, where
-    # rational integrands with O(1) mass scales vary fastest relative to L
+def _radial(radius, n, split=0.0):
+    # n nodes on the graded map r = a t^2 over [0, a], clustered toward the
+    # origin; for 0 < split < L, a = split and n more on the log map r = e^u,
+    # dr = r du, over [a, L] give each decade above the mass scale its share
+    a = split if 0.0 < split < radius else radius
     t, wt = _gauss(n, 0.0, 1.0)
-    return radius * t**2, wt * 2.0 * radius * t
+    r, wr = a * t**2, wt * 2.0 * a * t
+    if a == radius:
+        return r, wr
+    u, wu = _gauss(n, math.log(a), math.log(radius))
+    outer = np.exp(u)
+    return np.concatenate([r, outer]), np.concatenate([wr, wu * outer])
 
 
-def _tensor_rule(q4, radius, spec):
+def _tensor_rule(q4, radius, spec, split=0.0):
     """The 4-D product rule in (r, chi, theta, phi): axis weights, point map, q."""
-    r, wr = _radial(radius, spec.radial_order)
+    r, wr = _radial(radius, spec.radial_order, split)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
     theta, wth = _gauss(spec.angular_orders[1], 0.0, np.pi)
     phi, wphi = _gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
@@ -184,14 +196,14 @@ def _tensor_rule(q4, radius, spec):
     return weights, points, q4
 
 
-def _reduced_rule(q4, radius, spec):
+def _reduced_rule(q4, radius, spec, split=0.0):
     """The 2-D product rule in (r, chi) for O(4)-invariant integrands.
 
     q is rotated onto the p0 axis, so the integrand depends on the direction
     of P only through chi, the angle between P and q; theta and phi integrate
     to the area 4 pi of the unit 2-sphere.  Only ``angular_orders[0]`` is used.
     """
-    r, wr = _radial(radius, spec.radial_order)
+    r, wr = _radial(radius, spec.radial_order, split)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
     coschi, sinchi = np.cos(chi), np.sin(chi)
 
@@ -230,12 +242,12 @@ def _rule_sum(exprs, rule, m, radius):
     return [float(np.sum(np.asarray(sums))) if sums else 0.0 for sums in chunk_sums]
 
 
-def _refined(spec):
-    return replace(
-        spec,
-        radial_order=math.ceil(1.5 * spec.radial_order),
-        angular_orders=tuple(math.ceil(1.5 * n) for n in spec.angular_orders),
-    )
+# the orders a product rule reads; unlike a QuadratureSpec's they may be 1
+_Orders = collections.namedtuple("_Orders", "radial_order angular_orders")
+
+
+def _halved(spec):
+    return _Orders(spec.radial_order // 2, tuple(n // 2 for n in spec.angular_orders))
 
 
 def _monte_carlo(exprs, q4, m, radius, spec):
@@ -266,11 +278,13 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     With ``method="tensor-gauss"`` the integral runs on the 2-D (r, chi) rule
     when both given parts are O(4)-invariant (see the module docstring; only
     ``angular_orders[0]`` is used), and on the 4-D tensor rule otherwise.
-    Either rule reports |value - refined value| with all orders increased by
-    1.5x; Monte-Carlo reports the standard error of the mean.  Unless
+    Either rule splits its radial axis at a = 4 max(|m|, |q|) when 0 < a < L
+    and reports |I(n) - I(n/2)|, the difference to the same rule with every
+    order halved; Monte-Carlo reports the standard error of the mean.  Unless
     Monte-Carlo is requested, the singularity screen scans every denominator
-    on the 4-D coarse grid with the given q, and flagged singular integrands
-    are refused with the screen report attached.
+    on a coarse grid, its (r, chi) slice at the rotated q for an invariant
+    part, and flagged singular integrands are refused with the screen report
+    attached.
     """
     if not isinstance(region, BallRegion):
         region = BallRegion(float(region))
@@ -291,9 +305,10 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
         if all(expr is None or o4_invariant(expr) for expr in exprs)
         else _tensor_rule
     )
-    re, im = _rule_sum(exprs, rule(q4, region.radius, spec), m, region.radius)
-    re_f, im_f = _rule_sum(exprs, rule(q4, region.radius, _refined(spec)), m, region.radius)
-    return complex(re, im), abs(complex(re - re_f, im - im_f))
+    radius, split = region.radius, 4 * max(abs(m), float(np.linalg.norm(q4)))
+    re, im = _rule_sum(exprs, rule(q4, radius, spec, split), m, radius)
+    re_h, im_h = _rule_sum(exprs, rule(q4, radius, _halved(spec), split), m, radius)
+    return complex(re, im), abs(complex(re - re_h, im - im_h))
 
 
 def radial_oracle(f, radius):

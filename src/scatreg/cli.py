@@ -147,7 +147,11 @@ def _l_grid(config):
     count = _get(spec, "count", int)
     if start <= 0 or ratio <= 1 or count < 1:
         raise ValueError("L_grid needs start > 0, ratio > 1, count >= 1")
-    return start * ratio ** np.arange(count)
+    with np.errstate(over="ignore"):
+        grid = start * ratio ** np.arange(count)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("L_grid cutoffs must be finite")
+    return grid
 
 
 def _quad_spec(config):

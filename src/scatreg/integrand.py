@@ -18,6 +18,7 @@ evaluated elementwise.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -341,26 +342,37 @@ class SingularityReport:
         return "\n".join(lines)
 
 
-def _scan_points(radius):
+@functools.lru_cache(maxsize=None)
+def _scan_axes():
+    # the radius-free factors of the scan grid, taken once and shared
+    # read-only: t^2 on the radial axis, the cosine and sine of each angle
+    chi = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None, None]
+    theta = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None]
+    phi = np.linspace(0.0, 2 * np.pi, _SCAN_ANGULAR, endpoint=False)
+    axes = [np.linspace(0.0, 1.0, _SCAN_RADIAL)[:, None, None, None] ** 2]
+    axes += [f(angle) for angle in (chi, theta, phi) for f in (np.cos, np.sin)]
+    for axis in axes:
+        axis.flags.writeable = False
+    return axes
+
+
+def _scan_points(radius, full=True):
     """Deterministic coarse grid over the 4-ball, biased toward the origin.
 
     The trig is taken on the axis nodes and the products broadcast over the
     (r, chi, theta, phi) grid, in the same order as on a full meshgrid, so
-    each point has the same bits."""
-    r = radius * np.linspace(0.0, 1.0, _SCAN_RADIAL)[:, None, None, None] ** 2
-    chi = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None, None]
-    theta = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None]
-    phi = np.linspace(0.0, 2 * np.pi, _SCAN_ANGULAR, endpoint=False)
-    r_sinchi = r * np.sin(chi)
-    r_sinchi_sinth = r_sinchi * np.sin(theta)
-    shape = (_SCAN_RADIAL,) + (_SCAN_ANGULAR,) * 3
-    points = {
-        "p0": r * np.cos(chi),
-        "p1": r_sinchi * np.cos(theta),
-        "p2": r_sinchi_sinth * np.cos(phi),
-        "p3": r_sinchi_sinth * np.sin(phi),
-    }
-    return {k: np.broadcast_to(v, shape).ravel() for k, v in points.items()}
+    each point has the same bits.  ``full=False`` keeps the theta = phi = 0
+    slice, the (r, chi) grid, where p2 = p3 = 0."""
+    t2, cos_chi, sin_chi, cos_th, sin_th, cos_phi, sin_phi = _scan_axes()
+    r = radius * t2
+    r_sinchi = r * sin_chi
+    if not full:  # cos 0 = 1 and sin 0 = 0 exactly
+        return {"p0": (r * cos_chi).ravel(), "p1": r_sinchi.ravel(), "p2": 0.0, "p3": 0.0}
+    r_sinchi_sinth = r_sinchi * sin_th
+    points = np.broadcast_arrays(
+        r * cos_chi, r_sinchi * cos_th, r_sinchi_sinth * cos_phi, r_sinchi_sinth * sin_phi
+    )
+    return {f"p{i}": p.ravel() for i, p in enumerate(points)}
 
 
 def screen_singularities(expr, q, m, radius):
@@ -368,10 +380,13 @@ def screen_singularities(expr, q, m, radius):
 
     Flags a denominator whose modulus drops below ``_SCREEN_THRESHOLD`` or whose sign
     changes inside the ball (a zero crossing the coarse grid straddled).
+    An O(4)-invariant ``expr`` is scanned at q rotated onto p0, where its
+    value depends only on (r, chi): the (r, chi) slice stands for the grid.
     Report-only; never raises for singular integrands.
     """
-    q = np.asarray(q, dtype=float)
-    ctx = _scan_points(radius)
+    full = not o4_invariant(expr)
+    q = np.asarray(q, dtype=float) if full else np.array([np.linalg.norm(q), 0.0, 0.0, 0.0])
+    ctx = _scan_points(radius, full)
     ctx.update({f"q{i}": q[i] for i in range(4)})
     ctx.update({"m": float(m), "L": float(radius)})
     details = []
@@ -380,8 +395,8 @@ def screen_singularities(expr, q, m, radius):
     for den in division_denominators(expr):
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(_eval(den, ctx), dtype=float)
-        min_abs = float(np.min(np.abs(values)))
-        sign_change = bool(np.any(values > 0) and np.any(values < 0))
+        min_abs = float(np.abs(values).min())
+        sign_change = bool((values > 0).any() and (values < 0).any())
         overall_min = min(overall_min, min_abs)
         if min_abs < _SCREEN_THRESHOLD or sign_change:
             flagged = True

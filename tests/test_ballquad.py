@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -15,7 +16,8 @@ from scatreg.ballquad import (
     radial_oracle,
     sample_over_cutoffs,
 )
-from scatreg.integrand import evaluate, o4_invariant, parse_integrand
+from scatreg import integrand
+from scatreg.integrand import evaluate, o4_invariant, parse_integrand, screen_singularities
 
 RATIONAL = parse_integrand("1/(P2+1)^2")
 
@@ -159,8 +161,9 @@ def test_invariant_integrand_takes_the_reduced_rule(monkeypatch):
     monkeypatch.setattr(ballquad, "evaluate", counting_evaluate)
     value, _ = integrate_ball(None, RATIONAL, (0, 0, 0), 0.0, BallRegion(10.0))
     assert value.imag == pytest.approx(closed_form(10.0), rel=1e-10)
-    # one point per (r, chi) node of the default 64 x 32 rule and its 1.5x refinement
-    assert sizes == [64 * 32, 96 * 48]
+    # one point per (r, chi) node of the default 64 x 32 rule and its half-order
+    # estimate; m = q = 0, so the radial axis is not split
+    assert sizes == [64 * 32, 32 * 16]
 
 
 def test_coordinate_integrand_takes_the_tensor_rule(monkeypatch):
@@ -176,7 +179,7 @@ def test_coordinate_integrand_takes_the_tensor_rule(monkeypatch):
     value, _ = integrate_ball(f, None, (0, 0, 0), 0.0, BallRegion(10.0), spec)
     oracle = radial_oracle(lambda r: r**2 / 4 / (r**2 + 1) ** 3, 10.0)
     assert abs(value.real - oracle) <= max(1e-8, 1e-6 * abs(oracle))
-    assert sizes == [24 * 16**3, 36 * 24**3]
+    assert sizes == [24 * 16**3, 12 * 8**3]
 
 
 # Invariant integrands that are positive on the ball, so a relative tolerance
@@ -227,6 +230,26 @@ def test_reduced_rule_matches_tensor_rule(source, radius, m):
     assert reduced.real == pytest.approx(tensor.real, rel=1e-8)
     rotated, _ = integrate_ball(f, None, q[::-1], m, BallRegion(radius), spec)
     assert rotated.real == pytest.approx(reduced.real, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=invariant_sources(),
+    radius=st.floats(0.5, 1e5),
+    m=st.floats(0.0, 2.0),
+    q=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+)
+def test_invariant_screen_scans_the_rotated_slice(source, radius, m, q):
+    # at q rotated onto p0 an invariant integrand's value depends only on
+    # (r, chi), so the (r, chi) slice reports what the whole 4-D scan does
+    f = parse_integrand(source)
+    rotated = np.array([np.linalg.norm(q), 0.0, 0.0, 0.0])
+    sliced = screen_singularities(f, q, m, radius)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrand, "o4_invariant", lambda expr: False)
+        full = screen_singularities(f, rotated, m, radius)
+    assert sliced == full
+    assert integrand._scan_points(radius, full=False)["p0"].size == 240
 
 
 # Reference: product rules that materialize every coordinate and weight of
@@ -328,7 +351,7 @@ def test_chunks_from_axis_indices_match_the_materialized_grid(rule, radial, angu
 
 
 def test_tensor_rule_memory_is_bounded():
-    # the whole 64 x 32^3 grid (and its 96 x 48^3 refinement) would need
+    # the whole 64 x 32^3 grid (and its 32 x 16^3 half-order estimate) would need
     # hundreds of MiB per coordinate array set; one chunk needs a few tens
     f = parse_integrand("p1^2/(P2+1)^3")
     tracemalloc.start()
@@ -369,6 +392,108 @@ def test_nodes_are_solved_once_per_order(monkeypatch):
         )
     finally:
         ballquad._legendre.cache_clear()
-    # the default 64 x 32 rule and its 1.5x refinement, over all nine cutoffs
-    assert sorted(orders) == [32, 48, 64, 96]
+    # the default 64 x 32 rule and its half-order estimate, over all nine cutoffs
+    assert sorted(orders) == [16, 32, 64]
     assert np.allclose(samples.values.imag, closed_form(samples.grid), rtol=1e-2)
+
+
+def ball_closed_form(L, c):
+    """Integral of 1/(P2 + c^2)^2 over the 4-ball |P| <= L."""
+    return np.pi**2 * (np.log1p(L**2 / c**2) + c**2 / (c**2 + L**2) - 1.0)
+
+
+def bubble_reference(grid, q_norm, m):
+    """Integral of 1/((P2+m^2)(P2+2PQ+Q2+m^2)) over each ball |P| <= L, by
+    scipy on the (r, chi) reduction with q on the p0 axis:
+
+        4 pi int r^3 dr / (r^2 + m^2) int sin^2(chi) dchi / (a + b cos chi),
+
+    a = r^2 + q^2 + m^2, b = 2 |q| r, where the chi integral is
+    pi (a - sqrt(a^2 - b^2)) / b^2 = pi / (a + sqrt(a^2 - b^2))."""
+    from scipy.integrate import quad
+
+    def radial(r):
+        a, b = r * r + q_norm**2 + m * m, 2 * q_norm * r
+        return r**3 / ((r * r + m * m) * (a + math.sqrt((a - b) * (a + b))))
+
+    values = []
+    for L in grid:
+        cuts = np.unique(np.concatenate([[0.0, L], np.geomspace(m / 8, L, 12)]))
+        values.append(sum(
+            quad(radial, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        ))
+    return 4 * np.pi**2 * np.array(values)
+
+
+FIT_GRID = np.geomspace(10, 1e5, 9)
+BUBBLE_Q = 1.5 * np.array([0.3, -1.0, 0.8, 0.6]) / np.linalg.norm([0.3, -1.0, 0.8, 0.6])
+HALF_ORDERS = QuadratureSpec(radial_order=32, angular_orders=(16, 16, 16))
+
+ORACLE_CASES = {
+    # the mass scale of the integrand is m; then one far above m
+    "m=1": ("1/(P2+m^2)^2", (0, 0, 0), 1.0, lambda grid: ball_closed_form(grid, 1.0), 1e-12),
+    "m=1e-3": ("1/(P2+1)^2", (0, 0, 0), 1e-3, lambda grid: ball_closed_form(grid, 1.0), 1e-11),
+    "bubble": (
+        "1/((P2+m^2)*(P2+2*PQ+Q2+m^2))", BUBBLE_Q, 1.0,
+        lambda grid: bubble_reference(grid, 1.5, 1.0), 1e-12,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=list(ORACLE_CASES))
+def test_split_radial_axis_reaches_the_oracle_over_the_fit_range(case):
+    source, q, m, oracle, tolerance = ORACLE_CASES[case]
+    f = parse_integrand(source)
+    exact = oracle(FIT_GRID)
+    default, half = (
+        sample_over_cutoffs(None, f, q, m, FIT_GRID, spec) for spec in (QuadratureSpec(), HALF_ORDERS)
+    )
+    assert np.all(np.abs(default.values.imag - exact) <= tolerance * np.abs(exact))
+    # the half-order estimate bounds the true error at the default orders and
+    # at half of them, less the round-off of the reference
+    for samples in (default, half):
+        error = np.abs(samples.values.imag - exact)
+        assert np.all(samples.errors >= error - 1e-14 * np.abs(exact))
+
+
+def test_bubble_reference_matches_the_closed_form_at_q_zero():
+    assert bubble_reference(FIT_GRID, 0.0, 1.0) == pytest.approx(
+        ball_closed_form(FIT_GRID, 1.0), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("rule, source", [
+    ("_reduced_rule", "1/(P2+1)^2"),
+    ("_tensor_rule", "p1^2/(P2+1)^3"),
+])
+def test_massless_point_keeps_the_graded_rule(rule, source):
+    # m = q = 0 leaves no scale to split at: the radial axis is the graded map
+    # r = L t^2 on [0, L], bit for bit
+    n, radius = 64, 1e3
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, wt = 0.5 * x + 0.5, 0.5 * w
+    r, wr = ballquad._radial(radius, n, split=0.0)
+    assert np.array_equal(r, radius * t**2) and np.array_equal(wr, wt * 2.0 * radius * t)
+    spec = QuadratureSpec(radial_order=n, angular_orders=(16, 8, 8))
+    reference, _ = REFERENCE_RULES[rule]
+    f = parse_integrand(source)
+    value, _ = integrate_ball(f, None, (0, 0, 0), 0.0, BallRegion(radius), spec)
+    want = reference_rule_sum((f, None), reference(np.zeros(4), radius, spec), 0.0, radius)
+    assert value == complex(*want)
+
+
+def test_split_radial_axis_covers_each_piece_at_the_given_order():
+    r, wr = ballquad._radial(1e4, 16, split=4.0)
+    assert r.size == 32 and np.all(np.diff(r) > 0)
+    assert np.all(r[:16] < 4.0) and np.all((r[16:] > 4.0) & (r[16:] < 1e4))
+    # r^3 dr is a polynomial on the graded piece and e^(4u) du on the log piece
+    assert np.sum(wr[:16] * r[:16] ** 3) == pytest.approx(4.0**4 / 4, rel=1e-14)
+    assert np.sum(wr * r**3) == pytest.approx(1e16 / 4, rel=1e-10)
+    assert np.array_equal(ballquad._radial(3.0, 16, split=4.0)[0], ballquad._radial(3.0, 16)[0])
+
+
+@pytest.mark.parametrize("orders", [(1025, 8, 8, 8), (8, 8, 4096, 8)])
+def test_orders_above_the_cap_are_refused(orders):
+    with pytest.raises(ValueError, match="1024"):
+        QuadratureSpec(radial_order=orders[0], angular_orders=orders[1:])

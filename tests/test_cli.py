@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -508,6 +509,27 @@ def test_malformed_invocations_exit_with_documented_code(
     assert code == expected
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("l_grid", [
+    {"start": np.inf, "ratio": 2.0, "count": 2},
+    {"start": 1e300, "ratio": 1e10, "count": 3},
+])
+def test_non_finite_cutoffs_exit_2_without_warnings(tmp_path, capsys, l_grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, "integrate", integrate_config(L_grid=l_grid))
+    assert code == 2 and not caught
+    assert "finite" in capsys.readouterr().err
+
+
+def test_orders_above_the_cap_exit_2_at_once(tmp_path, capsys):
+    # leggauss(4096) alone would take seconds and hundreds of MB
+    start = time.perf_counter()
+    code, out = run(tmp_path, "integrate", integrate_config(), ["--quad-orders", "4096,8,8,8"])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "1024" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():
