@@ -22,7 +22,7 @@ import importlib
 _EXPORTS = {
     "asymfit": ("LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"),
     "ballquad": ("BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
-                 "radial_oracle", "sample_over_cutoffs"),
+                 "sample_over_cutoffs"),
     "deviation": ("DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"),
     "dirac": ("build_doubled", "build_hamiltonian", "commutes", "eigenvalues",

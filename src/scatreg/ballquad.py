@@ -45,7 +45,6 @@ __all__ = [
     "CutoffSamples",
     "ball_volume",
     "integrate_ball",
-    "radial_oracle",
     "sample_over_cutoffs",
 ]
 
@@ -266,8 +265,14 @@ def _monte_carlo(exprs, q4, m, radius, spec):
             results.append((0.0, 0.0))
             continue
         values = np.broadcast_to(np.asarray(evaluate(expr, ctx), dtype=float), r.shape)
-        mean = float(np.mean(values))
-        stderr = float(np.std(values) / math.sqrt(spec.samples))
+        with np.errstate(over="ignore"):
+            mean, std = float(np.mean(values)), float(np.std(values))
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            # finite values whose sum or squares overflow: rescale by the largest
+            scale = float(np.max(np.abs(values)))
+            mean = scale * float(np.mean(values / scale))
+            std = scale * float(np.std(values / scale))
+        stderr = std / math.sqrt(spec.samples)
         results.append((vol * mean, vol * stderr))
     return results
 
@@ -309,21 +314,6 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     re, im = _rule_sum(exprs, rule(q4, radius, spec, split), m, radius)
     re_h, im_h = _rule_sum(exprs, rule(q4, radius, _halved(spec), split), m, radius)
     return complex(re, im), abs(complex(re - re_h, im - im_h))
-
-
-def radial_oracle(f, radius):
-    """Independent 1-d oracle for radially symmetric integrands:
-    2 pi^2 * integral of r^3 f(r) over [0, L], by adaptive quadrature."""
-    # imported here: scipy costs most of the package's import time, and only
-    # this reference helper needs it
-    from scipy.integrate import quad
-
-    value, err = quad(
-        lambda r: r**3 * f(r), 0.0, radius, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
-        raise ValueError(f"radial quadrature did not converge (error {err:.3e})")
-    return 2 * np.pi**2 * value
 
 
 def sample_over_cutoffs(f_re, f_im, q, m, grid, spec=QuadratureSpec()):

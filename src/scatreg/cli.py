@@ -17,24 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-# dirac and deviation are imported by the commands that use them, so each
-# subcommand's fresh process compiles and loads only the modules it runs
-from . import asymfit, ballquad
-from .asymfit import IllPosedFitError, ModelMismatchError, UnclassifiedDivergenceError
-from .ballquad import CutoffSamples, QuadratureSpec, SingularIntegrandError
-from .integrand import EvaluationError, IntegrandSyntaxError, parse_integrand
+# Library modules are imported by the commands that use them, so a fresh
+# process loads only what its subcommand runs.  parse_integrand forwards to
+# the parser, so the stage that parses can still be wrapped through this name.
 
 EXIT_CHECK_FAILED = 1
 
-# Exit code per exception, first match wins.  The library errors are all
-# ValueErrors, so the bad-config fallback (2) comes last; an OverflowError or
-# a MemoryError comes from an extreme config value.
-_EXIT_CODES = (
-    (IntegrandSyntaxError, 3),
-    ((SingularIntegrandError, EvaluationError), 4),
-    ((ModelMismatchError, UnclassifiedDivergenceError, IllPosedFitError), 5),
-    ((ValueError, OSError, OverflowError, MemoryError), 2),
-)
+
+def parse_integrand(source):
+    from .integrand import parse_integrand as parse
+
+    return parse(source)
 
 
 def _write_csv(path, header, rows):
@@ -155,6 +148,8 @@ def _l_grid(config):
 
 
 def _quad_spec(config):
+    from .ballquad import QuadratureSpec
+
     spec = _get(config, "quadrature", dict, {})
     return QuadratureSpec(
         method=_get(spec, "method", str, "tensor-gauss"),
@@ -172,6 +167,8 @@ def _parse_expr(config, key):
 
 def _sample(config):
     """Cutoff samples of the config's integrands over its L grid."""
+    from . import ballquad
+
     grid = _l_grid(config)
     q = _get(config, "q", [float], [0.0, 0.0, 0.0, 0.0])
     m = _get(config, "m", float, 0.0)
@@ -184,6 +181,8 @@ def _sample(config):
 
 
 def _read_samples_csv(path):
+    from .ballquad import CutoffSamples
+
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 3:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
@@ -208,6 +207,8 @@ def _get_samples(config):
 
 def _fit_model(samples, config):
     """The fit report of the config's model kind; "auto" classifies."""
+    from . import asymfit
+
     kind = _get(config, "model", str, "auto")
     tail = _get(config, "tail_fraction", float, 0.5)
     degree = _get(config, "degree", int, 2)
@@ -274,6 +275,8 @@ def cmd_integrate(config):
 
 
 def cmd_fit(config):
+    from .asymfit import UnclassifiedDivergenceError
+
     samples = _get_samples(config)
     try:
         report = _fit_model(samples, config)
@@ -298,7 +301,7 @@ def cmd_fit(config):
 
 
 def cmd_regularize(config):
-    from . import deviation
+    from . import asymfit, deviation
 
     samples = _get_samples(config)
     eps = _get(config, "epsilon", float, 0.1)
@@ -336,7 +339,7 @@ def cmd_regularize(config):
     return 0
 
 
-# trials per stacked pass of the spectral suite, so memory stays bounded for
+# trials per stacked pass of either check suite, so memory stays bounded for
 # any number of trials
 _CHUNK = 256
 
@@ -412,19 +415,20 @@ def _check_spectra_suite(rng, trials, tamper):
 
 
 def _check_factor_suite(rng, trials):
+    """|U0(L)| = 1 for random deviation factors in stacked passes, drawn as one
+    factor per trial: L2, L and three log coefficients, gauge, log10 L."""
     from . import deviation
 
+    lo, hi = np.array([[-1, -1, -1, -1, -1, -np.pi, -2], [1, 1, 1, 1, 1, np.pi, 6]])
     failures = []
-    for _ in range(trials):
-        factor = deviation.DeviationFactor(
-            quad_coeff=rng.uniform(-1, 1),
-            linear_coeff=rng.uniform(-1, 1),
-            log_coeffs=tuple(rng.uniform(-1, 1, size=3)),
-            gauge=rng.uniform(-np.pi, np.pi),
-        )
-        L = 10.0 ** rng.uniform(-2, 6)
-        if abs(abs(factor(L)) - 1) > 1e-14:
-            failures.append(f"|U0| deviates from 1 at L={L}")
+    while trials > 0:
+        c = rng.uniform(lo, hi, size=(min(trials, _CHUNK), 7))
+        # Python's pow: L is printed, and numpy's array power may round apart
+        L = [10.0**x for x in c[:, 6].tolist()]
+        theta = deviation._exponent(c[:, 0], c[:, 1], c[:, 2:5].T, c[:, 5], np.array(L))
+        off = np.abs(np.abs(np.exp(1j * theta)) - 1) > 1e-14
+        failures += [f"|U0| deviates from 1 at L={l}" for l, bad in zip(L, off) if bad]
+        trials -= len(c)
     log_only = deviation.DeviationFactor(log_coeffs=(0.25,))
     linear = deviation.DeviationFactor(linear_coeff=0.01)
     grid = np.geomspace(10, 1e4, 16)
@@ -537,7 +541,17 @@ def main(argv=None):
         return globals()[f"cmd_{args.command}"](_settings(args))
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        # first match wins; any other error (bad config, extreme values) exits 2
+        from .asymfit import IllPosedFitError, ModelMismatchError, UnclassifiedDivergenceError
+        from .ballquad import SingularIntegrandError
+        from .integrand import EvaluationError, IntegrandSyntaxError
+
+        codes = (
+            (IntegrandSyntaxError, 3),
+            ((SingularIntegrandError, EvaluationError), 4),
+            ((ModelMismatchError, UnclassifiedDivergenceError, IllPosedFitError), 5),
+        )
+        return next((code for kinds, code in codes if isinstance(exc, kinds)), 2)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymfit import LogModel, PolyLogModel, PowerLogModel
-from .ballquad import CutoffSamples
-
 __all__ = [
     "DeviationFactor",
     "ClassAResult",
@@ -32,6 +29,16 @@ __all__ = [
     "gauge_multiply",
     "resum_coulomb_series",
 ]
+
+
+def _exponent(quad_coeff, linear_coeff, log_coeffs, gauge, L):
+    """quad L^2 + linear L + sum_p log_coeffs[p-1] ln^p L + gauge; the
+    coefficients broadcast against L, ``log_coeffs`` runs over p first."""
+    logl = np.log(L)
+    out = quad_coeff * L**2 + linear_coeff * L + gauge
+    for p, c in enumerate(log_coeffs, start=1):
+        out = out + c * logl**p
+    return out
 
 
 def _wrap_phase(gamma):
@@ -66,11 +73,7 @@ class DeviationFactor:
         L = np.asarray(L, dtype=float)
         if np.any(L <= 0):
             raise ValueError("the cutoff must be positive")
-        logl = np.log(L)
-        out = self.quad_coeff * L**2 + self.linear_coeff * L + self.gauge
-        for p, c in enumerate(self.log_coeffs, start=1):
-            out = out + c * logl**p
-        return out
+        return _exponent(self.quad_coeff, self.linear_coeff, self.log_coeffs, self.gauge, L)
 
     def exponent_shift(self, L, shift):
         """exponent(L + shift) - exponent(L), computed without cancellation."""
@@ -115,6 +118,8 @@ def factor_from_model(model, eps, order=2):
     Constant model terms are left out: they are finite and stay in the
     convergent remainder.
     """
+    from .asymfit import LogModel, PolyLogModel, PowerLogModel
+
     eps = float(eps)
     if isinstance(model, LogModel):
         return DeviationFactor(
@@ -156,10 +161,7 @@ def regularize_coefficient(samples, model):
     are removed, so the result converges as L increases when the model
     matches the samples' divergence.
     """
-    values = samples.values - 1j * model.divergent_part(samples.grid)
-    return CutoffSamples(
-        q=samples.q, m=samples.m, grid=samples.grid, values=values, errors=samples.errors
-    )
+    return replace(samples, values=samples.values - 1j * model.divergent_part(samples.grid))
 
 
 def series_exp(poly, nmax):

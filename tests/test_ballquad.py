@@ -13,13 +13,25 @@ from scatreg.ballquad import (
     QuadratureSpec,
     SingularIntegrandError,
     integrate_ball,
-    radial_oracle,
     sample_over_cutoffs,
 )
 from scatreg import integrand
 from scatreg.integrand import evaluate, o4_invariant, parse_integrand, screen_singularities
 
 RATIONAL = parse_integrand("1/(P2+1)^2")
+
+
+def radial_oracle(f, radius):
+    """Independent 1-d oracle for radially symmetric integrands:
+    2 pi^2 * integral of r^3 f(r) over [0, L], by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    value, err = quad(
+        lambda r: r**3 * f(r), 0.0, radius, epsabs=1e-12, epsrel=1e-12, limit=200
+    )
+    if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
+        raise ValueError(f"radial quadrature did not converge (error {err:.3e})")
+    return 2 * np.pi**2 * value
 
 
 def closed_form(L):
@@ -97,6 +109,18 @@ def test_monte_carlo_bypasses_screen_and_estimates():
     # reproducible for a fixed seed
     again, _ = integrate_ball(None, RATIONAL, (0, 0, 0), 0.0, BallRegion(5.0), spec)
     assert again == value
+
+
+def test_monte_carlo_statistics_of_huge_finite_values():
+    # the squares of the standard deviation overflow, the values do not
+    spec = QuadratureSpec(method="monte-carlo", samples=1000, seed=0)
+    big = parse_integrand("(P2+1)^200")
+    value, err = integrate_ball(None, big, (0, 0, 0), 0.0, BallRegion(4.0), spec)
+    assert math.isfinite(value.imag) and math.isfinite(err) and err > 0
+    scaled = parse_integrand("(P2+1)^200 * 1e-200")
+    small, small_err = integrate_ball(None, scaled, (0, 0, 0), 0.0, BallRegion(4.0), spec)
+    assert value.imag * 1e-200 == pytest.approx(small.imag, rel=1e-12)
+    assert err * 1e-200 == pytest.approx(small_err, rel=1e-12)
 
 
 def test_sample_over_cutoffs_constant():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scatreg
-from scatreg import cli, dirac
+from scatreg import cli, deviation, dirac
 from scatreg.cli import main
 
 
@@ -406,6 +406,57 @@ def test_stacked_check_suite_redraws_after_an_eigen_residual_failure(monkeypatch
     assert 20 < len(failures) == sum(f.startswith("eigen-residual") for f in failures)
 
 
+def per_trial_factor_suite(rng, trials):
+    """The |U0| suite one deviation factor at a time: the reference for the
+    stacked factor suite."""
+    failures = []
+    for _ in range(trials):
+        factor = deviation.DeviationFactor(
+            quad_coeff=rng.uniform(-1, 1),
+            linear_coeff=rng.uniform(-1, 1),
+            log_coeffs=tuple(rng.uniform(-1, 1, size=3)),
+            gauge=rng.uniform(-np.pi, np.pi),
+        )
+        L = 10.0 ** rng.uniform(-2, 6)
+        if abs(abs(factor(L)) - 1) > 1e-14:
+            failures.append(f"|U0| deviates from 1 at L={L}")
+    return failures
+
+
+class UniformSpy:
+    """A generator whose ``uniform`` records the size of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def uniform(self, *args, **kwargs):
+        self.sizes.append(kwargs.get("size"))
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+@pytest.mark.parametrize("trials", [1, 2, 7, 300, 2 * cli._CHUNK + 1])
+@pytest.mark.parametrize("seed", [1, 2, 3, 168306469])
+def test_stacked_factor_suite_matches_per_trial_loop(monkeypatch, seed, trials, damped):
+    if damped:
+        # |U0| = e^{-2e-14} wherever L > 100: those trials fail, with L in the text
+        exponent = deviation._exponent
+        monkeypatch.setattr(
+            deviation, "_exponent", lambda *args: exponent(*args) + 2e-14j * (args[-1] > 100)
+        )
+    reference, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = per_trial_factor_suite(reference, trials)
+    spy = UniformSpy(stacked)
+    failures, linear_in_class_a = cli._check_factor_suite(spy, trials)
+    assert failures == expected and linear_in_class_a is False
+    assert stacked.bit_generator.state == reference.bit_generator.state
+    assert max(size[0] for size in spy.sizes) <= cli._CHUNK
+    if not damped:
+        assert not failures
+    elif trials >= 300:
+        assert 0 < len(failures) < trials
+
+
 def test_resum_pipeline(tmp_path):
     code, out = run(
         tmp_path, "resum", {"psi": [1.0, 0.5, 0.25], "phi": 2.0, "epsilon": 0.1}
@@ -532,17 +583,85 @@ def test_orders_above_the_cap_exit_2_at_once(tmp_path, capsys):
     assert not (out / "samples.csv").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # every subcommand runs in a fresh process; scipy would dominate its start-up
+def probe_process(code, *argv, cwd=None):
+    """A fresh interpreter's run of ``code`` with the package on its path."""
     src = Path(scatreg.__file__).resolve().parents[1]
-    probe = subprocess.run(
-        [sys.executable, "-c", "import sys, scatreg.cli; print('scipy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
-        check=True,
     )
-    assert probe.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every subcommand runs in a fresh process; scipy would dominate its start-up
+    probe = probe_process("import sys, scatreg.cli; print('scipy' in sys.modules)")
+    assert probe.stdout.strip() == "False", probe.stderr
+
+
+# the modules that only the sampling and fitting subcommands run
+QUADRATURE_MODULES = ["scatreg.integrand", "scatreg.ballquad", "scatreg.asymfit"]
+
+
+def test_cli_import_loads_no_quadrature_module():
+    probe = probe_process("import json, sys, scatreg.cli; print(json.dumps(list(sys.modules)))")
+    assert probe.returncode == 0, probe.stderr
+    assert not set(QUADRATURE_MODULES) & set(json.loads(probe.stdout))
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("spectra", {"q": [0, 0, 0], "m": "heavy"}, 2),
+        ("integrate", integrate_config(integrand_im="1/(P2"), 3),
+    ],
+)
+def test_errors_exit_with_one_line_in_a_fresh_process(tmp_path, command, config, code):
+    # the exit-code table imports the library's error classes on this path only
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    run = probe_process(
+        "import sys, scatreg.cli; sys.exit(scatreg.cli.main(sys.argv[1:]))",
+        command, "--config", "config.json", cwd=tmp_path,
+    )
+    assert run.returncode == code
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+    assert run.stderr.startswith(f"{command}: ")
+
+
+# runs every subcommand, then resolves every package export, with scipy
+# unimportable
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+import scatreg, scatreg.cli
+codes = [scatreg.cli.main(argv.split()) for argv in sys.argv[1:]]
+[getattr(scatreg, name) for name in scatreg.__all__]
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    grid = np.geomspace(10, 1e4, 17)
+    (tmp_path / "log.csv").write_text(
+        "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"
+    )
+    configs = {
+        "spectra": {"q_grid": {"min": -1, "max": 1, "count": 3}, "m": 0.5},
+        "integrate": integrate_config(),
+        "check": {"trials": 5},
+        "resum": {"psi": [1.0, 0.5, 0.25], "phi": 2.0},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    argvs = [f"{name} --config {name}.json --out out" for name in configs] + [
+        "fit --samples log.csv --model auto --out out",
+        "regularize --samples log.csv --model log --out out",
+    ]
+    probe = probe_process(WITHOUT_SCIPY, *argvs, cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout.splitlines()[-1]) == [0] * len(argvs)
 
 
 # prints the exit code and the loaded modules, as JSON, after one command
@@ -561,6 +680,8 @@ MODULE_PROBE = (
         ("regularize", None, ["--samples", "log.csv", "--model", "log"],
          ["scatreg.dirac", "numpy.ma"]),
         ("spectra", {"q": [0, 0, 0], "m": 1}, [], ["scatreg.deviation"]),
+        ("spectra", {"q": [0, 0, 0], "m": 1}, [], QUADRATURE_MODULES),
+        ("check", {"trials": 5}, [], QUADRATURE_MODULES),
     ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(
@@ -576,15 +697,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "config.json")]
-    src = Path(scatreg.__file__).resolve().parents[1]
-    probe = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, *argv],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    probe = probe_process(MODULE_PROBE, *argv, cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
     code, modules = json.loads(probe.stdout.splitlines()[-1])
     assert code == 0
     assert not set(unloaded) & set(modules)
@@ -594,7 +708,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(
 PACKAGE_EXPORTS = {
     "asymfit": ["LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"],
     "ballquad": ["BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
-                 "radial_oracle", "sample_over_cutoffs"],
+                 "sample_over_cutoffs"],
     "deviation": ["DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"],
     "dirac": ["build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
