@@ -26,7 +26,7 @@ _EXPORTS = {
     "deviation": ("DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"),
     "dirac": ("build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
-              "eigenvectors_closed_form", "random_commuting_unitary",
+              "eigenvectors_closed_form", "joint_diagonalize", "random_commuting_unitary",
               "simultaneous_diagonalize", "spectral_subspaces"),
     "integrand": ("evaluate", "parse_integrand", "pretty_print", "screen_singularities"),
 }

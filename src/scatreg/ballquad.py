@@ -100,8 +100,6 @@ class QuadratureSpec:
 class CutoffSamples:
     """Complex integral values on an ascending grid of cutoff radii."""
 
-    q: tuple
-    m: float
     grid: np.ndarray
     values: np.ndarray
     errors: np.ndarray = field(default=None)
@@ -328,4 +326,4 @@ def sample_over_cutoffs(f_re, f_im, q, m, grid, spec=QuadratureSpec()):
         values[i], errors[i] = integrate_ball(
             f_re, f_im, q4, m, BallRegion(float(radius)), spec
         )
-    return CutoffSamples(q=tuple(q4), m=m, grid=grid, values=values, errors=errors)
+    return CutoffSamples(grid=grid, values=values, errors=errors)

@@ -187,13 +187,7 @@ def _read_samples_csv(path):
     if data.shape[1] < 3:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
     err = data[:, 3] if data.shape[1] > 3 else None
-    return CutoffSamples(
-        q=(0.0, 0.0, 0.0, 0.0),
-        m=0.0,
-        grid=data[:, 0],
-        values=data[:, 1] + 1j * data[:, 2],
-        errors=err,
-    )
+    return CutoffSamples(grid=data[:, 0], values=data[:, 1] + 1j * data[:, 2], errors=err)
 
 
 def _get_samples(config):
@@ -346,19 +340,17 @@ _CHUNK = 256
 
 def _draw_trials(rng, count):
     """``count`` trials drawn in the suite's order: q (3) and m, then doubled
-    and seed; with the generator state between each trial's m and doubled."""
+    and seed."""
     q = np.empty((count, 3))
     m = np.empty(count)
     doubled = np.empty(count, dtype=bool)
     seeds = np.empty(count, dtype=np.int64)
-    marks = []
     for i in range(count):
         q[i] = rng.uniform(-10, 10, size=3)
         m[i] = rng.uniform(0, 10)
-        marks.append(rng.bit_generator.state)
         doubled[i] = rng.random() < 0.5
         seeds[i] = rng.integers(2**32)
-    return q, m, doubled, seeds, marks
+    return q, m, doubled, seeds
 
 
 def _check_commuting(q, m, doubled, seeds, tamper):
@@ -376,7 +368,7 @@ def _check_commuting(q, m, doubled, seeds, tamper):
         )
         if tamper:
             s = s + tamper * np.eye(s.shape[-1]) * 1j  # breaks unitarity/commutation
-        diag, errors = dirac._joint_diagonalize(q[rows], m[rows], s)
+        diag, errors = dirac.joint_diagonalize(q[rows], m[rows], s)
         off_circle = np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1)
         defect = np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1))
         for row, error, off, rec in zip(rows, errors, off_circle, defect):
@@ -393,12 +385,13 @@ def _check_commuting(q, m, doubled, seeds, tamper):
 def _check_spectra_suite(rng, trials, tamper):
     """Closed-form eigenpairs and joint diagonalization on random trials, in
     stacked passes.  A trial whose eigen-residual fails draws no doubled and
-    seed, so the pass stops there and the next one redraws from its m on."""
+    seed, so the pass stops there and the next one draws on from its m."""
     from . import dirac
 
     failures = []
     while trials > 0:
-        q, m, doubled, seeds, marks = _draw_trials(rng, min(trials, _CHUNK))
+        mark = rng.bit_generator.state
+        q, m, doubled, seeds = _draw_trials(rng, min(trials, _CHUNK))
         h = dirac.build_hamiltonian(q, m)
         sys_ = dirac.eigenvectors_closed_form(q, m)
         vectors, values = sys_.vectors, sys_.values[:, None, :]
@@ -408,7 +401,11 @@ def _check_spectra_suite(rng, trials, tamper):
         failures += _check_commuting(q[:n], m[:n], doubled[:n], seeds[:n], tamper)
         if bad.size:
             failures.append(f"eigen-residual {res[n]:.3e} at q={q[n]}, m={m[n].item()}")
-            rng.bit_generator.state = marks[n]
+            # back to just after the failing trial's m, drawn as _draw_trials draws it
+            rng.bit_generator.state = mark
+            _draw_trials(rng, n)
+            rng.uniform(-10, 10, size=3)
+            rng.uniform(0, 10)
             n += 1
         trials -= n
     return failures
@@ -473,13 +470,15 @@ def cmd_resum(config):
     eps = _get(config, "epsilon", float, 0.1)
     nmax = _get(config, "order", int, len(psi) - 1)
     l_values = _get(config, "L_values", [float], [1.0, np.e, 10.0, 100.0])
+    if not l_values:
+        raise ValueError("L_values must not be empty")
     rows = []
-    worst = 0.0
     for L in l_values:
         result = deviation.resum_coulomb_series(psi, phi, eps, nmax, L)
         for order, residual in enumerate(result.residuals):
             rows.append([L, order, residual])
-        worst = max(worst, float(np.max(result.residuals)))
+    # np.max, unlike max, keeps a NaN
+    worst = np.max([row[2] for row in rows])
     out = _out_dir(config)
     _write_csv(out / "resum_residuals.csv", ["L", "order", "residual"], rows)
     print(f"resum: max per-order residual {worst:.3e}")

@@ -71,8 +71,8 @@ class DeviationFactor:
 
     def exponent(self, L):
         L = np.asarray(L, dtype=float)
-        if np.any(L <= 0):
-            raise ValueError("the cutoff must be positive")
+        if not np.all((L > 0) & (L < np.inf)):
+            raise ValueError("the cutoff must be positive and finite")
         return _exponent(self.quad_coeff, self.linear_coeff, self.log_coeffs, self.gauge, L)
 
     def exponent_shift(self, L, shift):
@@ -265,10 +265,12 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi.size == 0 or psi[0] != 1.0:
         raise ValueError("the constant list must start with psi_0 = 1")
+    if not np.isfinite(psi).all():
+        raise ValueError("the constants psi must be finite")
     if nmax > psi.size - 1:
         raise ValueError(f"order {nmax} exceeds the {psi.size - 1} supplied constants")
-    if L <= 0:
-        raise ValueError("the cutoff must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError("the cutoff must be positive and finite")
     if eps == 0:
         raise ValueError("the coupling must be nonzero to recover per-order terms")
     x = 1j * phi * math.log(L)

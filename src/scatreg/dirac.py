@@ -27,9 +27,9 @@ __all__ = [
     "eigenvectors_closed_form",
     "spectral_subspaces",
     "commutes",
+    "joint_diagonalize",
     "simultaneous_diagonalize",
     "random_commuting_unitary",
-    "random_unitary",
 ]
 
 # eigenvectors of H(0) = diag(m, m, -m, -m) in the order (-E, -E, +E, +E)
@@ -320,11 +320,28 @@ def _frames(q, m, size):
     return frames
 
 
-def _joint_diagonalize(q, m, s, tol=1e-8):
-    """Stacked core of :func:`simultaneous_diagonalize` for momenta (n, 3) and
-    S (n, size, size): the common eigenbases, and per row the error that row
-    fails with, or None.  Failing rows are not diagonalized (zero columns)."""
-    size = s.shape[-1]
+def joint_diagonalize(q, m, s, tol=1e-8):
+    """Common eigenbasis of H(q) (or its 8x8 doubling) and a commuting unitary
+    S, and a list of the error each row fails with, or None (one entry for
+    one momentum).
+
+    S is restricted to the two degenerate eigenspaces of H, each restriction is
+    diagonalized, and the resulting unit-modulus eigenvalues d_k are returned
+    together with the common eigenvectors h_k.  Within each block the d_k are
+    ordered by phase angle ascending.  Stacked momenta (n, 3) take a stack of
+    S (n, size, size); row i equals the one-momentum call on row i bit for
+    bit.  Failing rows are not diagonalized (zero columns).
+    """
+    q, m = _check_point(q, m)
+    s = np.asarray(s, dtype=complex)
+    size = s.shape[-1] if s.ndim else 0
+    if s.shape != q.shape[:-1] + (size, size) or size not in (4, 8):
+        raise ValueError(
+            f"expected a 4x4 or 8x8 matrix per momentum, got shape {s.shape} "
+            f"for momenta {q.shape}"
+        )
+    one = q.ndim == 1
+    q, s = q.reshape(-1, 3), s.reshape(-1, size, size)
     h = build_hamiltonian(q, m) if size == 4 else build_doubled(q, m)
     unitarity, defect = _defects(h, s)
     neg, pos = _frames(q, m, size)
@@ -350,84 +367,48 @@ def _joint_diagonalize(q, m, s, tol=1e-8):
         cols = slice(i * half, (i + 1) * half)
         vectors[ok, :, cols] = frame @ v
         diagonal[ok, cols] = d
+    if one:
+        vectors, diagonal = vectors[0], diagonal[0]
     return ScatteringDiagonal(vectors=vectors, diagonal=diagonal), errors
 
 
 def simultaneous_diagonalize(q, m, s, tol=1e-8):
-    """Common eigenbasis of H(q) (or its 8x8 doubling) and a commuting unitary S.
-
-    S is restricted to the two degenerate eigenspaces of H, each restriction is
-    diagonalized, and the resulting unit-modulus eigenvalues d_k are returned
-    together with the common eigenvectors h_k.  Within each block the d_k are
-    ordered by phase angle ascending.  Stacked momenta (n, 3) take a stack of
-    S (n, size, size); the first row that fails raises.
-    """
-    q, m = _check_point(q, m)
-    s = np.asarray(s, dtype=complex)
-    size = s.shape[-1] if s.ndim else 0
-    if s.shape != q.shape[:-1] + (size, size) or size not in (4, 8):
-        raise ValueError(
-            f"expected a 4x4 or 8x8 matrix per momentum, got shape {s.shape} "
-            f"for momenta {q.shape}"
-        )
-    diag, errors = _joint_diagonalize(
-        q.reshape(-1, 3), m, s.reshape(-1, size, size), tol
-    )
+    """:func:`joint_diagonalize` that raises the first failing row's error."""
+    diag, errors = joint_diagonalize(q, m, s, tol)
     for error in errors:
         if error is not None:
             raise error
-    if q.ndim == 1:
-        return ScatteringDiagonal(vectors=diag.vectors[0], diagonal=diag.diagonal[0])
     return diag
 
 
-def _haar(z):
-    """Haar unitaries from a stack of complex Gaussian matrices: the Q of a QR
-    factorization, with the phases of diag(R) moved into it."""
-    qmat, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return qmat * (phases / np.abs(phases))[..., None, :]
-
-
-def random_unitary(size, rng):
-    """Haar-like random unitary from a QR factorization."""
-    z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return _haar(z)
-
-
-def random_commuting_unitary(q, m, seed=None, block_unitaries=None, doubled=False):
+def random_commuting_unitary(q, m, seed, doubled=False):
     """A unitary commuting with H(q) (or diag(H, H) when ``doubled``), stacked
     (n, size, size) for stacked momenta.
 
     Built as B diag(U1, U2, ...) B* where B stacks the eigenspace frames and
-    the U_i are 2x2 unitary blocks, either supplied explicitly (the same for
-    every momentum) or drawn from ``seed``: for a stack, a sequence of one seed
-    per momentum, each drawing from its own generator as :func:`random_unitary`
-    would.  Two blocks for the 4x4 system, four for the doubled one.
+    the U_i are Haar-random 2x2 unitary blocks drawn from ``seed``: for a
+    stack, a sequence of one seed per momentum, each drawing from its own
+    generator as the one-momentum call with that seed does.  Two blocks for
+    the 4x4 system, four for the doubled one.
     """
     q, m = _check_point(q, m)
     size = 8 if doubled else 4
     nblocks = size // 2
-    if block_unitaries is None:
-        if seed is None:
-            raise ValueError("either a seed or explicit block unitaries is required")
-        if q.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != len(q)):
-            raise ValueError(f"expected one seed per momentum ({len(q)}), got {seed!r}")
-        seeds = [seed] if q.ndim == 1 else seed
-        # per block: the real part, then the imaginary part
-        gauss = np.array([
-            np.random.default_rng(s).standard_normal((nblocks, 2, 2, 2)) for s in seeds
-        ])
-        blocks = _haar(gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :])
-        blocks = blocks.reshape(q.shape[:-1] + (nblocks, 2, 2))
-    else:
-        if len(block_unitaries) != nblocks:
-            raise ValueError(f"expected {nblocks} 2x2 blocks, got {len(block_unitaries)}")
-        blocks = [np.asarray(u, dtype=complex) for u in block_unitaries]
-        for i, u in enumerate(blocks):
-            if u.shape != (2, 2):
-                raise ValueError(f"block {i} is not 2x2: shape {u.shape}")
-        blocks = np.array(blocks)
+    if seed is None:
+        raise ValueError("a seed is required")
+    if q.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != len(q)):
+        raise ValueError(f"expected one seed per momentum ({len(q)}), got {seed!r}")
+    seeds = [seed] if q.ndim == 1 else seed
+    # per block: the real part, then the imaginary part
+    gauss = np.array([
+        np.random.default_rng(s).standard_normal((nblocks, 2, 2, 2)) for s in seeds
+    ])
+    # Haar blocks: the Q of a QR factorization of the complex Gaussian
+    # matrices, with the phases of diag(R) moved into it
+    qmat, r = np.linalg.qr(gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    blocks = qmat * (phases / np.abs(phases))[..., None, :]
+    blocks = blocks.reshape(q.shape[:-1] + (nblocks, 2, 2))
     neg, pos = _frames(q, m, size)
     basis = np.concatenate([neg, pos], axis=-1)
     core = np.zeros(q.shape[:-1] + (size, size), dtype=complex)

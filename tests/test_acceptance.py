@@ -118,7 +118,7 @@ def log_samples():
         value, _ = integrate_ball(None, expr_im, q, 1.0, BallRegion(radius=radius), spec)
         values.append(value)
     return CutoffSamples(
-        q=q, m=1.0, grid=grid, values=np.array(values), errors=np.zeros(5)
+        grid=grid, values=np.array(values), errors=np.zeros(5)
     )
 
 
@@ -152,7 +152,7 @@ def test_criterion_06_powerlog_synthetic():
     grid = np.geomspace(100.0, 1e4, 17)
     values = 1j * (0.5 * grid**2 - grid + 4 * np.log(grid) + 7 + 1 / grid)
     samples = CutoffSamples(
-        q=np.zeros(3), m=1.0, grid=grid, values=values, errors=np.zeros(grid.size)
+        grid=grid, values=values, errors=np.zeros(grid.size)
     )
     rep = fit(samples, "powerlog", tail_fraction=0.6)
     errs = np.abs(

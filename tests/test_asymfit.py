@@ -22,7 +22,7 @@ from scatreg.ballquad import CutoffSamples
 def make_samples(grid, imag_values):
     grid = np.asarray(grid, dtype=float)
     return CutoffSamples(
-        q=(0, 0, 0, 0), m=0.0, grid=grid, values=1j * np.asarray(imag_values)
+        grid=grid, values=1j * np.asarray(imag_values)
     )
 
 
@@ -71,7 +71,7 @@ def test_polylog_recovery():
 
 def test_real_parts_policed():
     samples = CutoffSamples(
-        q=(0, 0, 0, 0), m=0.0, grid=GRID, values=np.log(GRID) * (1 + 1j)
+        grid=GRID, values=np.log(GRID) * (1 + 1j)
     )
     with pytest.raises(ModelMismatchError):
         fit(samples, "log")

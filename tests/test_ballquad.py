@@ -58,9 +58,9 @@ def test_region_and_spec_validation():
 
 def test_cutoff_samples_validation():
     with pytest.raises(ValueError):
-        CutoffSamples(q=(0, 0, 0, 0), m=0, grid=[2.0, 1.0], values=[0, 0])
+        CutoffSamples(grid=[2.0, 1.0], values=[0, 0])
     with pytest.raises(ValueError):
-        CutoffSamples(q=(0, 0, 0, 0), m=0, grid=[1.0, 2.0], values=[0, np.nan])
+        CutoffSamples(grid=[1.0, 2.0], values=[0, np.nan])
 
 
 def test_zero_integrand():

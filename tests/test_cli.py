@@ -332,7 +332,7 @@ def test_check_default_passes(tmp_path, capsys):
 def test_check_tampered_fails(tmp_path, capsys):
     code, _ = run(tmp_path, "check", {"trials": 5, "tamper": 1e-3})
     assert code == 1
-    assert "commut" in capsys.readouterr().err.lower() or True
+    assert "matrix is not unitary (defect 1.397e-03)" in capsys.readouterr().err
 
 
 def per_trial_spectra_suite(rng, trials, tamper):
@@ -538,6 +538,11 @@ def integrate_config(**overrides):
         # max - min overflows, and a non-finite end
         ("spectra", {"q_grid": {"min": -1e308, "max": 1e308, "count": 3}, "m": 1}, [], 2),
         ("spectra", {"q_grid": {"min": -np.inf, "max": 1, "count": 3}, "m": 1}, [], 2),
+        # non-finite values, or no cutoff at all, which used to pass with residual 0
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": [np.nan, 10.0]}, [], 2),
+        ("resum", {"psi": [1.0, np.nan, 0.25], "phi": 2.0}, [], 2),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": [np.inf]}, [], 2),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": []}, [], 2),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(

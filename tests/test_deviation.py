@@ -71,7 +71,7 @@ def test_unit_modulus(c2, c1, logs, gauge, log10_l):
 def test_regularize_log_constant():
     grid = np.geomspace(10, 1000, 9)
     samples = CutoffSamples(
-        q=(0, 0, 0, 0), m=0, grid=grid, values=1j * (3 * np.log(grid) + 2)
+        grid=grid, values=1j * (3 * np.log(grid) + 2)
     )
     out = regularize_coefficient(samples, LogModel(3.0, 2.0))
     assert np.allclose(out.values, 2j)
@@ -80,7 +80,7 @@ def test_regularize_log_constant():
 def test_regularize_powerlog_converges():
     grid = np.geomspace(10, 1e4, 17)
     values = 1j * (0.5 * grid**2 - grid + 4 * np.log(grid) + 7 + 1 / grid)
-    samples = CutoffSamples(q=(0, 0, 0, 0), m=0, grid=grid, values=values)
+    samples = CutoffSamples(grid=grid, values=values)
     out = regularize_coefficient(samples, PowerLogModel(0.5, -1.0, 4.0, 7.0))
     assert np.allclose(out.values, 1j * (7 + 1 / grid))
     assert abs(out.values[-1] - 7j) < 1e-3

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.stats import unitary_group
 
+import scatreg
 from scatreg import dirac
 
 momenta = st.tuples(
@@ -234,7 +236,7 @@ def test_commutes_rejects_nonunitary():
 def test_generic_unitary_does_not_commute():
     q, m = (1.0, 2.0, 2.0), 1.0
     h = dirac.build_hamiltonian(q, m)
-    s = dirac.random_unitary(4, np.random.default_rng(7))
+    s = unitary_group.rvs(4, random_state=np.random.default_rng(7))
     ok, defect = dirac.commutes(h, s, tol=1e-3)
     assert not ok and defect > 1e-3
 
@@ -247,8 +249,9 @@ def test_simultaneous_diagonalize_identity():
 def test_simultaneous_diagonalize_prescribed_phases():
     q, m = (0.3, -1.2, 0.8), 0.5
     phases = np.array([0.3, 1.1, -2.0, 2.5])
-    blocks = [np.diag(np.exp(1j * phases[:2])), np.diag(np.exp(1j * phases[2:]))]
-    s = dirac.random_commuting_unitary(q, m, block_unitaries=blocks)
+    sub = dirac.spectral_subspaces(q, m)
+    basis = np.hstack([sub.negative, sub.positive])
+    s = basis @ np.diag(np.exp(1j * phases)) @ basis.conj().T
     diag = dirac.simultaneous_diagonalize(q, m, s)
     got = np.sort(np.angle(diag.diagonal))
     assert got == pytest.approx(np.sort(phases), abs=1e-10)
@@ -309,3 +312,61 @@ def test_leakage_is_rejected():
     s = basis @ swap @ basis.conj().T
     with pytest.raises((dirac.SubspaceLeakageError, dirac.CommutationError)):
         dirac.simultaneous_diagonalize(q, m, s)
+
+
+def test_random_commuting_unitary_needs_a_seed():
+    with pytest.raises(TypeError):
+        dirac.random_commuting_unitary((1.0, 2.0, 2.0), 1.0)
+    with pytest.raises(ValueError, match="seed"):
+        dirac.random_commuting_unitary((1.0, 2.0, 2.0), 1.0, seed=None)
+
+
+MIXED_ROWS = ["good", "not unitary", "identity", "not commuting", "leaking", "good"]
+EXPECTED_ERRORS = {
+    "not unitary": (dirac.CommutationError, "matrix is not unitary"),
+    "not commuting": (dirac.CommutationError, "S does not commute with H"),
+    "leaking": (dirac.SubspaceLeakageError, "mixes the spectral subspaces"),
+}
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_joint_diagonalize_gives_each_row_its_own_verdict(size):
+    rng = np.random.default_rng(size)
+    q = rng.uniform(-10, 10, size=(len(MIXED_ROWS), 3))
+    m = rng.uniform(0, 10, size=len(MIXED_ROWS))
+    leaking = MIXED_ROWS.index("leaking")
+    q[leaking], m[leaking] = 0.0, 0.0  # H = 0 commutes with every S
+    s = dirac.random_commuting_unitary(
+        q, m, seed=list(range(len(MIXED_ROWS))), doubled=size == 8
+    )
+    for i, kind in enumerate(MIXED_ROWS):
+        if kind == "not unitary":
+            s[i] = 1.01 * s[i]
+        elif kind == "identity":
+            s[i] = np.eye(size)
+        elif kind == "not commuting":
+            s[i] = s[i] @ np.diag([1.0] * (size - 1) + [-1.0])
+        elif kind == "leaking":
+            s[i] = unitary_group.rvs(size, random_state=rng)
+    diag, errors = dirac.joint_diagonalize(q, m, s)
+    assert len(errors) == len(MIXED_ROWS)
+    for i, (kind, error) in enumerate(zip(MIXED_ROWS, errors)):
+        one, (one_error,) = dirac.joint_diagonalize(q[i], m[i], s[i])
+        if kind in EXPECTED_ERRORS:
+            kind_of_error, text = EXPECTED_ERRORS[kind]
+            assert type(error) is kind_of_error and text in str(error)
+            with pytest.raises(kind_of_error) as raised:
+                dirac.simultaneous_diagonalize(q[i], m[i], s[i])
+            assert str(raised.value) == str(error) == str(one_error)
+            assert not diag.vectors[i].any() and not diag.diagonal[i].any()
+        else:
+            assert error is None and one_error is None
+            assert np.array_equal(diag.vectors[i], one.vectors)
+            assert np.array_equal(diag.diagonal[i], one.diagonal)
+    with pytest.raises(dirac.CommutationError, match="not unitary"):
+        dirac.simultaneous_diagonalize(q, m, s)  # the first failing row raises
+
+
+def test_joint_diagonalize_is_exported():
+    assert scatreg.joint_diagonalize is dirac.joint_diagonalize
+    assert "joint_diagonalize" in scatreg.__all__ and "joint_diagonalize" in dirac.__all__
