@@ -30,11 +30,26 @@ def parse_integrand(source):
     return parse(source)
 
 
+def _formatted(values, fmt):
+    """``fmt % v`` for each float of ``values``, as nested lists of str.  Each
+    distinct value is formatted once: values are told apart by their bits (so
+    -0.0 is not 0.0), sorted, and each value's string is found by binary
+    search among the first of each run of equal bits."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    strings = np.array([fmt % v for v in distinct.view(float).tolist()], dtype=object)
+    return strings[np.searchsorted(distinct, bits)].tolist()
+
+
 def _write_csv(path, header, rows):
-    template = ",".join(["%.17g"] * len(header)) + "\n"
+    template = ",".join(["%s"] * len(header)) + "\n"
+    cells = _formatted(list(rows), "%.17g")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % tuple(row) for row in rows)
+        fh.writelines(template % tuple(row) for row in cells)
 
 
 def _write_json(path, payload):
@@ -46,8 +61,8 @@ def _write_json(path, payload):
 def _write_json_rows(path, columns):
     """The bytes of ``_write_json(path, [{name: column[i].tolist() ...} ...])``
     for named float arrays of one length, written row by row: ``json`` lays
-    out one entry with a ``%r`` slot per value (it writes a finite float as
-    its repr), and each row fills that template."""
+    out one entry with a ``%s`` slot per value, and each row fills it with its
+    values' reprs (``json`` writes a finite float as its repr)."""
     columns = dict(sorted(columns.items()))
     n = len(next(iter(columns.values())))
     flat = np.concatenate(
@@ -55,13 +70,13 @@ def _write_json_rows(path, columns):
     )
     if not np.isfinite(flat).all():
         raise ValueError(f"{path.name}: non-finite value, which JSON cannot hold")
-    slots = {k: np.full(a.shape[1:], "%r", dtype=object).tolist() for k, a in columns.items()}
-    entry = json.dumps([slots], indent=2).replace('"%r"', "%r")[1:-2]
+    slots = {k: np.full(a.shape[1:], "%s", dtype=object).tolist() for k, a in columns.items()}
+    entry = json.dumps([slots], indent=2).replace('"%s"', "%s")[1:-2]
     with open(path, "w", newline="\n") as fh:
         if not n:
             fh.write("[]\n")
             return
-        rows = flat.tolist()
+        rows = _formatted(flat, "%r")
         fh.write("[" + entry % tuple(rows[0]))
         later = "," + entry
         fh.writelines(later % tuple(row) for row in rows[1:])
@@ -242,7 +257,7 @@ def cmd_spectra(config):
     _write_csv(
         out / "spectra.csv",
         ["q1", "q2", "q3", "m", "lambda1", "lambda2", "lambda3", "lambda4"],
-        np.column_stack([points, np.full(len(points), m), vals]).tolist(),
+        np.column_stack([points, np.full(len(points), m), vals]),
     )
     _write_json_rows(
         out / "eigenvectors.json",
@@ -339,18 +354,32 @@ _CHUNK = 256
 
 
 def _draw_trials(rng, count):
-    """``count`` trials drawn in the suite's order: q (3) and m, then doubled
-    and seed."""
-    q = np.empty((count, 3))
-    m = np.empty(count)
-    doubled = np.empty(count, dtype=bool)
-    seeds = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        q[i] = rng.uniform(-10, 10, size=3)
-        m[i] = rng.uniform(0, 10)
-        doubled[i] = rng.random() < 0.5
-        seeds[i] = rng.integers(2**32)
-    return q, m, doubled, seeds
+    """``count`` trials, bit for bit as a per-trial loop of
+    ``rng.uniform(-10, 10, size=3)`` (q), ``rng.uniform(0, 10)`` (m),
+    ``rng.random() < 0.5`` (doubled) and ``rng.integers(2**32)`` (seed) draws
+    them, read from the PCG64 generator's raw words.  A trial's doubles take
+    five words, each ``(w >> 11) * 2**-53``; its seed is the generator's next
+    uint32: the half it has buffered, else the low half of a new word after
+    the doubles, whose high half stays buffered for the next seed."""
+    gen = rng.bit_generator
+    state = gen.state
+    buffered = state["has_uint32"]
+    fresh = (np.arange(count) + buffered) % 2 == 0  # trials whose seed takes a new word
+    words = gen.random_raw(5 * count + int(fresh.sum()))
+    first = 5 * np.arange(count) + np.cumsum(fresh) - fresh  # each trial's first word
+    d = (words[first[:, None] + np.arange(5)] >> 11) * 2.0**-53
+    seed_words = words[first[fresh] + 5]
+    # the uint32s in the order the generator serves them
+    stream = np.concatenate([
+        np.array([state["uinteger"]] * buffered, dtype=np.uint64),
+        np.column_stack([seed_words & 0xFFFFFFFF, seed_words >> 32]).ravel(),
+    ])
+    if count:
+        # the generator keeps the last half it buffered, served or not
+        state = gen.state
+        state["has_uint32"], state["uinteger"] = int(stream.size > count), int(stream[-1])
+        gen.state = state
+    return -10 + 20 * d[:, :3], 10 * d[:, 3], d[:, 4] < 0.5, stream[:count].astype(np.int64)
 
 
 def _check_commuting(q, m, doubled, seeds, tamper):
@@ -446,6 +475,8 @@ def cmd_check(config):
     tamper = _get(config, "tamper", float, 0.0)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not np.isfinite(tamper):
+        raise ValueError("tamper must be finite")
     rng = np.random.default_rng(seed)
     failures = _check_spectra_suite(rng, trials, tamper)
     factor_failures, linear_in_class_a = _check_factor_suite(rng, trials)

@@ -35,7 +35,9 @@ def _exponent(quad_coeff, linear_coeff, log_coeffs, gauge, L):
     """quad L^2 + linear L + sum_p log_coeffs[p-1] ln^p L + gauge; the
     coefficients broadcast against L, ``log_coeffs`` runs over p first."""
     logl = np.log(L)
-    out = quad_coeff * L**2 + linear_coeff * L + gauge
+    # a zero quad_coeff skips L**2, since 0 * L**2 is NaN once L**2 overflows;
+    # times 1.0 it keeps its sign, so every finite result keeps its bits
+    out = quad_coeff * (L**2 if np.any(quad_coeff) else 1.0) + linear_coeff * L + gauge
     for p, c in enumerate(log_coeffs, start=1):
         out = out + c * logl**p
     return out

@@ -72,14 +72,6 @@ class SpectralSubspaces:
     negative: np.ndarray
     positive: np.ndarray
 
-    @property
-    def projector_negative(self):
-        return self.negative @ np.swapaxes(self.negative.conj(), -1, -2)
-
-    @property
-    def projector_positive(self):
-        return self.positive @ np.swapaxes(self.positive.conj(), -1, -2)
-
 
 @dataclass(frozen=True)
 class ScatteringDiagonal:

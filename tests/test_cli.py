@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scatreg
 from scatreg import cli, deviation, dirac
@@ -133,8 +133,13 @@ ROWS = st.sampled_from([0, 1]) | st.integers(2, 6)
 SPECTRA_SHAPES = {"q": (3,), "eigenvalues": (4,), "vectors_re": (4, 4), "vectors_im": (4, 4)}
 
 
+# a few values, each repeated many times, as in the grid's artifacts
+POOL = st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308])
+CSV_POOL = POOL | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
 @st.composite
-def json_columns(draw):
+def json_columns(draw, values=VALUES):
     """Named per-row arrays: the spectra shapes, or trailing shapes with
     scalar and empty axes."""
     n = draw(ROWS)
@@ -143,18 +148,27 @@ def json_columns(draw):
         if draw(st.booleans()):
             shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
         size = n * int(np.prod(shape, dtype=int))
-        values = draw(st.lists(VALUES, min_size=size, max_size=size))
-        columns[key] = np.array(values, dtype=float).reshape((n, *shape))
+        drawn = draw(st.lists(values, min_size=size, max_size=size))
+        columns[key] = np.array(drawn, dtype=float).reshape((n, *shape))
     return columns
+
+
+def assert_json_rows_match_json_dump(root, columns):
+    reference_write_json_rows(root / "reference.json", columns)
+    cli._write_json_rows(root / "rows.json", columns)
+    assert (root / "rows.json").read_bytes() == (root / "reference.json").read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(columns=json_columns())
 def test_json_rows_match_json_dump(tmp_path_factory, columns):
-    root = tmp_path_factory.getbasetemp()
-    reference_write_json_rows(root / "reference.json", columns)
-    cli._write_json_rows(root / "rows.json", columns)
-    assert (root / "rows.json").read_bytes() == (root / "reference.json").read_bytes()
+    assert_json_rows_match_json_dump(tmp_path_factory.getbasetemp(), columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=json_columns(POOL))
+def test_json_rows_match_json_dump_on_repeated_values(tmp_path_factory, columns):
+    assert_json_rows_match_json_dump(tmp_path_factory.getbasetemp(), columns)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -185,12 +199,12 @@ CSV_INTS = st.integers(-(10**30), 10**30)
 
 
 @st.composite
-def csv_rows(draw):
+def csv_rows(draw, values=VALUES):
     """Rows as the subcommands pass them: ndarray rows, np.float64 values
     from zip, or lists with an int column (resum's order)."""
     n = draw(ROWS)
     kind = draw(st.sampled_from(["ndarray", "zip", "ints"]))
-    columns = [np.array(draw(st.lists(VALUES, min_size=n, max_size=n))) for _ in range(3)]
+    columns = [np.array(draw(st.lists(values, min_size=n, max_size=n))) for _ in range(3)]
     if kind == "ndarray":
         return list(np.column_stack(columns))
     if kind == "zip":
@@ -199,13 +213,22 @@ def csv_rows(draw):
     return [[a, order, b] for a, order, b in zip(columns[0].tolist(), orders, columns[1])]
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=csv_rows())
-def test_csv_rows_match_per_value_format(tmp_path_factory, rows):
-    root = tmp_path_factory.getbasetemp()
+def assert_csv_rows_match_per_value_format(root, rows):
     reference_write_csv(root / "reference.csv", ["a", "b", "c"], rows)
     cli._write_csv(root / "rows.csv", ["a", "b", "c"], rows)
     assert (root / "rows.csv").read_bytes() == (root / "reference.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=csv_rows())
+def test_csv_rows_match_per_value_format(tmp_path_factory, rows):
+    assert_csv_rows_match_per_value_format(tmp_path_factory.getbasetemp(), rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=csv_rows(CSV_POOL))
+def test_csv_rows_match_per_value_format_on_repeated_values(tmp_path_factory, rows):
+    assert_csv_rows_match_per_value_format(tmp_path_factory.getbasetemp(), rows)
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -333,6 +356,48 @@ def test_check_tampered_fails(tmp_path, capsys):
     code, _ = run(tmp_path, "check", {"trials": 5, "tamper": 1e-3})
     assert code == 1
     assert "matrix is not unitary (defect 1.397e-03)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_check_refuses_non_finite_tamper(tmp_path, capsys, bad):
+    # inf * 0 in the tampered unitary would warn, and NaN would report "defect nan"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, "check", {"trials": 3, "tamper": bad})
+    assert code == 2 and not caught
+    assert capsys.readouterr().err == "check: tamper must be finite\n"
+
+
+def per_trial_draws(rng, count):
+    """The check suite's draws one trial at a time: the reference for
+    ``cli._draw_trials``."""
+    q = np.empty((count, 3))
+    m = np.empty(count)
+    doubled = np.empty(count, dtype=bool)
+    seeds = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        q[i] = rng.uniform(-10, 10, size=3)
+        m[i] = rng.uniform(0, 10)
+        doubled[i] = rng.random() < 0.5
+        seeds[i] = rng.integers(2**32)
+    return q, m, doubled, seeds
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, cli._CHUNK, cli._CHUNK + 1])
+@pytest.mark.parametrize("seed", [5, 20260826])
+def test_draw_trials_match_per_trial_loop(seed, count, buffered):
+    reference, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        # a uint32 draw leaves the high half of its word buffered
+        reference.integers(2**32), raw.integers(2**32)
+    assert reference.bit_generator.state["has_uint32"] == buffered
+    expected = per_trial_draws(reference, count)
+    drawn = cli._draw_trials(raw, count)
+    for got, want in zip(drawn, expected, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert raw.bit_generator.state == reference.bit_generator.state
 
 
 def per_trial_spectra_suite(rng, trials, tamper):
@@ -464,6 +529,19 @@ def test_resum_pipeline(tmp_path):
     assert code == 0
     rows = read_csv(out / "resum_residuals.csv")
     assert np.max(rows[:, 2]) <= 1e-12
+
+
+# L**2 overflows; the factor has no L^2 term, so nothing multiplies it
+EXTREME_RESUM = {"psi": [1.0, 1e308], "phi": 1e300, "L_values": [1e300]}
+
+
+def test_resum_on_extreme_finite_inputs_is_quiet(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "resum", EXTREME_RESUM)
+    assert code == 0 and not caught
+    assert capsys.readouterr().err == ""
+    assert read_csv(out / "resum_residuals.csv")[:, 2].tolist() == [0.0, 0.0]
 
 
 def test_resum_bad_leading_constant_exits_2(tmp_path):
@@ -883,6 +961,10 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(invocation=invocations())
+# junk that the fuzzer once drew and that failed on a numpy warning
+@example(invocation=("check", {"seed": 0, "trials": 1, "tamper": float("inf")}, []))
+@example(invocation=("check", {"seed": 0, "trials": 1, "tamper": float("nan")}, []))
+@example(invocation=("resum", EXTREME_RESUM, []))
 def test_fuzzed_configs_exit_with_documented_codes(fuzz_dir, invocation):
     command, config, flags = invocation
     (fuzz_dir / "config.json").write_text(json.dumps(config))

@@ -53,6 +53,13 @@ def test_factor_evaluation_trivia():
     assert DeviationFactor(linear_coeff=0.01)(100.0) == pytest.approx(np.exp(1j))
 
 
+def test_exponent_without_l2_term_past_l2_overflow():
+    # L**2 overflows at L = 1e200, and 0 * inf would be NaN
+    factor = DeviationFactor(log_coeffs=(0.25,), gauge=0.5)
+    assert factor.exponent(1e200) == 0.0 + 0.0 + 0.5 + 0.25 * np.log(1e200)
+    assert abs(factor(1e200)) == pytest.approx(1.0, abs=1e-15)
+
+
 @given(
     st.floats(-1, 1),
     st.floats(-1, 1),

@@ -104,8 +104,7 @@ def test_subspaces_complete_and_orthogonal(q, m):
     sub = dirac.spectral_subspaces(q, m)
     for frame in (sub.negative, sub.positive):
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(2)) <= 1e-12
-    p1 = sub.projector_negative
-    p2 = sub.projector_positive
+    p1, p2 = (frame @ frame.conj().T for frame in (sub.negative, sub.positive))
     assert np.linalg.norm(p1 + p2 - np.eye(4)) <= 1e-12
     assert np.linalg.norm(p1 @ p2) <= 1e-12
     # H-invariance of each subspace
