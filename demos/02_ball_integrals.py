@@ -6,13 +6,13 @@ cutoff integral over |p| <= L has the closed form
     pi^2 [ ln(1 + L^2/m^2) + m^2 / (m^2 + L^2) - 1 ]
 
 which diverges like 2 pi^2 ln L.  We compare the Gauss-Legendre rule (the 2-D
-(r, chi) product, since the integrand is O(4)-invariant) and the Monte-Carlo
-estimator against it, at m = 1 and at a second mass.
+(r, chi) product, since the integrand is O(4)-invariant) against it, at m = 1
+and at a second mass.
 """
 
 import numpy as np
 
-from scatreg import BallRegion, QuadratureSpec, integrate_ball, parse_integrand
+from scatreg import BallRegion, integrate_ball, parse_integrand
 
 expr = parse_integrand("1/(P2+m^2)^2")
 q = np.zeros(3)
@@ -32,8 +32,3 @@ for radius in (10.0, 20.0, 40.0, 80.0, 160.0):
 value, _ = integrate_ball(None, expr, q, 0.3, BallRegion(radius=40.0))
 exact = closed_form(40.0, 0.3)
 print(f"\nm = 0.3, L = 40: quadrature {value.imag:.8f}, closed form {exact:.8f}")
-
-mc_spec = QuadratureSpec(method="monte-carlo", samples=200_000, seed=5)
-value, err = integrate_ball(None, expr, q, 1.0, BallRegion(radius=40.0), mc_spec)
-print(f"Monte-Carlo (2e5 samples): {value.imag:.4f} +/- {err:.4f}"
-      f"  (closed form {closed_form(40.0):.4f})")

@@ -23,7 +23,7 @@ _EXPORTS = {
     "asymfit": ("LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"),
     "ballquad": ("BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
                  "sample_over_cutoffs"),
-    "deviation": ("DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
+    "deviation": ("DeviationFactor", "class_a_check", "factor_from_model",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"),
     "dirac": ("build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
               "eigenvectors_closed_form", "joint_diagonalize", "random_commuting_unitary",

@@ -31,7 +31,6 @@ __all__ = [
     "model_from_dict",
     "fit",
     "classify",
-    "evaluate_model",
 ]
 
 _KINDS = ("log", "powerlog", "polylog")
@@ -117,12 +116,6 @@ class PolyLogModel:
     def divergent_part(self, L):
         logl = np.log(L)
         return sum(c * logl**p for p, c in enumerate(self.table) if p >= 1)
-
-
-def evaluate_model(model, L):
-    """i * (basis . coefficients), the model value without its remainder."""
-    L = np.asarray(L, dtype=float)
-    return 1j * (model.basis(np.atleast_1d(L)) @ model.coefficients).reshape(L.shape)[()]
 
 
 @dataclass(frozen=True)

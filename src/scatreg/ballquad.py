@@ -1,7 +1,7 @@
 """Cutoff integrals over the Euclidean 4-ball |P| <= L.
 
-The default rule is a product of Gauss-Legendre quadratures in
-hyperspherical coordinates
+The rules are products of Gauss-Legendre quadratures in hyperspherical
+coordinates
 
     P = r (cos chi, sin chi cos theta, sin chi sin theta cos phi,
            sin chi sin theta sin phi),      d^4P = r^3 sin^2(chi) sin(theta)
@@ -19,12 +19,10 @@ runs follows from the integrand alone:
 The radial axis is split at a = 4 max(|m|, |q|), graded on [0, a] and
 logarithmic on [a, L]; the error estimate is |I(n) - I(n/2)|, orders halved.
 
-A plain Monte-Carlo estimator on the ball is available for integrands the
-screen rejects.  The product rules are summed in chunks of ``_CHUNK``
-consecutive grid points, each built from the axis nodes it uses, so memory
-stays bounded whatever the quadrature orders.  The chunk edges and the order
-in which the chunk sums are reduced are fixed, so results are reproducible
-bit for bit.
+The product rules are summed in chunks of ``_CHUNK`` consecutive grid points,
+each built from the axis nodes it uses, so memory stays bounded whatever the
+quadrature orders.  The chunk edges and the order in which the chunk sums are
+reduced are fixed, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "BallRegion",
     "QuadratureSpec",
     "CutoffSamples",
-    "ball_volume",
     "integrate_ball",
     "sample_over_cutoffs",
 ]
@@ -73,27 +70,18 @@ class BallRegion:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature choice: tensor Gauss-Legendre orders or Monte-Carlo size."""
+    """Gauss-Legendre orders of the product rules."""
 
-    method: str = "tensor-gauss"
+    method = "tensor-gauss"  # a class constant, not a field: bench/tracing.py reads it
     radial_order: int = 64
     angular_orders: tuple = (32, 32, 32)
-    samples: int = 100_000
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("tensor-gauss", "monte-carlo"):
-            raise ValueError(f"unknown quadrature method '{self.method}'")
         orders = np.asarray(self.angular_orders)
         if orders.shape != (3,) or orders.dtype.kind not in "iu":
             raise ValueError(f"need three integer angular_orders: {self.angular_orders}")
         if not all(2 <= n <= _MAX_ORDER for n in (self.radial_order, *self.angular_orders)):
             raise ValueError(f"quadrature orders must be between 2 and {_MAX_ORDER}")
-        if self.method == "monte-carlo":
-            if self.samples < 1000:
-                raise ValueError("monte-carlo needs at least 1000 samples")
-            if self.seed is None:
-                raise ValueError("monte-carlo requires an explicit seed")
 
 
 @dataclass(frozen=True)
@@ -124,11 +112,6 @@ class CutoffSamples:
 
     def __len__(self):
         return len(self.grid)
-
-
-def ball_volume(radius):
-    """Volume of the 4-ball, pi^2 r^4 / 2."""
-    return 0.5 * np.pi**2 * radius**4
 
 
 def _kinematics(q, m):
@@ -247,62 +230,28 @@ def _halved(spec):
     return _Orders(spec.radial_order // 2, tuple(n // 2 for n in spec.angular_orders))
 
 
-def _monte_carlo(exprs, q4, m, radius, spec):
-    rng = np.random.default_rng(spec.seed)
-    u = rng.random(spec.samples)
-    r = radius * u**0.25
-    direction = rng.standard_normal((4, spec.samples))
-    direction /= np.linalg.norm(direction, axis=0)
-    ctx = {f"p{i}": r * direction[i] for i in range(4)}
-    ctx.update({f"q{i}": q4[i] for i in range(4)})
-    ctx.update({"m": m, "L": radius})
-    vol = ball_volume(radius)
-    results = []
-    for expr in exprs:
-        if expr is None:
-            results.append((0.0, 0.0))
-            continue
-        values = np.broadcast_to(np.asarray(evaluate(expr, ctx), dtype=float), r.shape)
-        with np.errstate(over="ignore"):
-            mean, std = float(np.mean(values)), float(np.std(values))
-        if not (math.isfinite(mean) and math.isfinite(std)):
-            # finite values whose sum or squares overflow: rescale by the largest
-            scale = float(np.max(np.abs(values)))
-            mean = scale * float(np.mean(values / scale))
-            std = scale * float(np.std(values / scale))
-        stderr = std / math.sqrt(spec.samples)
-        results.append((vol * mean, vol * stderr))
-    return results
-
-
 def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     """Integral of f_re + i f_im over the 4-ball, with an error estimate.
 
-    With ``method="tensor-gauss"`` the integral runs on the 2-D (r, chi) rule
-    when both given parts are O(4)-invariant (see the module docstring; only
-    ``angular_orders[0]`` is used), and on the 4-D tensor rule otherwise.
-    Either rule splits its radial axis at a = 4 max(|m|, |q|) when 0 < a < L
-    and reports |I(n) - I(n/2)|, the difference to the same rule with every
-    order halved; Monte-Carlo reports the standard error of the mean.  Unless
-    Monte-Carlo is requested, the singularity screen scans every denominator
-    on a coarse grid, its (r, chi) slice at the rotated q for an invariant
-    part, and flagged singular integrands are refused with the screen report
-    attached.
+    The integral runs on the 2-D (r, chi) rule when both given parts are
+    O(4)-invariant (see the module docstring; only ``angular_orders[0]`` is
+    used), and on the 4-D tensor rule otherwise.  Either rule splits its
+    radial axis at a = 4 max(|m|, |q|) when 0 < a < L and reports
+    |I(n) - I(n/2)|, the difference to the same rule with every order halved.
+    First the singularity screen scans every denominator on a coarse grid,
+    its (r, chi) slice at the rotated q for an invariant part, and flagged
+    singular integrands are refused with the screen report attached.
     """
     if not isinstance(region, BallRegion):
         region = BallRegion(float(region))
     q4, m = _kinematics(q, m)
     exprs = (f_re, f_im)
-    if spec.method == "tensor-gauss":
-        for expr in exprs:
-            if expr is None:
-                continue
-            report = screen_singularities(expr, q4, m, region.radius)
-            if report.flagged:
-                raise SingularIntegrandError(report)
-    if spec.method == "monte-carlo":
-        (re, re_err), (im, im_err) = _monte_carlo(exprs, q4, m, region.radius, spec)
-        return complex(re, im), math.hypot(re_err, im_err)
+    for expr in exprs:
+        if expr is None:
+            continue
+        report = screen_singularities(expr, q4, m, region.radius)
+        if report.flagged:
+            raise SingularIntegrandError(report)
     rule = (
         _reduced_rule
         if all(expr is None or o4_invariant(expr) for expr in exprs)

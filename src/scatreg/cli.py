@@ -131,8 +131,6 @@ def _settings(args):
         if v is not None and k not in ("command", "config", "threads")
     }
     quadrature = flags.pop("quad_orders", {})
-    if "quad_seed" in flags:
-        quadrature["seed"] = flags.pop("quad_seed")
     if quadrature:
         config["quadrature"] = {**_get(config, "quadrature", dict, {}), **quadrature}
     if args.command == "regularize":
@@ -166,12 +164,12 @@ def _quad_spec(config):
     from .ballquad import QuadratureSpec
 
     spec = _get(config, "quadrature", dict, {})
+    unknown = sorted(set(spec) - {"radial_order", "angular_orders"})
+    if unknown:
+        raise ValueError(f"unknown quadrature keys: {', '.join(unknown)}")
     return QuadratureSpec(
-        method=_get(spec, "method", str, "tensor-gauss"),
         radial_order=_get(spec, "radial_order", int, 64),
         angular_orders=tuple(_get(spec, "angular_orders", [int], [32, 32, 32])),
-        samples=_get(spec, "samples", int, 100_000),
-        seed=_get(spec, "seed", int, None),
     )
 
 
@@ -525,18 +523,15 @@ def _quad_orders(text):
 
 
 # (flag, the subcommands that take it, add_argument keywords).  A flag's dest
-# is the config key it overrides; "quad_*" dests override keys of the
+# is the config key it overrides; "quad_orders" overrides keys of the
 # "quadrature" table.
-_SAMPLING = ("integrate", "fit", "regularize")
 _FLAGS = (
     ("--samples", ("fit", "regularize"),
      dict(dest="samples_file", metavar="CSV",
           help="CSV file of cutoff samples (L,re,im[,err])")),
     ("--model", ("fit", "regularize"),
      dict(choices=["log", "powerlog", "polylog", "auto"])),
-    ("--seed", _SAMPLING,
-     dict(type=int, dest="quad_seed", metavar="SEED", help="monte-carlo seed")),
-    ("--quad-orders", _SAMPLING,
+    ("--quad-orders", ("integrate", "fit", "regularize"),
      dict(type=_quad_orders, metavar="R,A1,A2,A3", help="quadrature orders")),
     ("--threads", ("integrate",),
      dict(type=int, default=1,

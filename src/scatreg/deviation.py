@@ -26,7 +26,6 @@ __all__ = [
     "regularized_series",
     "series_exp",
     "class_a_check",
-    "gauge_multiply",
     "resum_coulomb_series",
 ]
 
@@ -41,12 +40,6 @@ def _exponent(quad_coeff, linear_coeff, log_coeffs, gauge, L):
     for p, c in enumerate(log_coeffs, start=1):
         out = out + c * logl**p
     return out
-
-
-def _wrap_phase(gamma):
-    """Wrap to (-pi, pi]."""
-    out = math.remainder(gamma, 2 * math.pi)
-    return math.pi if out == -math.pi else out
 
 
 @dataclass(frozen=True)
@@ -149,13 +142,6 @@ def factor_from_model(model, eps, order=2):
     )
 
 
-def gauge_multiply(factor, gamma):
-    """Multiply by a constant unit-modulus gauge phase e^{i gamma}."""
-    if not math.isfinite(gamma):
-        raise ValueError("gauge phase must be finite")
-    return replace(factor, gauge=_wrap_phase(factor.gauge + gamma))
-
-
 def regularize_coefficient(samples, model):
     """Subtract i * (divergent model terms) pointwise from cutoff samples.
 
@@ -223,10 +209,6 @@ class ClassAResult:
     shift: float
     grid: np.ndarray
     ratios: np.ndarray
-
-    @property
-    def deviations(self):
-        return np.abs(self.ratios - 1.0)
 
 
 def class_a_check(factor, shift, grid):

@@ -260,8 +260,6 @@ def test_criterion_10_thread_flag_determinism(tmp_path):
                 str(config),
                 "--out",
                 str(out),
-                "--seed",
-                "3",
                 "--threads",
                 str(threads),
             ]

@@ -7,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scatreg import asymfit
 from scatreg.asymfit import (
     IllPosedFitError,
-    LogModel,
     ModelMismatchError,
-    PolyLogModel,
-    PowerLogModel,
     UnclassifiedDivergenceError,
     classify,
-    evaluate_model,
     fit,
 )
 from scatreg.ballquad import CutoffSamples
@@ -145,16 +141,6 @@ def test_unclassified_divergence():
     with pytest.raises(UnclassifiedDivergenceError) as err:
         classify(make_samples(grid, values))
     assert len(err.value.reports) >= 3
-
-
-def test_evaluate_model_examples():
-    assert evaluate_model(LogModel(3.0, 2.0), np.e) == pytest.approx(5j)
-    assert evaluate_model(PowerLogModel(0.5, -1.0, 4.0, 7.0), 1.0) == pytest.approx(
-        6.5j
-    )
-    assert evaluate_model(PolyLogModel(table=(1.0, 2.0, 3.0)), np.e) == pytest.approx(
-        6j
-    )
 
 
 def test_report_serializes():

@@ -43,17 +43,11 @@ def test_region_and_spec_validation():
     with pytest.raises(ValueError):
         BallRegion(-1.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(method="simpson")
-    with pytest.raises(ValueError):
         QuadratureSpec(radial_order=1)
     with pytest.raises(ValueError):
         QuadratureSpec(angular_orders=(8, 8))
     with pytest.raises(ValueError):
         QuadratureSpec(angular_orders=(8.0, 8, 8))
-    with pytest.raises(ValueError):
-        QuadratureSpec(method="monte-carlo", seed=None)
-    with pytest.raises(ValueError):
-        QuadratureSpec(method="monte-carlo", samples=10, seed=1)
 
 
 def test_cutoff_samples_validation():
@@ -96,31 +90,6 @@ def test_radial_oracle_basics():
 def test_singular_integrand_refused():
     with pytest.raises(SingularIntegrandError):
         integrate_ball(None, parse_integrand("1/P2"), (0, 0, 0), 0.0, BallRegion(1.0))
-
-
-def test_monte_carlo_bypasses_screen_and_estimates():
-    spec = QuadratureSpec(method="monte-carlo", samples=200_000, seed=42)
-    value, err = integrate_ball(
-        parse_integrand("1"), None, (0, 0, 0), 0.0, BallRegion(2.0), spec
-    )
-    assert value.real == pytest.approx(8 * np.pi**2, rel=1e-12)
-    value, err = integrate_ball(None, RATIONAL, (0, 0, 0), 0.0, BallRegion(5.0), spec)
-    assert abs(value.imag - closed_form(5.0)) <= 5 * err
-    # reproducible for a fixed seed
-    again, _ = integrate_ball(None, RATIONAL, (0, 0, 0), 0.0, BallRegion(5.0), spec)
-    assert again == value
-
-
-def test_monte_carlo_statistics_of_huge_finite_values():
-    # the squares of the standard deviation overflow, the values do not
-    spec = QuadratureSpec(method="monte-carlo", samples=1000, seed=0)
-    big = parse_integrand("(P2+1)^200")
-    value, err = integrate_ball(None, big, (0, 0, 0), 0.0, BallRegion(4.0), spec)
-    assert math.isfinite(value.imag) and math.isfinite(err) and err > 0
-    scaled = parse_integrand("(P2+1)^200 * 1e-200")
-    small, small_err = integrate_ball(None, scaled, (0, 0, 0), 0.0, BallRegion(4.0), spec)
-    assert value.imag * 1e-200 == pytest.approx(small.imag, rel=1e-12)
-    assert err * 1e-200 == pytest.approx(small_err, rel=1e-12)
 
 
 def test_sample_over_cutoffs_constant():

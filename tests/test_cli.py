@@ -562,7 +562,7 @@ def test_determinism_across_thread_flags(tmp_path):
         path.write_text(json.dumps(config))
         code = main(
             ["integrate", "--config", str(path), "--out", str(out),
-             "--seed", "7", "--threads", str(threads)]
+             "--threads", str(threads)]
         )
         assert code == 0
         outputs.append((out / "samples.csv").read_bytes())
@@ -610,6 +610,7 @@ def integrate_config(**overrides):
         # sizes past the 128 TiB x86-64 address space, so that the allocation
         # fails at once whatever the host's overcommit setting
         ("spectra", {"m": 1, "q_grid": {"min": -1, "max": 1, "count": 10**6}}, [], 2),
+        # refused at its unknown quadrature keys, before any allocation
         ("integrate",
          integrate_config(quadrature={"method": "monte-carlo", "samples": 10**16, "seed": 1}),
          [], 2),
@@ -713,6 +714,24 @@ def test_errors_exit_with_one_line_in_a_fresh_process(tmp_path, command, config,
     assert run.stderr.startswith(f"{command}: ")
 
 
+@pytest.mark.parametrize(
+    "command, quadrature, named",
+    [
+        ("integrate", {"method": "monte-carlo", "samples": 1000, "seed": 1},
+         "method, samples, seed"),
+        ("fit", {**SMALL_QUAD, "method": "tensor-gauss"}, "method"),
+        ("regularize", {**SMALL_QUAD, "samples": 1000}, "samples"),
+        ("integrate", {**SMALL_QUAD, "seed": 1}, "seed"),
+    ],
+)
+def test_unknown_quadrature_keys_exit_2_naming_them(tmp_path, capsys, command, quadrature,
+                                                    named):
+    code, _ = run(tmp_path, command, integrate_config(quadrature=quadrature))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{command}: unknown quadrature keys: {named}"]
+
+
 # runs every subcommand, then resolves every package export, with scipy
 # unimportable
 WITHOUT_SCIPY = """
@@ -792,7 +811,7 @@ PACKAGE_EXPORTS = {
     "asymfit": ["LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"],
     "ballquad": ["BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
                  "sample_over_cutoffs"],
-    "deviation": ["DeviationFactor", "class_a_check", "factor_from_model", "gauge_multiply",
+    "deviation": ["DeviationFactor", "class_a_check", "factor_from_model",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"],
     "dirac": ["build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
               "eigenvectors_closed_form", "random_commuting_unitary",
@@ -828,6 +847,8 @@ def test_package_refuses_unknown_names():
     [
         ["spectra", "--epsilon", "3", "--model", "log", "--quad-orders", "1,2,3,4"],
         ["fit", "--threads", "2"],
+        ["integrate", "--seed", "3"],
+        ["regularize", "--seed", "3"],
     ],
 )
 def test_flags_of_other_subcommands_are_refused(argv):
@@ -871,9 +892,6 @@ QUADRATURE = spoiled(
     keep=("radial_order", "angular_orders"),
     radial_order=st.integers(2, 8),
     angular_orders=st.lists(st.integers(2, 8), min_size=3, max_size=3),
-    method=st.sampled_from(["tensor-gauss", "tensor-gauss", "monte-carlo"]),
-    samples=st.integers(1000, 2000),
-    seed=st.integers(0, 9),
 )
 SAMPLING = {
     "integrand_re": st.sampled_from(
