@@ -120,12 +120,20 @@ def _get(config, key, kind, default=...):
 
 
 def _settings(args):
-    """The JSON config with each given flag merged over the key it overrides.
+    """The JSON config with each given flag merged over the key it overrides;
+    a key that the subcommand does not read is refused.
 
     ``--out`` has a default, so it always wins.  In regularize an explicit
     model dict beats ``--model``.
     """
     config = _read_json(args.config) if args.config else {}
+    # every flag dest but those two, which override no top-level key
+    known = set(_KEYS[args.command]).union(vars(args)) - {
+        "command", "config", "threads", "quad_orders"
+    }
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     flags = {
         k: v for k, v in vars(args).items()
         if v is not None and k not in ("command", "config", "threads")
@@ -351,90 +359,46 @@ def cmd_regularize(config):
 _CHUNK = 256
 
 
-def _draw_trials(rng, count):
-    """``count`` trials, bit for bit as a per-trial loop of
-    ``rng.uniform(-10, 10, size=3)`` (q), ``rng.uniform(0, 10)`` (m),
-    ``rng.random() < 0.5`` (doubled) and ``rng.integers(2**32)`` (seed) draws
-    them, read from the PCG64 generator's raw words.  A trial's doubles take
-    five words, each ``(w >> 11) * 2**-53``; its seed is the generator's next
-    uint32: the half it has buffered, else the low half of a new word after
-    the doubles, whose high half stays buffered for the next seed."""
-    gen = rng.bit_generator
-    state = gen.state
-    buffered = state["has_uint32"]
-    fresh = (np.arange(count) + buffered) % 2 == 0  # trials whose seed takes a new word
-    words = gen.random_raw(5 * count + int(fresh.sum()))
-    first = 5 * np.arange(count) + np.cumsum(fresh) - fresh  # each trial's first word
-    d = (words[first[:, None] + np.arange(5)] >> 11) * 2.0**-53
-    seed_words = words[first[fresh] + 5]
-    # the uint32s in the order the generator serves them
-    stream = np.concatenate([
-        np.array([state["uinteger"]] * buffered, dtype=np.uint64),
-        np.column_stack([seed_words & 0xFFFFFFFF, seed_words >> 32]).ravel(),
-    ])
-    if count:
-        # the generator keeps the last half it buffered, served or not
-        state = gen.state
-        state["has_uint32"], state["uinteger"] = int(stream.size > count), int(stream[-1])
-        gen.state = state
-    return -10 + 20 * d[:, :3], 10 * d[:, 3], d[:, 4] < 0.5, stream[:count].astype(np.int64)
-
-
-def _check_commuting(q, m, doubled, seeds, tamper):
-    """Failure messages, in trial order, of random unitaries commuting with H
-    (doubled rows: with diag(H, H)), each jointly diagonalized with it."""
-    from . import dirac
-
-    messages = [None] * len(q)
-    for flag in (False, True):
-        rows = np.flatnonzero(doubled == flag)
-        if not rows.size:
-            continue
-        s = dirac.random_commuting_unitary(
-            q[rows], m[rows], seed=seeds[rows].tolist(), doubled=flag
-        )
-        if tamper:
-            s = s + tamper * np.eye(s.shape[-1]) * 1j  # breaks unitarity/commutation
-        diag, errors = dirac.joint_diagonalize(q[rows], m[rows], s)
-        off_circle = np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1)
-        defect = np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1))
-        for row, error, off, rec in zip(rows, errors, off_circle, defect):
-            seed = seeds[row]
-            if error is not None:
-                messages[row] = f"seed {seed}, q={q[row]}, m={m[row].item()}: {error}"
-            elif off > 1e-10:
-                messages[row] = f"seed {seed}: |d_k| deviates from 1"
-            elif rec > 1e-9:
-                messages[row] = f"seed {seed}: reconstruction defect"
-    return [message for message in messages if message is not None]
-
-
 def _check_spectra_suite(rng, trials, tamper):
     """Closed-form eigenpairs and joint diagonalization on random trials, in
-    stacked passes.  A trial whose eigen-residual fails draws no doubled and
-    seed, so the pass stops there and the next one draws on from its m."""
+    stacked passes.  Each pass draws one call per column (q, m, then the 4x4
+    or 8x8 choice), then the Haar blocks of its 4x4 and of its 8x8 trials; a
+    trial whose eigen-residual fails is reported and skips the joint check.
+    Failures name the trial's index, so seed, trials and index reproduce one."""
     from . import dirac
 
     failures = []
-    while trials > 0:
-        mark = rng.bit_generator.state
-        q, m, doubled, seeds = _draw_trials(rng, min(trials, _CHUNK))
+    for start in range(0, trials, _CHUNK):
+        k = min(trials - start, _CHUNK)
+        q = rng.uniform(-10, 10, (k, 3))
+        m = rng.uniform(0, 10, k)
+        doubled = rng.random(k) < 0.5
         h = dirac.build_hamiltonian(q, m)
         sys_ = dirac.eigenvectors_closed_form(q, m)
         vectors, values = sys_.vectors, sys_.values[:, None, :]
         res = np.max(np.linalg.norm(h @ vectors - vectors * values, axis=1), axis=1)
-        bad = np.flatnonzero(res > 1e-10 * np.linalg.norm(h, axis=(1, 2)))
-        n = bad[0] if bad.size else len(q)
-        failures += _check_commuting(q[:n], m[:n], doubled[:n], seeds[:n], tamper)
-        if bad.size:
-            failures.append(f"eigen-residual {res[n]:.3e} at q={q[n]}, m={m[n].item()}")
-            # back to just after the failing trial's m, drawn as _draw_trials draws it
-            rng.bit_generator.state = mark
-            _draw_trials(rng, n)
-            rng.uniform(-10, 10, size=3)
-            rng.uniform(0, 10)
-            n += 1
-        trials -= n
+        bad = res > 1e-10 * np.linalg.norm(h, axis=(1, 2))
+        messages = {i: f"eigen-residual {res[i]:.3e}" for i in np.flatnonzero(bad)}
+        for flag in (False, True):
+            rows = np.flatnonzero(~bad & (doubled == flag))
+            if not rows.size:
+                continue
+            s = dirac.random_commuting_unitary(q[rows], m[rows], rng, doubled=flag)
+            if tamper:
+                s = s + tamper * np.eye(s.shape[-1]) * 1j  # breaks unitarity/commutation
+            diag, errors = dirac.joint_diagonalize(q[rows], m[rows], s)
+            off_circle = np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1)
+            defect = np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1))
+            for row, error, off, rec in zip(rows, errors, off_circle, defect):
+                if error is not None:
+                    messages[row] = str(error)
+                elif off > 1e-10:
+                    messages[row] = "|d_k| deviates from 1"
+                elif rec > 1e-9:
+                    messages[row] = "reconstruction defect"
+        failures += [
+            f"trial {start + i}, q={q[i]}, m={m[i].item()}: {messages[i]}" for i in sorted(messages)
+        ]
     return failures
 
 
@@ -539,6 +503,19 @@ _FLAGS = (
     ("--seed", ("check",), dict(type=int, help="random seed")),
     ("--epsilon", ("regularize", "resum"), dict(type=float, help="coupling value")),
 )
+
+
+_SAMPLING = ("integrand_re", "integrand_im", "L_grid", "q", "m", "quadrature")
+# the config keys each subcommand reads besides the keys its flags override;
+# any other key is refused
+_KEYS = {
+    "spectra": ("m", "q", "q_grid"),
+    "integrate": _SAMPLING,
+    "fit": _SAMPLING + ("tail_fraction", "degree"),
+    "regularize": _SAMPLING + ("tail_fraction", "degree", "fit_report"),
+    "check": ("trials", "tamper"),
+    "resum": ("psi", "phi", "order", "L_values"),
+}
 
 
 def _build_parser():

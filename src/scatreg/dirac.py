@@ -378,29 +378,23 @@ def random_commuting_unitary(q, m, seed, doubled=False):
     (n, size, size) for stacked momenta.
 
     Built as B diag(U1, U2, ...) B* where B stacks the eigenspace frames and
-    the U_i are Haar-random 2x2 unitary blocks drawn from ``seed``: for a
-    stack, a sequence of one seed per momentum, each drawing from its own
-    generator as the one-momentum call with that seed does.  Two blocks for
-    the 4x4 system, four for the doubled one.
+    the U_i are Haar-random 2x2 unitary blocks, two for the 4x4 system and
+    four for the doubled one.  ``seed`` is anything ``np.random.default_rng``
+    takes, a Generator included; the whole stack is one ``standard_normal``
+    draw from it.
     """
     q, m = _check_point(q, m)
     size = 8 if doubled else 4
     nblocks = size // 2
     if seed is None:
         raise ValueError("a seed is required")
-    if q.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != len(q)):
-        raise ValueError(f"expected one seed per momentum ({len(q)}), got {seed!r}")
-    seeds = [seed] if q.ndim == 1 else seed
     # per block: the real part, then the imaginary part
-    gauss = np.array([
-        np.random.default_rng(s).standard_normal((nblocks, 2, 2, 2)) for s in seeds
-    ])
+    gauss = np.random.default_rng(seed).standard_normal(q.shape[:-1] + (nblocks, 2, 2, 2))
     # Haar blocks: the Q of a QR factorization of the complex Gaussian
     # matrices, with the phases of diag(R) moved into it
     qmat, r = np.linalg.qr(gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :])
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     blocks = qmat * (phases / np.abs(phases))[..., None, :]
-    blocks = blocks.reshape(q.shape[:-1] + (nblocks, 2, 2))
     neg, pos = _frames(q, m, size)
     basis = np.concatenate([neg, pos], axis=-1)
     core = np.zeros(q.shape[:-1] + (size, size), dtype=complex)

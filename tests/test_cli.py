@@ -355,7 +355,21 @@ def test_check_default_passes(tmp_path, capsys):
 def test_check_tampered_fails(tmp_path, capsys):
     code, _ = run(tmp_path, "check", {"trials": 5, "tamper": 1e-3})
     assert code == 1
-    assert "matrix is not unitary (defect 1.397e-03)" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "check failure: trial 0, q=[-6.80711207 -2.19430516  6.76442076], "
+        "m=9.292408603224473: matrix is not unitary (defect 1.159e-03)"
+    )
+
+
+@pytest.mark.parametrize("config", [{"trials": 300}, {"trials": 300, "tamper": 3e-8}],
+                         ids=["passing", "tampered"])
+def test_check_same_seed_same_output(tmp_path, capsys, config):
+    outputs = []
+    for _ in range(2):
+        code, _ = run(tmp_path, "check", config, ["--seed", "31337"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (1 if "tamper" in config else 0)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
@@ -368,96 +382,9 @@ def test_check_refuses_non_finite_tamper(tmp_path, capsys, bad):
     assert capsys.readouterr().err == "check: tamper must be finite\n"
 
 
-def per_trial_draws(rng, count):
-    """The check suite's draws one trial at a time: the reference for
-    ``cli._draw_trials``."""
-    q = np.empty((count, 3))
-    m = np.empty(count)
-    doubled = np.empty(count, dtype=bool)
-    seeds = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        q[i] = rng.uniform(-10, 10, size=3)
-        m[i] = rng.uniform(0, 10)
-        doubled[i] = rng.random() < 0.5
-        seeds[i] = rng.integers(2**32)
-    return q, m, doubled, seeds
-
-
-@pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("count", [0, 1, 2, 7, cli._CHUNK, cli._CHUNK + 1])
-@pytest.mark.parametrize("seed", [5, 20260826])
-def test_draw_trials_match_per_trial_loop(seed, count, buffered):
-    reference, raw = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
-        # a uint32 draw leaves the high half of its word buffered
-        reference.integers(2**32), raw.integers(2**32)
-    assert reference.bit_generator.state["has_uint32"] == buffered
-    expected = per_trial_draws(reference, count)
-    drawn = cli._draw_trials(raw, count)
-    for got, want in zip(drawn, expected, strict=True):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-    assert raw.bit_generator.state == reference.bit_generator.state
-
-
-def per_trial_spectra_suite(rng, trials, tamper):
-    """The spectral check suite one trial at a time: the reference for the
-    stacked suite."""
-    failures = []
-    for _ in range(trials):
-        q = rng.uniform(-10, 10, size=3)
-        m = rng.uniform(0, 10)
-        h = dirac.build_hamiltonian(q, m)
-        sys_ = dirac.eigenvectors_closed_form(q, m)
-        res = np.linalg.norm(h @ sys_.vectors - sys_.vectors * sys_.values, axis=0)
-        if np.max(res) > 1e-10 * np.linalg.norm(h):
-            failures.append(f"eigen-residual {np.max(res):.3e} at q={q}, m={m}")
-            continue
-        doubled = rng.random() < 0.5
-        seed = int(rng.integers(2**32))
-        s = dirac.random_commuting_unitary(q, m, seed=seed, doubled=doubled)
-        if tamper:
-            s = s + tamper * np.eye(s.shape[0]) * 1j
-        try:
-            diag = dirac.simultaneous_diagonalize(q, m, s)
-        except (dirac.CommutationError, dirac.SubspaceLeakageError) as exc:
-            failures.append(f"seed {seed}, q={q}, m={m}: {exc}")
-            continue
-        if np.max(np.abs(np.abs(diag.diagonal) - 1)) > 1e-10:
-            failures.append(f"seed {seed}: |d_k| deviates from 1")
-        elif np.linalg.norm(diag.reconstruct() - s) > 1e-9:
-            failures.append(f"seed {seed}: reconstruction defect")
-    return failures
-
-
-def assert_suites_agree(seed, trials, tamper):
-    reference, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
-    failures = per_trial_spectra_suite(reference, trials, tamper)
-    assert cli._check_spectra_suite(stacked, trials, tamper) == failures
-    assert stacked.bit_generator.state == reference.bit_generator.state
-    return failures
-
-
-@pytest.mark.parametrize(
-    "seed, trials, tamper",
-    [
-        (1, 2000, 0.0),
-        (11, 2000, 0.0),
-        (2026, 2000, 0.0),
-        (20260826, 2000, 0.0),
-        (20260826, 600, 1e-9),  # some trials fail, some pass
-        (20260826, 600, 3e-8),
-        (20260826, 600, 1e-3),
-        (5, cli._CHUNK + 1, 0.0),
-    ],
-)
-def test_stacked_check_suite_matches_per_trial_loop(seed, trials, tamper):
-    failures = assert_suites_agree(seed, trials, tamper)
-    assert (not failures) == (tamper == 0.0)
-
-
-def test_stacked_check_suite_redraws_after_an_eigen_residual_failure(monkeypatch):
-    solve = dirac.eigenvectors_closed_form
+def test_check_suite_reports_eigen_residual_failures_and_checks_the_rest(monkeypatch):
+    solve, joint = dirac.eigenvectors_closed_form, dirac.joint_diagonalize
+    checked = []
 
     def corrupted(q, m):
         # rows with q1 > 8 get their eigenvector columns reversed
@@ -466,9 +393,29 @@ def test_stacked_check_suite_redraws_after_an_eigen_residual_failure(monkeypatch
         vectors = np.where(bad, sys_.vectors[..., ::-1], sys_.vectors)
         return dirac.EigenSystem(values=sys_.values, vectors=vectors)
 
+    def recorded(q, m, s):
+        checked.append(q)
+        return joint(q, m, s)
+
     monkeypatch.setattr(dirac, "eigenvectors_closed_form", corrupted)
-    failures = assert_suites_agree(7, 700, 0.0)
-    assert 20 < len(failures) == sum(f.startswith("eigen-residual") for f in failures)
+    monkeypatch.setattr(dirac, "joint_diagonalize", recorded)
+    spy = UniformSpy(np.random.default_rng(7))
+    failures = cli._check_spectra_suite(spy, 700, 0.0)
+    q = np.concatenate([draw for draw in spy.draws if draw.ndim == 2])
+    checked = np.concatenate(checked)
+    assert len(q) == 700
+    failed = [int(f.split(",")[0].removeprefix("trial ")) for f in failures]
+    assert failed == np.flatnonzero(q[:, 0] > 8).tolist() and len(failed) > 20
+    assert all(": eigen-residual " in f for f in failures)
+    assert sorted(map(tuple, checked)) == sorted(map(tuple, q[q[:, 0] <= 8]))
+
+
+@pytest.mark.parametrize("trials", [1, cli._CHUNK, cli._CHUNK + 1, 3 * cli._CHUNK])
+def test_check_suite_draws_at_most_a_chunk_per_pass(trials):
+    spy = UniformSpy(np.random.default_rng(5))
+    assert cli._check_spectra_suite(spy, trials, 0.0) == []
+    rows = [np.atleast_1d(size)[0] for size in spy.sizes]
+    assert max(rows) <= cli._CHUNK and sum(rows) == 3 * trials  # q, m and doubled
 
 
 def per_trial_factor_suite(rng, trials):
@@ -488,15 +435,22 @@ def per_trial_factor_suite(rng, trials):
     return failures
 
 
-class UniformSpy:
-    """A generator whose ``uniform`` records the size of each draw."""
+class UniformSpy(np.random.Generator):
+    """A generator on ``rng``'s bit generator whose ``uniform`` and ``random``
+    record the size of each draw, and ``uniform`` the values it draws."""
 
     def __init__(self, rng):
-        self.rng, self.sizes = rng, []
+        super().__init__(rng.bit_generator)
+        self.sizes, self.draws = [], []
 
-    def uniform(self, *args, **kwargs):
-        self.sizes.append(kwargs.get("size"))
-        return self.rng.uniform(*args, **kwargs)
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.sizes.append(size)
+        self.draws.append(super().uniform(low, high, size))
+        return self.draws[-1]
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return super().random(size)
 
 
 @pytest.mark.parametrize("damped", [False, True])
@@ -730,6 +684,28 @@ def test_unknown_quadrature_keys_exit_2_naming_them(tmp_path, capsys, command, q
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"{command}: unknown quadrature keys: {named}"]
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("spectra", {"q": [0, 0, 0], "m": 1.0, "q_gird": {}}, "q_gird"),
+        # a key another subcommand reads is unknown here too
+        ("integrate", integrate_config(tail_fraction=0.9), "tail_fraction"),
+        # flags that override no top-level key
+        ("integrate", integrate_config(quad_orders="8,8,8,8", threads=2),
+         "quad_orders, threads"),
+        ("fit", integrate_config(tail_fractoin=0.9, modle="powerlog"), "modle, tail_fractoin"),
+        ("regularize", integrate_config(epsilom=0.2, fit_reprot="fit.json"),
+         "epsilom, fit_reprot"),
+        ("check", {"trials": 3, "trails": 5, "config": "check.json"}, "config, trails"),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L": [10.0]}, "L"),
+    ],
+)
+def test_unknown_config_keys_exit_2_naming_them(tmp_path, capsys, command, config, named):
+    code, out = run(tmp_path, command, config)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"{command}: unknown config keys: {named}"]
 
 
 # runs every subcommand, then resolves every package export, with scipy

@@ -160,31 +160,28 @@ def test_momentum_stack_shape_is_checked(shape):
 
 @st.composite
 def trial_stacks(draw):
-    """Momenta with per-row masses and seeds; "identity" and "exp" rows get a
-    degenerate S (1 or exp(iH)), whose Hermitian part has clusters to split."""
+    """Momenta with per-row masses, and a seed; "identity" and "exp" rows get
+    a degenerate S (1 or exp(iH)), whose Hermitian part has clusters to split."""
     rows = draw(st.lists(
-        st.tuples(momenta, masses, st.integers(0, 2**32 - 1),
-                  st.sampled_from(["random", "identity", "exp"])),
+        st.tuples(momenta, masses, st.sampled_from(["random", "identity", "exp"])),
         min_size=1, max_size=6,
     ))
-    q, m, seeds, kinds = (list(column) for column in zip(*rows))
-    return np.array(q), np.array(m), seeds, kinds
+    q, m, kinds = (list(column) for column in zip(*rows))
+    return np.array(q), np.array(m), draw(st.integers(0, 2**32 - 1)), kinds
 
 
 @given(trial_stacks(), st.booleans())
 @example(
     stack=(np.array([(1.0, 2.0, 2.0), (3.0, 4.0, 0.0), (0.0, 0.0, 0.0)]),
-           np.array([1.0, 0.0, 1.0]), [5, 6, 7], ["identity", "exp", "exp"]),
+           np.array([1.0, 0.0, 1.0]), 5, ["identity", "exp", "exp"]),
     doubled=True,
 )
 @settings(max_examples=40, deadline=None)
 def test_stacked_joint_diagonalization_matches_per_row_calls(stack, doubled):
-    q, m, seeds, kinds = stack
-    s = dirac.random_commuting_unitary(q, m, seed=seeds, doubled=doubled)
+    q, m, seed, kinds = stack
+    s = dirac.random_commuting_unitary(q, m, seed=seed, doubled=doubled)
     h = dirac.build_doubled(q, m) if doubled else dirac.build_hamiltonian(q, m)
     for i, kind in enumerate(kinds):
-        one = dirac.random_commuting_unitary(q[i], m[i], seed=seeds[i], doubled=doubled)
-        assert np.array_equal(s[i], one)
         if kind == "identity":
             s[i] = np.eye(len(s[i]))
         elif kind == "exp":
@@ -199,11 +196,7 @@ def test_stacked_joint_diagonalization_matches_per_row_calls(stack, doubled):
 
 def test_stacked_calls_check_their_rows():
     q, m = np.ones((3, 3)), np.ones(3)
-    with pytest.raises(ValueError):
-        dirac.random_commuting_unitary(q, m, seed=5)  # one seed per momentum
-    with pytest.raises(ValueError):
-        dirac.random_commuting_unitary(q, m, seed=[5, 6])
-    s = dirac.random_commuting_unitary(q, m, seed=[5, 6, 7])
+    s = dirac.random_commuting_unitary(q, m, seed=5)
     with pytest.raises(ValueError):
         dirac.simultaneous_diagonalize(q[:2], m[:2], s)  # one S per momentum
     s[1] = s[1] @ np.diag([1, 1, 1, -1])  # commutes no longer
@@ -318,6 +311,22 @@ def test_random_commuting_unitary_needs_a_seed():
         dirac.random_commuting_unitary((1.0, 2.0, 2.0), 1.0)
     with pytest.raises(ValueError, match="seed"):
         dirac.random_commuting_unitary((1.0, 2.0, 2.0), 1.0, seed=None)
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_random_commuting_unitary_draws_a_stack_from_one_generator(doubled):
+    rng = np.random.default_rng(3)
+    q, m = rng.uniform(-10, 10, (50, 3)), rng.uniform(0, 10, 50)
+    state = rng.bit_generator.state
+    s = dirac.random_commuting_unitary(q, m, rng, doubled=doubled)
+    rng.bit_generator.state = state
+    assert np.array_equal(dirac.random_commuting_unitary(q, m, rng, doubled=doubled), s)
+    h = dirac.build_doubled(q, m) if doubled else dirac.build_hamiltonian(q, m)
+    for one_h, one_s in zip(h, s):
+        ok, defect = dirac.commutes(one_h, one_s, tol=1e-12)
+        assert ok, defect
+    # each row draws its own blocks
+    assert len({np.round(one_s, 6).tobytes() for one_s in s}) == len(s)
 
 
 MIXED_ROWS = ["good", "not unitary", "identity", "not commuting", "leaking", "good"]
