@@ -16,7 +16,7 @@ sup over the tail of |residual * L| must not exceed 10x the median of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,10 +32,6 @@ __all__ = [
     "fit",
     "classify",
 ]
-
-_KINDS = ("log", "powerlog", "polylog")
-_COEFFICIENT_NAMES = {"log": ("phi", "psi"), "powerlog": ("phi", "psi", "nu", "mu")}
-
 
 class ModelMismatchError(ValueError):
     """Samples are not purely imaginary on the tail, so the models do not apply."""
@@ -56,72 +52,120 @@ class UnclassifiedDivergenceError(ValueError):
         self.reports = tuple(reports)
 
 
-@dataclass(frozen=True)
-class LogModel:
-    phi: float
-    psi: float
-    kind: str = "log"
+def _number(key, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"model entry {key!r} must be a number, not {value!r}")
+    return float(value)
 
-    def basis(self, L):
-        return np.column_stack([np.log(L), np.ones_like(L)])
+
+def _basis(terms, L):
+    logl = np.log(L)
+    return np.column_stack([L**a * logl**b for a, b in terms])
+
+
+class _Model:
+    """Each model lists its terms once, one (a, b) pair per coefficient
+    meaning L^a ln^b L, with (0, 0) the finite constant; the basis, the
+    divergent part, the coefficient names and the model dict follow."""
+
+    order = 2  # the power of the coupling that the fitted coefficient multiplies
+    # each sum over terms starts here: -0.0 is the identity of float addition,
+    # so a log or power-log sum is its terms' bit for bit; a poly-log sum has
+    # always started from +0.0, which turns a -0.0 sum into +0.0
+    zero = -0.0
+
+    @property
+    def names(self):
+        return tuple(f.name for f in fields(self) if f.name != "kind")
 
     @property
     def coefficients(self):
-        return np.array([self.phi, self.psi])
+        return np.array([getattr(self, name) for name in self.names], dtype=float)
+
+    def divergent_terms(self):
+        """((a, b), c) for each term but the constant, in term order."""
+        return [(t, c) for t, c in zip(self.terms, self.coefficients) if t != (0, 0)]
 
     def divergent_part(self, L):
         """The terms subtracted under regularization (constant excluded)."""
-        return self.phi * np.log(L)
+        logl = np.log(L)
+        return sum((c * (L**a * logl**b) for (a, b), c in self.divergent_terms()), self.zero)
+
+    def to_dict(self):
+        """The model's entry in ``fit.json``; :func:`model_from_dict` reads it."""
+        return {"kind": self.kind, **dict(zip(self.names, self.coefficients.tolist()))}
+
+    @classmethod
+    def _from_dict(cls, payload):
+        return cls(*[_number(f.name, payload.get(f.name)) for f in fields(cls) if f.name != "kind"])
 
 
 @dataclass(frozen=True)
-class PowerLogModel:
+class LogModel(_Model):
+    phi: float
+    psi: float
+    kind: str = "log"
+    terms = ((0, 1), (0, 0))
+
+
+@dataclass(frozen=True)
+class PowerLogModel(_Model):
     phi: float
     psi: float
     nu: float
     mu: float
     kind: str = "powerlog"
+    terms = ((2, 0), (1, 0), (0, 1), (0, 0))
 
-    def basis(self, L):
-        return np.column_stack([L**2, L, np.log(L), np.ones_like(L)])
 
-    @property
-    def coefficients(self):
-        return np.array([self.phi, self.psi, self.nu, self.mu])
-
-    def divergent_part(self, L):
-        return self.phi * L**2 + self.psi * L + self.nu * np.log(L)
+def _polylog_terms(degree):
+    return tuple((0, p) for p in range(degree + 1))
 
 
 @dataclass(frozen=True)
-class PolyLogModel:
+class PolyLogModel(_Model):
     """Coefficients phi_p of ln^p L, p = 0..degree, for the series order
     ``order`` (the power of the coupling this coefficient multiplies)."""
 
     table: tuple
     order: int = 2
     kind: str = "polylog"
+    zero = 0.0
 
     @property
     def degree(self):
         return len(self.table) - 1
 
-    def basis(self, L):
-        return np.column_stack([np.log(L) ** p for p in range(len(self.table))])
+    @property
+    def terms(self):
+        return _polylog_terms(self.degree)
+
+    @property
+    def names(self):
+        return tuple(f"ln^{b}" for _, b in self.terms)
 
     @property
     def coefficients(self):
         return np.asarray(self.table, dtype=float)
 
-    def divergent_part(self, L):
-        logl = np.log(L)
-        return sum(c * logl**p for p, c in enumerate(self.table) if p >= 1)
+    def to_dict(self):
+        return {"kind": self.kind, "table": self.coefficients.tolist(), "order": self.order}
+
+    @classmethod
+    def _from_dict(cls, payload):
+        table, order = payload.get("table"), payload.get("order", 2)
+        if not (isinstance(table, list) and table and type(order) is int and order >= 1):
+            raise ValueError("model entry 'table' must be a non-empty list, 'order' an int >= 1")
+        return cls(tuple(_number("table", c) for c in table), order)
+
+
+_MODELS = {model.kind: model for model in (LogModel, PowerLogModel, PolyLogModel)}
+_KINDS = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
 class FitReport:
     model: object
-    window: tuple  # (L_lo, L_hi)
     stderr: np.ndarray
     residuals: np.ndarray  # Im(value) - fit, over the window
     grid: np.ndarray  # window L values
@@ -129,17 +173,9 @@ class FitReport:
     decay_ok: bool  # remainder behaves like O(1/L) on the tail
 
     def to_dict(self):
-        model = {"kind": self.model.kind}
-        if self.model.kind == "polylog":
-            model["table"] = list(self.model.coefficients)
-            model["order"] = self.model.order
-        else:
-            names = _COEFFICIENT_NAMES[self.model.kind]
-            for name, value in zip(names, self.model.coefficients):
-                model[name] = float(value)
         return {
-            "model": model,
-            "window": [float(self.window[0]), float(self.window[1])],
+            "model": self.model.to_dict(),
+            "window": [float(self.grid[0]), float(self.grid[-1])],
             "stderr": [float(s) for s in self.stderr],
             "residuals": [float(r) for r in self.residuals],
             "grid": [float(x) for x in self.grid],
@@ -150,32 +186,12 @@ class FitReport:
 
 def model_from_dict(payload):
     """The model of a ``FitReport.to_dict()["model"]`` dict; other keys are
-    ignored.  Raises ``ValueError`` on an unknown kind or a missing or
-    non-numeric entry."""
+    ignored.  Raises ``ValueError`` on an unknown kind, a coefficient that is
+    missing or not a JSON number, or a poly-log's empty table or order < 1."""
     kind = payload.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r} (one of {_KINDS})")
-    try:
-        if kind == "polylog":
-            table = [float(c) for c in payload["table"]]
-            return _make_model(kind, table, int(payload.get("order", 2)))
-        coeffs = [float(payload[name]) for name in _COEFFICIENT_NAMES[kind]]
-        return _make_model(kind, coeffs, None)
-    except (KeyError, TypeError) as exc:  # a missing or a non-numeric entry
-        raise ValueError(f"malformed {kind} model dict: {exc!r}") from None
-
-
-def _make_model(kind, coeffs, order):
-    if kind == "log":
-        return LogModel(*coeffs)
-    if kind == "powerlog":
-        return PowerLogModel(*coeffs)
-    return PolyLogModel(table=tuple(coeffs), order=order)
-
-
-def _prototype(kind, degree):
-    ncoef = len(_COEFFICIENT_NAMES[kind]) if kind in _COEFFICIENT_NAMES else degree + 1
-    return _make_model(kind, [0.0] * ncoef, 2)
+    return _MODELS[kind]._from_dict(payload)
 
 
 def _tail_length(n, tail_fraction):
@@ -205,8 +221,8 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
         raise ValueError(f"unknown model kind '{kind}' (one of {_KINDS})")
     n = len(samples.grid)
     start = n - _tail_length(n, tail_fraction)
-    proto = _prototype(kind, degree)
-    ncoef = len(proto.coefficients)
+    terms = _polylog_terms(degree) if kind == "polylog" else _MODELS[kind].terms
+    ncoef = len(terms)
     grid = samples.grid[start:]
     values = samples.values[start:]
     if len(grid) <= ncoef:
@@ -221,7 +237,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
             "samples have non-negligible real parts on the tail; the divergence "
             "models are purely imaginary"
         )
-    design = proto.basis(grid)
+    design = _basis(terms, grid)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values.imag, rcond=None)
     if rank < ncoef:
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")
@@ -235,8 +251,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)
     decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), floor))
     return FitReport(
-        model=_make_model(kind, coeffs, 2),
-        window=(float(grid[0]), float(grid[-1])),
+        model=PolyLogModel(tuple(coeffs)) if kind == "polylog" else _MODELS[kind](*coeffs),
         stderr=stderr,
         residuals=residuals,
         grid=grid,

@@ -123,8 +123,7 @@ def _settings(args):
     """The JSON config with each given flag merged over the key it overrides;
     a key that the subcommand does not read is refused.
 
-    ``--out`` has a default, so it always wins.  In regularize an explicit
-    model dict beats ``--model``.
+    In regularize an explicit model dict beats ``--model``.
     """
     config = _read_json(args.config) if args.config else {}
     # every flag dest but those two, which override no top-level key
@@ -149,7 +148,7 @@ def _settings(args):
 
 
 def _out_dir(config):
-    out = Path(_get(config, "out", str))
+    out = Path(_get(config, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -303,15 +302,9 @@ def cmd_fit(config):
         )
         raise
     _write_json(_out_dir(config) / "fit.json", report.to_dict())
-    names = (
-        [f"ln^{p}" for p in range(len(report.model.coefficients))]
-        if report.model.kind == "polylog"
-        else ["phi", "psi", "nu", "mu"][: len(report.model.coefficients)]
-    )
-    summary = ", ".join(
-        f"{n}={c:.6g}" for n, c in zip(names, report.model.coefficients)
-    )
-    print(f"fit: {report.model.kind} [{summary}], decay_ok={report.decay_ok}")
+    model = report.model
+    summary = ", ".join(f"{n}={c:.6g}" for n, c in zip(model.names, model.coefficients))
+    print(f"fit: {model.kind} [{summary}], decay_ok={report.decay_ok}")
     return 0
 
 
@@ -529,7 +522,7 @@ def _build_parser():
     for name in ("spectra", "integrate", "fit", "regularize", "check", "resum"):
         commands[name] = sub.add_parser(name)
         commands[name].add_argument("--config", help="JSON config file")
-        commands[name].add_argument("--out", default=".", help="output directory")
+        commands[name].add_argument("--out", help="output directory (default: .)")
     for flag, names, options in _FLAGS:
         for name in names:
             commands[name].add_argument(flag, **options)

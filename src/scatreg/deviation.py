@@ -104,42 +104,18 @@ class DeviationFactor:
         }
 
 
-def factor_from_model(model, eps, order=2):
+def factor_from_model(model, eps):
     """Deviation factor absorbing a fitted model's divergent terms.
 
-    Log and PowerLog exponents are scaled by eps^order (second-order coupling
-    by default); a PolyLog model contributes eps^m with its own
-    series order m, and a sequence of PolyLog models is summed per ln power.
-    Constant model terms are left out: they are finite and stay in the
-    convergent remainder.
+    Each divergent term c L^a ln^b L puts eps^order c into the L^2, L or
+    ln^b L slot, where ``order`` is the model's own coupling order; every
+    model lists its ln terms by ascending power from 1.  Constant model terms
+    are left out: they are finite and stay in the convergent remainder.
     """
-    from .asymfit import LogModel, PolyLogModel, PowerLogModel
-
     eps = float(eps)
-    if isinstance(model, LogModel):
-        return DeviationFactor(
-            log_coeffs=(eps**order * model.phi,), eps=eps, eps_order=order
-        )
-    if isinstance(model, PowerLogModel):
-        return DeviationFactor(
-            quad_coeff=eps**order * model.phi,
-            linear_coeff=eps**order * model.psi,
-            log_coeffs=(eps**order * model.nu,),
-            eps=eps,
-            eps_order=order,
-        )
-    models = [model] if isinstance(model, PolyLogModel) else list(model)
-    if not all(isinstance(m, PolyLogModel) for m in models):
-        raise TypeError(f"cannot build a deviation factor from {model!r}")
-    max_p = max(m.degree for m in models)
-    coeffs = np.zeros(max_p)
-    for m in models:
-        for p in range(1, m.degree + 1):
-            coeffs[p - 1] += eps**m.order * m.table[p]
-    single = models[0].order if len(models) == 1 else None
-    return DeviationFactor(
-        log_coeffs=tuple(coeffs), eps=eps, eps_order=single
-    )
+    slots = {term: model.zero + eps**model.order * c for term, c in model.divergent_terms()}
+    quad, linear = slots.pop((2, 0), 0.0), slots.pop((1, 0), 0.0)
+    return DeviationFactor(quad, linear, tuple(slots.values()), eps=eps, eps_order=model.order)
 
 
 def regularize_coefficient(samples, model):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from scatreg.asymfit import (
     fit,
 )
 from scatreg.ballquad import CutoffSamples
+from scatreg.deviation import DeviationFactor, factor_from_model
 
 
 def make_samples(grid, imag_values):
@@ -208,3 +210,91 @@ def test_median_matches_numpy_bit_for_bit(values):
         got, expected = asymfit._median(values), np.median(values)
     assert type(got) is type(expected)
     assert got.tobytes() == expected.tobytes()
+
+
+# The per-kind formulas each model class wrote out by hand before the models
+# shared one term list.  The shared code must match them bit for bit, -0.0
+# included.
+def reference_basis(model, L):
+    if model.kind == "log":
+        return np.column_stack([np.log(L), np.ones_like(L)])
+    if model.kind == "powerlog":
+        return np.column_stack([L**2, L, np.log(L), np.ones_like(L)])
+    return np.column_stack([np.log(L) ** p for p in range(len(model.table))])
+
+
+def reference_divergent_part(model, L):
+    if model.kind == "log":
+        return model.phi * np.log(L)
+    if model.kind == "powerlog":
+        return model.phi * L**2 + model.psi * L + model.nu * np.log(L)
+    logl = np.log(L)
+    return sum(c * logl**p for p, c in enumerate(model.table) if p >= 1)
+
+
+def reference_model_dict(model):
+    payload = {"kind": model.kind}
+    if model.kind == "polylog":
+        payload["table"] = list(np.asarray(model.table, dtype=float))
+        payload["order"] = model.order
+    else:
+        names = {"log": ("phi", "psi"), "powerlog": ("phi", "psi", "nu", "mu")}[model.kind]
+        for name in names:
+            payload[name] = float(getattr(model, name))
+    return payload
+
+
+def reference_factor(model, eps, order=2):
+    eps = float(eps)
+    if model.kind == "log":
+        return DeviationFactor(log_coeffs=(eps**order * model.phi,), eps=eps, eps_order=order)
+    if model.kind == "powerlog":
+        return DeviationFactor(
+            quad_coeff=eps**order * model.phi,
+            linear_coeff=eps**order * model.psi,
+            log_coeffs=(eps**order * model.nu,),
+            eps=eps,
+            eps_order=order,
+        )
+    coeffs = np.zeros(model.degree)
+    for p in range(1, model.degree + 1):
+        coeffs[p - 1] += eps**model.order * model.table[p]
+    return DeviationFactor(log_coeffs=tuple(coeffs), eps=eps, eps_order=model.order)
+
+
+COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+MODELS = st.one_of(
+    st.builds(asymfit.LogModel, COEFFICIENT, COEFFICIENT),
+    st.builds(asymfit.PowerLogModel, COEFFICIENT, COEFFICIENT, COEFFICIENT, COEFFICIENT),
+    st.builds(asymfit.PolyLogModel, st.lists(COEFFICIENT, min_size=1, max_size=5).map(tuple),
+              st.integers(1, 4)),
+)
+# cutoffs on both sides of L = 1, where ln L is 0
+CUTOFFS = st.lists(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1e5), min_size=1, max_size=6)
+
+
+def bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(model=MODELS, cutoffs=CUTOFFS, eps=st.sampled_from([0.0, -0.0]) | st.floats(-2, 2))
+def test_shared_terms_match_the_per_kind_formulas_bit_for_bit(model, cutoffs, eps):
+    L = np.array(cutoffs)
+    assert bits(asymfit._basis(model.terms, L)) == bits(reference_basis(model, L))
+    assert bits(model.divergent_part(L)) == bits(reference_divergent_part(model, L))
+    payload = model.to_dict()
+    assert payload == reference_model_dict(model)
+    # json.dumps tells -0.0 from 0.0, which == does not
+    assert json.dumps(payload, sort_keys=True) == json.dumps(
+        reference_model_dict(model), sort_keys=True
+    )
+    assert asymfit.model_from_dict(payload) == model
+    got, expected = factor_from_model(model, eps), reference_factor(model, eps)
+    assert (got.eps, got.eps_order, len(got.log_coeffs)) == (
+        expected.eps, expected.eps_order, len(expected.log_coeffs)
+    )
+    assert bits(got.quad_coeff, got.linear_coeff, *got.log_coeffs) == bits(
+        expected.quad_coeff, expected.linear_coeff, *expected.log_coeffs
+    )
+    assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())

@@ -576,6 +576,24 @@ def integrate_config(**overrides):
         ("resum", {"psi": [1.0, np.nan, 0.25], "phi": 2.0}, [], 2),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": [np.inf]}, [], 2),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": []}, [], 2),
+        # model dicts follow the JSON-type rule: numbers for coefficients, a
+        # non-empty list for a table and an integer >= 1 for the order
+        ("regularize", {"model": {"kind": "log", "phi": "1.5", "psi": 0.0}},
+         ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "log", "phi": 1.5, "psi": True}},
+         ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": [1, "2"]}},
+         ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": "12"}}, ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": []}}, ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": [0.0, 3.0], "order": 2.7}},
+         ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": [0.0, 3.0], "order": True}},
+         ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": [0.0, 3.0], "order": 0}},
+         ["--samples", "log.csv"], 2),
+        ("regularize", {"model": {"kind": "polylog", "table": [0.0, 3.0], "order": -1},
+                        "epsilon": 0.5}, ["--samples", "log.csv"], 2),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -598,6 +616,39 @@ def test_malformed_invocations_exit_with_documented_code(
     assert code == expected
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"kind": "log", "phi": "1.5", "psi": 0.0},
+     {"kind": "polylog", "table": [0.0, 3.0], "order": -1}],
+    ids=["string-coefficient", "negative-order"],
+)
+def test_fit_report_with_a_malformed_model_exits_2(tmp_path, capsys, model):
+    grid = np.geomspace(10, 1e4, 17)
+    samples = tmp_path / "log.csv"
+    samples.write_text("\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]))
+    report = tmp_path / "fit.json"
+    report.write_text(json.dumps({"model": model}))
+    code, out = run(tmp_path, "regularize", {"fit_report": str(report)},
+                    ["--samples", str(samples)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("regularize: model entr")
+
+
+def test_config_out_key_is_honoured_and_the_flag_beats_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "resum.json"
+    config.write_text(json.dumps({"psi": [1.0, 0.5], "phi": 2.0}))
+    assert main(["resum", "--config", str(config)]) == 0
+    assert (tmp_path / "resum_residuals.csv").exists()  # the default is the cwd
+    config.write_text(json.dumps({"psi": [1.0, 0.5], "phi": 2.0, "out": "elsewhere"}))
+    assert main(["resum", "--config", str(config)]) == 0
+    assert (tmp_path / "elsewhere" / "resum_residuals.csv").exists()
+    assert main(["resum", "--config", str(config), "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "resum_residuals.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "elsewhere", "flag", "resum.json", "resum_residuals.csv"]
 
 
 @pytest.mark.parametrize("l_grid", [

@@ -41,9 +41,10 @@ def test_polylog_factor_sums_coupling_orders():
     factor = factor_from_model(m2, eps=0.1)
     assert factor.log_coeffs == (pytest.approx(0.05),)
     m3 = PolyLogModel(table=(1.0, 2.0, 4.0), order=3)
-    both = factor_from_model([m2, m3], eps=0.1)
-    assert both.log_coeffs[0] == pytest.approx(0.05 + 1e-3 * 2.0)
-    assert both.log_coeffs[1] == pytest.approx(1e-3 * 4.0)
+    third = factor_from_model(m3, eps=0.1)
+    assert third.log_coeffs[0] == pytest.approx(1e-3 * 2.0)
+    assert third.log_coeffs[1] == pytest.approx(1e-3 * 4.0)
+    assert third.eps_order == 3
 
 
 def test_factor_evaluation_trivia():
