@@ -219,10 +219,11 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind '{kind}' (one of {_KINDS})")
+    if kind == "polylog" and degree < 0:
+        raise ValueError(f"polylog degree must be at least 0, got {degree}")
     n = len(samples.grid)
     start = n - _tail_length(n, tail_fraction)
-    terms = _polylog_terms(degree) if kind == "polylog" else _MODELS[kind].terms
-    ncoef = len(terms)
+    ncoef = degree + 1 if kind == "polylog" else len(_MODELS[kind].terms)
     grid = samples.grid[start:]
     values = samples.values[start:]
     if len(grid) <= ncoef:
@@ -237,7 +238,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
             "samples have non-negligible real parts on the tail; the divergence "
             "models are purely imaginary"
         )
-    design = _basis(terms, grid)
+    design = _basis(_polylog_terms(degree) if kind == "polylog" else _MODELS[kind].terms, grid)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values.imag, rcond=None)
     if rank < ncoef:
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")

@@ -18,6 +18,8 @@ runs follows from the integrand alone:
 
 The radial axis is split at a = 4 max(|m|, |q|), graded on [0, a] and
 logarithmic on [a, L]; the error estimate is |I(n) - I(n/2)|, orders halved.
+Before either rule runs, the singularity screen scans each denominator on a
+coarse grid that the rules' point map places in the ball.
 
 The product rules are summed in chunks of ``_CHUNK`` consecutive grid points,
 each built from the axis nodes it uses, so memory stays bounded whatever the
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrand import evaluate, o4_invariant, screen_singularities
+from .integrand import evaluate, o4_invariant, scan_denominators
 
 __all__ = [
     "SingularIntegrandError",
@@ -43,6 +45,7 @@ __all__ = [
     "CutoffSamples",
     "integrate_ball",
     "sample_over_cutoffs",
+    "screen_singularities",
 ]
 
 _CHUNK = 1 << 19  # evaluation points per reduction chunk
@@ -154,26 +157,45 @@ def _radial(radius, n, split=0.0):
     return np.concatenate([r, outer]), np.concatenate([wr, wu * outer])
 
 
+def _point_map(r, chi, theta=None, phi=None):
+    """p0..p3 at the given axis-node indices: (i, j, k, l) on the axes (r, chi,
+    theta, phi), or (i, j) on the theta = phi = 0 slice of (r, chi) when only
+    chi is given, where p2 = p3 = 0 (cos 0 = 1 and sin 0 = 0 exactly)."""
+    coschi, sinchi = np.cos(chi), np.sin(chi)
+    if theta is None:
+        return lambda i, j: {"p0": r[i] * coschi[j], "p1": r[i] * sinchi[j], "p2": 0.0, "p3": 0.0}
+    costh, sinth, cosphi, sinphi = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+
+    def points(i, j, k, l):
+        r_sinchi = r[i] * sinchi[j]
+        r_sinchi_sinth = r_sinchi * sinth[k]
+        return {"p0": r[i] * coschi[j], "p1": r_sinchi * costh[k],
+                "p2": r_sinchi_sinth * cosphi[l], "p3": r_sinchi_sinth * sinphi[l]}
+
+    return points
+
+
+def _rotated(q4):
+    """q rotated onto the p0 axis, where an O(4)-invariant integrand sees only |q|."""
+    return np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0])
+
+
+def _flat(points, shape, run=slice(None)):
+    # each array coordinate broadcast to the grid's shape, flattened, cut to run
+    return {
+        k: v if np.ndim(v) == 0 else np.broadcast_to(v, shape).reshape(-1)[run]
+        for k, v in points.items()
+    }
+
+
 def _tensor_rule(q4, radius, spec, split=0.0):
     """The 4-D product rule in (r, chi, theta, phi): axis weights, point map, q."""
     r, wr = _radial(radius, spec.radial_order, split)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
     theta, wth = _gauss(spec.angular_orders[1], 0.0, np.pi)
     phi, wphi = _gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
-    coschi, costh, cosphi = np.cos(chi), np.cos(theta), np.cos(phi)
-    sinchi, sinth, sinphi = np.sin(chi), np.sin(theta), np.sin(phi)
-
-    def points(i, j, k, l):
-        r_sinchi = r[i] * sinchi[j]
-        return {
-            "p0": r[i] * coschi[j],
-            "p1": r_sinchi * costh[k],
-            "p2": r_sinchi * sinth[k] * cosphi[l],
-            "p3": r_sinchi * sinth[k] * sinphi[l],
-        }
-
-    weights = (wr * r**3, wchi * sinchi**2, wth * sinth, wphi)
-    return weights, points, q4
+    weights = (wr * r**3, wchi * np.sin(chi) ** 2, wth * np.sin(theta), wphi)
+    return weights, _point_map(r, chi, theta, phi), q4
 
 
 def _reduced_rule(q4, radius, spec, split=0.0):
@@ -185,13 +207,32 @@ def _reduced_rule(q4, radius, spec, split=0.0):
     """
     r, wr = _radial(radius, spec.radial_order, split)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
-    coschi, sinchi = np.cos(chi), np.sin(chi)
+    weights = (wr * r**3, 4 * np.pi * wchi * np.sin(chi) ** 2)
+    return weights, _point_map(r, chi), _rotated(q4)
 
-    def points(i, j):
-        return {"p0": r[i] * coschi[j], "p1": r[i] * sinchi[j], "p2": 0.0, "p3": 0.0}
 
-    weights = (wr * r**3, 4 * np.pi * wchi * sinchi**2)
-    return weights, points, np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0])
+def _scan_grid(radius, full=True):
+    """p0..p3 on the screen's coarse grid of the ball, flattened in C order of
+    (r, chi, theta, phi): 24 radial nodes r = L t^2, biased toward the origin,
+    and 10 per angle, phi without its endpoint.  ``full=False`` keeps the
+    theta = phi = 0 slice, the (r, chi) grid."""
+    angle = np.linspace(0.0, np.pi, 10)
+    axes = [radius * np.linspace(0.0, 1.0, 24) ** 2, angle]
+    if full:
+        axes += [angle, np.linspace(0.0, 2 * np.pi, 10, endpoint=False)]
+    shape = tuple(axis.size for axis in axes)
+    return _flat(_point_map(*axes)(*np.ix_(*map(np.arange, shape))), shape)
+
+
+def screen_singularities(expr, q, m, radius):
+    """Scan every denominator of ``expr`` on the coarse grid ``_scan_grid``.
+    An O(4)-invariant ``expr`` is scanned at q rotated onto p0, where its
+    value depends only on (r, chi): the (r, chi) slice stands for the grid.
+    Flags are set as :class:`scatreg.integrand.SingularityReport` says."""
+    full = not o4_invariant(expr)
+    q = np.asarray(q, dtype=float) if full else _rotated(q)
+    ctx = _scan_grid(radius, full) | {f"q{i}": q[i] for i in range(4)}
+    return scan_denominators(expr, ctx | {"m": float(m), "L": float(radius)})
 
 
 def _rule_sum(exprs, rule, m, radius):
@@ -210,11 +251,7 @@ def _rule_sum(exprs, rule, m, radius):
         index.append(np.arange(width))
         run = slice(start - first * width, start - first * width + _CHUNK)
         weight = functools.reduce(np.multiply, [w[i] for w, i in zip(weights, index)])
-        ctx = {
-            k: v if np.ndim(v) == 0 else np.broadcast_to(v, weight.shape).reshape(-1)[run]
-            for k, v in points(*index).items()
-        }
-        ctx.update(fixed)
+        ctx = _flat(points(*index), weight.shape, run) | fixed
         weight = weight.reshape(-1)[run]
         for expr, sums in zip(exprs, chunk_sums):
             if expr is not None:
@@ -252,11 +289,8 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
         report = screen_singularities(expr, q4, m, region.radius)
         if report.flagged:
             raise SingularIntegrandError(report)
-    rule = (
-        _reduced_rule
-        if all(expr is None or o4_invariant(expr) for expr in exprs)
-        else _tensor_rule
-    )
+    invariant = all(expr is None or o4_invariant(expr) for expr in exprs)
+    rule = _reduced_rule if invariant else _tensor_rule
     radius, split = region.radius, 4 * max(abs(m), float(np.linalg.norm(q4)))
     re, im = _rule_sum(exprs, rule(q4, radius, spec, split), m, radius)
     re_h, im_h = _rule_sum(exprs, rule(q4, radius, _halved(spec), split), m, radius)

@@ -219,16 +219,17 @@ def _get_samples(config):
     return _sample(config)
 
 
-def _fit_model(samples, config):
-    """The fit report of the config's model kind; "auto" classifies."""
+def _fitter(config):
+    """The fit of the config's model kind as a function of the samples; "auto"
+    classifies.  The config's fit keys are checked now, before any sampling."""
     from . import asymfit
 
     kind = _get(config, "model", str, "auto")
     tail = _get(config, "tail_fraction", float, 0.5)
     degree = _get(config, "degree", int, 2)
     if kind == "auto":
-        return asymfit.classify(samples, tail_fraction=tail, max_degree=degree + 2)
-    return asymfit.fit(samples, kind, tail_fraction=tail, degree=degree)
+        return lambda samples: asymfit.classify(samples, tail_fraction=tail, max_degree=degree + 2)
+    return lambda samples: asymfit.fit(samples, kind, tail_fraction=tail, degree=degree)
 
 
 def cmd_spectra(config):
@@ -291,9 +292,10 @@ def cmd_integrate(config):
 def cmd_fit(config):
     from .asymfit import UnclassifiedDivergenceError
 
+    fit_model = _fitter(config)
     samples = _get_samples(config)
     try:
-        report = _fit_model(samples, config)
+        report = fit_model(samples)
     except UnclassifiedDivergenceError as exc:
         _write_json(
             _out_dir(config) / "fit.json",
@@ -311,7 +313,6 @@ def cmd_fit(config):
 def cmd_regularize(config):
     from . import asymfit, deviation
 
-    samples = _get_samples(config)
     eps = _get(config, "epsilon", float, 0.1)
     model = _get(config, "model", (dict, str), "auto")
     fit_report = _get(config, "fit_report", str, None)
@@ -319,8 +320,10 @@ def cmd_regularize(config):
         model = asymfit.model_from_dict(model)
     elif fit_report is not None:
         model = asymfit.model_from_dict(_get(_read_json(fit_report), "model", dict))
-    else:
-        model = _fit_model(samples, config).model
+    fit_model = _fitter(config) if isinstance(model, str) else None
+    samples = _get_samples(config)
+    if fit_model:
+        model = fit_model(samples).model
     regular = deviation.regularize_coefficient(samples, model)
     factor = deviation.factor_from_model(model, eps)
     out = _out_dir(config)

@@ -18,7 +18,6 @@ evaluated elementwise.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ __all__ = [
     "pretty_print",
     "division_denominators",
     "o4_invariant",
-    "screen_singularities",
+    "scan_denominators",
     "VARIABLES",
     "BUILTINS",
 ]
@@ -42,7 +41,6 @@ VARIABLES = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3", "m", "L")
 BUILTINS = ("P2", "Q2", "PQ")
 _COORDINATES = VARIABLES[:8]  # p0..p3, q0..q3
 _SCREEN_THRESHOLD = 1e-8  # a denominator smaller than this on the scan is flagged
-_SCAN_RADIAL, _SCAN_ANGULAR = 24, 10  # coarse scan nodes in r and per angle
 
 
 class IntegrandSyntaxError(ValueError):
@@ -321,88 +319,43 @@ def o4_invariant(expr):
     )
 
 
+def _flag(min_abs, sign_change):
+    return min_abs < _SCREEN_THRESHOLD or sign_change
+
+
 @dataclass(frozen=True)
 class SingularityReport:
-    """Minimum |denominator| seen over a coarse scan of the ball |P| <= L."""
+    """Minimum |value| and sign change of each denominator over a scan; a
+    denominator is flagged when its minimum drops below ``_SCREEN_THRESHOLD``
+    or its sign changes (a zero that the scan straddled)."""
 
-    flagged: bool
-    min_abs_denominator: float
     details: tuple  # (denominator text, min |value|, sign change) per division
+
+    @property
+    def flagged(self):
+        return any(_flag(min_abs, sign_change) for _, min_abs, sign_change in self.details)
+
+    @property
+    def min_abs_denominator(self):
+        return min([np.inf, *(min_abs for _, min_abs, _ in self.details)])
 
     def __str__(self):
         if not self.details:
             return "no divisions: nothing to screen"
-        lines = []
-        for text, min_abs, sign_change in self.details:
-            status = "FLAG" if (min_abs < _SCREEN_THRESHOLD or sign_change) else "ok"
-            lines.append(
-                f"[{status}] 1/({text}): min |den| = {min_abs:.3e}"
-                + (", sign change inside ball" if sign_change else "")
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"[{'FLAG' if _flag(min_abs, sign_change) else 'ok'}] 1/({text}): "
+            f"min |den| = {min_abs:.3e}" + (", sign change inside ball" if sign_change else "")
+            for text, min_abs, sign_change in self.details
+        )
 
 
-@functools.lru_cache(maxsize=None)
-def _scan_axes():
-    # the radius-free factors of the scan grid, taken once and shared
-    # read-only: t^2 on the radial axis, the cosine and sine of each angle
-    chi = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None, None]
-    theta = np.linspace(0.0, np.pi, _SCAN_ANGULAR)[:, None]
-    phi = np.linspace(0.0, 2 * np.pi, _SCAN_ANGULAR, endpoint=False)
-    axes = [np.linspace(0.0, 1.0, _SCAN_RADIAL)[:, None, None, None] ** 2]
-    axes += [f(angle) for angle in (chi, theta, phi) for f in (np.cos, np.sin)]
-    for axis in axes:
-        axis.flags.writeable = False
-    return axes
-
-
-def _scan_points(radius, full=True):
-    """Deterministic coarse grid over the 4-ball, biased toward the origin.
-
-    The trig is taken on the axis nodes and the products broadcast over the
-    (r, chi, theta, phi) grid, in the same order as on a full meshgrid, so
-    each point has the same bits.  ``full=False`` keeps the theta = phi = 0
-    slice, the (r, chi) grid, where p2 = p3 = 0."""
-    t2, cos_chi, sin_chi, cos_th, sin_th, cos_phi, sin_phi = _scan_axes()
-    r = radius * t2
-    r_sinchi = r * sin_chi
-    if not full:  # cos 0 = 1 and sin 0 = 0 exactly
-        return {"p0": (r * cos_chi).ravel(), "p1": r_sinchi.ravel(), "p2": 0.0, "p3": 0.0}
-    r_sinchi_sinth = r_sinchi * sin_th
-    points = np.broadcast_arrays(
-        r * cos_chi, r_sinchi * cos_th, r_sinchi_sinth * cos_phi, r_sinchi_sinth * sin_phi
-    )
-    return {f"p{i}": p.ravel() for i, p in enumerate(points)}
-
-
-def screen_singularities(expr, q, m, radius):
-    """Scan every denominator of ``expr`` over a coarse grid of the ball.
-
-    Flags a denominator whose modulus drops below ``_SCREEN_THRESHOLD`` or whose sign
-    changes inside the ball (a zero crossing the coarse grid straddled).
-    An O(4)-invariant ``expr`` is scanned at q rotated onto p0, where its
-    value depends only on (r, chi): the (r, chi) slice stands for the grid.
-    Report-only; never raises for singular integrands.
-    """
-    full = not o4_invariant(expr)
-    q = np.asarray(q, dtype=float) if full else np.array([np.linalg.norm(q), 0.0, 0.0, 0.0])
-    ctx = _scan_points(radius, full)
-    ctx.update({f"q{i}": q[i] for i in range(4)})
-    ctx.update({"m": float(m), "L": float(radius)})
+def scan_denominators(expr, ctx):
+    """Scan every denominator of ``expr`` over the points bound in ``ctx``.
+    Report-only; never raises for singular integrands."""
     details = []
-    overall_min = np.inf
-    flagged = False
     for den in division_denominators(expr):
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(_eval(den, ctx), dtype=float)
-        min_abs = float(np.abs(values).min())
         sign_change = bool((values > 0).any() and (values < 0).any())
-        overall_min = min(overall_min, min_abs)
-        if min_abs < _SCREEN_THRESHOLD or sign_change:
-            flagged = True
-        details.append((pretty_print(den), min_abs, sign_change))
-    return SingularityReport(
-        flagged=flagged,
-        min_abs_denominator=float(overall_min),
-        details=tuple(details),
-    )
+        details.append((pretty_print(den), float(np.abs(values).min()), sign_change))
+    return SingularityReport(tuple(details))

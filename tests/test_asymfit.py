@@ -186,6 +186,20 @@ def test_classify_skips_degrees_the_tail_cannot_fit(monkeypatch):
     assert [r.model for r in hopeless.value.reports] == [r.model for r in fitting.value.reports]
 
 
+def test_negative_polylog_degree_is_refused_naming_it():
+    with pytest.raises(ValueError, match="degree must be at least 0, got -1"):
+        fit(log_samples(GRID), "polylog", degree=-1)
+
+
+def test_polylog_degree_past_the_tail_is_refused_before_any_term(monkeypatch):
+    def no_terms(degree):
+        raise AssertionError(f"built the terms of degree {degree}")
+
+    monkeypatch.setattr(asymfit, "_polylog_terms", no_terms)
+    with pytest.raises(IllPosedFitError, match="need more than 1000001 tail samples"):
+        fit(log_samples(GRID), "polylog", degree=10**6)
+
+
 # non-negative like the |residual * L| that fit hands in: among equal values
 # np.median's partition may pick either of 0.0 and -0.0
 MEDIAN_VALUES = st.one_of(

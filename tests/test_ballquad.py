@@ -14,9 +14,9 @@ from scatreg.ballquad import (
     SingularIntegrandError,
     integrate_ball,
     sample_over_cutoffs,
+    screen_singularities,
 )
-from scatreg import integrand
-from scatreg.integrand import evaluate, o4_invariant, parse_integrand, screen_singularities
+from scatreg.integrand import evaluate, o4_invariant, parse_integrand
 
 RATIONAL = parse_integrand("1/(P2+1)^2")
 
@@ -90,6 +90,17 @@ def test_radial_oracle_basics():
 def test_singular_integrand_refused():
     with pytest.raises(SingularIntegrandError):
         integrate_ball(None, parse_integrand("1/P2"), (0, 0, 0), 0.0, BallRegion(1.0))
+
+
+def test_coordinate_integrand_flagged_on_the_4d_grid():
+    # it names p1, so the screen scans the whole (r, chi, theta, phi) grid,
+    # which the plane p1 = 0.3 cuts inside the ball
+    f = parse_integrand("1/(p1-0.3)")
+    with pytest.raises(SingularIntegrandError) as caught:
+        integrate_ball(f, None, (0, 0, 0), 0.0, BallRegion(1.0))
+    assert str(caught.value.report) == (
+        "[FLAG] 1/(p1 - 0.3): min |den| = 1.521e-03, sign change inside ball"
+    )
 
 
 def test_sample_over_cutoffs_constant():
@@ -239,10 +250,10 @@ def test_invariant_screen_scans_the_rotated_slice(source, radius, m, q):
     rotated = np.array([np.linalg.norm(q), 0.0, 0.0, 0.0])
     sliced = screen_singularities(f, q, m, radius)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(integrand, "o4_invariant", lambda expr: False)
+        patch.setattr(ballquad, "o4_invariant", lambda expr: False)
         full = screen_singularities(f, rotated, m, radius)
     assert sliced == full
-    assert integrand._scan_points(radius, full=False)["p0"].size == 240
+    assert ballquad._scan_grid(radius, full=False)["p0"].size == 240
 
 
 # Reference: product rules that materialize every coordinate and weight of

@@ -594,6 +594,10 @@ def integrate_config(**overrides):
          ["--samples", "log.csv"], 2),
         ("regularize", {"model": {"kind": "polylog", "table": [0.0, 3.0], "order": -1},
                         "epsilon": 0.5}, ["--samples", "log.csv"], 2),
+        # a poly-log degree below 0, or one the tail cannot fit, is refused
+        # before its terms are built
+        ("fit", {"degree": -1}, ["--samples", "log.csv", "--model", "polylog"], 2),
+        ("fit", {"degree": 10**6}, ["--samples", "log.csv", "--model", "polylog"], 5),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -634,6 +638,38 @@ def test_fit_report_with_a_malformed_model_exits_2(tmp_path, capsys, model):
                     ["--samples", str(samples)])
     assert code == 2 and not out.exists()
     assert capsys.readouterr().err.startswith("regularize: model entr")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("fit", {"model": 5}, "config key 'model' has the wrong type: 5"),
+        ("fit", {"tail_fraction": "0.5"}, "config key 'tail_fraction' has the wrong type: '0.5'"),
+        ("fit", {"degree": "2"}, "config key 'degree' has the wrong type: '2'"),
+        ("regularize", {"epsilon": "0.1"}, "config key 'epsilon' has the wrong type: '0.1'"),
+        ("regularize", {"model": 5}, "config key 'model' has the wrong type: 5"),
+        ("regularize", {"fit_report": 5}, "config key 'fit_report' has the wrong type: 5"),
+        ("regularize", {"tail_fraction": "0.5"},
+         "config key 'tail_fraction' has the wrong type: '0.5'"),
+        ("regularize", {"degree": "2"}, "config key 'degree' has the wrong type: '2'"),
+        ("regularize", {"model": {"kind": "log", "psi": 1.0}},
+         "model entry 'phi' must be a number, not None"),
+        ("regularize", {"fit_report": "missing.json"}, "No such file or directory"),
+        ("regularize", {"fit_report": "report.json"}, "model entry 'psi' must be a number"),
+    ],
+)
+def test_fit_keys_are_checked_before_sampling(tmp_path, monkeypatch, capsys, command,
+                                              overrides, message):
+    def no_sampling(config):
+        raise AssertionError("sampled before the fit keys were checked")
+
+    monkeypatch.setattr(cli, "_sample", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report.json").write_text(json.dumps({"model": {"kind": "log", "phi": 1.0}}))
+    code, out = run(tmp_path, command, integrate_config(**overrides))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and not out.exists()
+    assert len(err) == 1 and err[0].startswith(f"{command}: ") and message in err[0]
 
 
 def test_config_out_key_is_honoured_and_the_flag_beats_it(tmp_path, monkeypatch):
@@ -837,13 +873,13 @@ def test_each_subcommand_loads_only_the_modules_it_runs(
 PACKAGE_EXPORTS = {
     "asymfit": ["LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"],
     "ballquad": ["BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
-                 "sample_over_cutoffs"],
+                 "sample_over_cutoffs", "screen_singularities"],
     "deviation": ["DeviationFactor", "class_a_check", "factor_from_model",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"],
     "dirac": ["build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
               "eigenvectors_closed_form", "random_commuting_unitary",
               "simultaneous_diagonalize", "spectral_subspaces"],
-    "integrand": ["evaluate", "parse_integrand", "pretty_print", "screen_singularities"],
+    "integrand": ["evaluate", "parse_integrand", "pretty_print"],
 }
 
 

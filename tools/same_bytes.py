@@ -14,7 +14,8 @@ One line is printed per difference; the exit code is 1 if there is any, and
 0 otherwise.
 
 The scenarios: the README configs, the stage configs of the benchmark's two
-cutoff workloads, fit and regularize with every ``--model`` kind on
+cutoff workloads, integrate configs that the singularity screen flags or
+passes, fit and regularize with every ``--model`` kind on
 synthetic log, power-log and poly-log samples, model dicts with +-0.0
 entries, and ``check`` at seeds 1-3 with 1, 300 and 2000 trials.
 """
@@ -99,6 +100,28 @@ WORKLOAD_CONFIGS = {
     },
 }
 
+# integrate configs for the singularity screen: an invariant integrand that it
+# flags on the (r, chi) slice, a coordinate one that it flags on the 4-D grid,
+# and a clean pair of parts, one of each kind, at a 3-component q
+SCREEN_CONFIGS = {
+    "screen-invariant-flagged": {
+        "integrand_im": "1/(P2-4)",
+        "L_grid": {"start": 3.0, "ratio": 2.0, "count": 3},
+    },
+    "screen-coordinate-flagged": {
+        "integrand_re": "1/(p1-0.3)",
+        "L_grid": {"start": 1.0, "ratio": 2.0, "count": 3},
+    },
+    "screen-clean-parts": {
+        "integrand_re": "p1^2/(P2+1)^3",
+        "integrand_im": "1/(P2+m^2)^2",
+        "m": 1.0,
+        "q": [0.3, -0.2, 0.5],
+        "L_grid": {"start": 10.0, "ratio": 2.0, "count": 3},
+        "quadrature": {"radial_order": 24, "angular_orders": [12, 12, 12]},
+    },
+}
+
 
 def scenarios():
     """(name, {file: text}, [argv, ...]) for every scenario."""
@@ -115,6 +138,9 @@ def scenarios():
            [["resum", "--config", "resum.json", "--out", "out"]])
     for name, config in WORKLOAD_CONFIGS.items():
         yield name, {"integrate.json": json.dumps(config)}, pipeline
+    for name, config in SCREEN_CONFIGS.items():
+        yield (name, {"integrate.json": json.dumps(config)},
+               [["integrate", "--config", "integrate.json", "--out", "out"]])
     samples = _synthetic_samples()
     for csv in samples:
         for kind in ("log", "powerlog", "polylog", "auto"):
