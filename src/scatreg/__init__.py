@@ -7,6 +7,8 @@ Subpackages by capability:
 * :mod:`scatreg.integrand` -- small expression language for rational
   integrands F(P, Q).
 * :mod:`scatreg.ballquad` -- cutoff integrals over the 4-ball, singularity screening.
+* :mod:`scatreg.samples` -- cutoff samples, the values that the integrals give
+  and the fits read (re-exported by :mod:`scatreg.ballquad`).
 * :mod:`scatreg.asymfit` -- least-squares extraction of divergence
   coefficients (log, power-log, poly-log models).
 * :mod:`scatreg.deviation` -- deviation factors U0(L, q), regularized series,
@@ -21,14 +23,15 @@ import importlib
 
 _EXPORTS = {
     "asymfit": ("LogModel", "PolyLogModel", "PowerLogModel", "classify", "fit"),
-    "ballquad": ("BallRegion", "CutoffSamples", "QuadratureSpec", "integrate_ball",
-                 "sample_over_cutoffs", "screen_singularities"),
+    "ballquad": ("BallRegion", "QuadratureSpec", "integrate_ball", "sample_over_cutoffs",
+                 "screen_singularities"),
     "deviation": ("DeviationFactor", "class_a_check", "factor_from_model",
                   "regularize_coefficient", "regularized_series", "resum_coulomb_series"),
     "dirac": ("build_doubled", "build_hamiltonian", "commutes", "eigenvalues",
               "eigenvectors_closed_form", "joint_diagonalize", "random_commuting_unitary",
               "simultaneous_diagonalize", "spectral_subspaces"),
     "integrand": ("evaluate", "parse_integrand", "pretty_print"),
+    "samples": ("CutoffSamples",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

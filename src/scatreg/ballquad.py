@@ -32,11 +32,12 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .integrand import evaluate, o4_invariant, scan_denominators
+from .samples import CutoffSamples
 
 __all__ = [
     "SingularIntegrandError",
@@ -85,36 +86,6 @@ class QuadratureSpec:
             raise ValueError(f"need three integer angular_orders: {self.angular_orders}")
         if not all(2 <= n <= _MAX_ORDER for n in (self.radial_order, *self.angular_orders)):
             raise ValueError(f"quadrature orders must be between 2 and {_MAX_ORDER}")
-
-
-@dataclass(frozen=True)
-class CutoffSamples:
-    """Complex integral values on an ascending grid of cutoff radii."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        errors = (
-            np.zeros_like(grid)
-            if self.errors is None
-            else np.asarray(self.errors, dtype=float)
-        )
-        if grid.ndim != 1 or values.shape != grid.shape or errors.shape != grid.shape:
-            raise ValueError("grid, values and errors must be 1-d and congruent")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("cutoff grid must be strictly ascending")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise ValueError("cutoff samples must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "errors", errors)
-
-    def __len__(self):
-        return len(self.grid)
 
 
 def _kinematics(q, m):
@@ -228,11 +199,13 @@ def screen_singularities(expr, q, m, radius):
     """Scan every denominator of ``expr`` on the coarse grid ``_scan_grid``.
     An O(4)-invariant ``expr`` is scanned at q rotated onto p0, where its
     value depends only on (r, chi): the (r, chi) slice stands for the grid.
-    Flags are set as :class:`scatreg.integrand.SingularityReport` says."""
+    q and m are read as :func:`integrate_ball` reads them.  Flags are set as
+    :class:`scatreg.integrand.SingularityReport` says."""
+    q, m = _kinematics(q, m)
     full = not o4_invariant(expr)
-    q = np.asarray(q, dtype=float) if full else _rotated(q)
+    q = q if full else _rotated(q)
     ctx = _scan_grid(radius, full) | {f"q{i}": q[i] for i in range(4)}
-    return scan_denominators(expr, ctx | {"m": float(m), "L": float(radius)})
+    return scan_denominators(expr, ctx | {"m": m, "L": float(radius)})
 
 
 def _rule_sum(exprs, rule, m, radius):

@@ -10,6 +10,13 @@ parse error, 4 singular integrand, 5 model mismatch / unclassified divergence.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # start-up's objects live until exit, so the collector stays off while
+    # they load; entry() freezes them and turns it back on
+    gc.disable()
+
 import argparse
 import json
 import sys
@@ -201,7 +208,7 @@ def _sample(config):
 
 
 def _read_samples_csv(path):
-    from .ballquad import CutoffSamples
+    from .samples import CutoffSamples
 
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 3:
@@ -552,5 +559,17 @@ def main(argv=None):
         return next((code for kinds, code in codes if isinstance(exc, kinds)), 2)
 
 
+def entry():
+    """The program's entry point, for ``python -m scatreg.cli`` and the
+    ``scatreg`` script.  What start-up loaded lives until exit, so it is
+    frozen out of the collector's passes (and the final one at exit); the
+    collector stays on for the garbage the run itself makes.  ``main`` leaves
+    the collector alone, so a caller in a longer-lived process keeps its own
+    policy."""
+    gc.freeze()
+    gc.enable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -256,6 +256,21 @@ def test_invariant_screen_scans_the_rotated_slice(source, radius, m, q):
     assert ballquad._scan_grid(radius, full=False)["p0"].size == 240
 
 
+@pytest.mark.parametrize("source", ["1/(p1+q3+9)", "1/(P2+PQ+9)"])
+def test_screen_reads_q_as_integrate_ball_does(source):
+    # a 3-component q is (0, q1, q2, q3), for a coordinate integrand too
+    f = parse_integrand(source)
+    assert screen_singularities(f, (1, 2, 3), 1.0, 5.0) == screen_singularities(
+        f, (0, 1, 2, 3), 1.0, 5.0
+    )
+    for q, shape in [((1, 2), "(2,)"), ((1, 2, 3, 4, 5), "(5,)"), (((1, 2), (3, 4)), "(2, 2)")]:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            screen_singularities(f, q, 1.0, 5.0)
+    # a non-finite point is refused, not reported as "min |den| = nan"
+    with pytest.raises(ValueError, match="kinematic point must be finite"):
+        screen_singularities(f, (0, 0, 0, np.nan), 1.0, 5.0)
+
+
 # Reference: product rules that materialize every coordinate and weight of
 # the whole grid, summed by slicing those arrays into chunks of the same size.
 # The rules that build each chunk from its axis indices must match bit for bit.

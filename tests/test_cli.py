@@ -836,14 +836,63 @@ MODULE_PROBE = (
 )
 
 
+def test_import_and_main_leave_the_collector_alone(tmp_path):
+    # a test run or an in-process benchmark keeps its own collector policy
+    probe = probe_process(
+        "import gc, json, sys, scatreg.cli; state = [gc.isenabled(), gc.get_freeze_count()]; "
+        "code = scatreg.cli.main(sys.argv[1:]); "
+        "print(json.dumps([code, state, [gc.isenabled(), gc.get_freeze_count()]]))",
+        "check", "--seed", "3", "--out", str(tmp_path),
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout.splitlines()[-1]) == [0, [True, 0], [True, 0]]
+
+
+# runs the CLI as the program on argv[1:]; prints its exit code, the
+# collector's state after it, and the number of collections that started
+# while the module's own code ran before the freeze
+ENTRY_PROBE = """
+import gc, json, runpy, sys
+sys.argv = ["scatreg", *sys.argv[1:]]
+early = []
+
+def in_module_code():
+    frame = sys._getframe()
+    while frame and (frame.f_code.co_name, frame.f_code.co_filename[-6:]) != ("<module>", "cli.py"):
+        frame = frame.f_back
+    return frame is not None
+
+gc.callbacks.append(
+    lambda phase, info: phase == "start" and not gc.get_freeze_count()
+    and in_module_code() and early.append(info)
+)
+try:
+    runpy.run_module("scatreg.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), len(early)]))
+"""
+
+
+def test_program_entry_freezes_start_up_and_keeps_the_collector_on(tmp_path):
+    # run as the program, the module turns the collector off for its imports,
+    # then freezes what they loaded and turns it back on before main runs
+    probe = probe_process(ENTRY_PROBE, "check", "--seed", "3", "--out", str(tmp_path))
+    assert probe.returncode == 0, probe.stderr
+    code, enabled, frozen, early = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 0 and enabled and frozen > 0
+    assert early == 0
+
+
 @pytest.mark.parametrize(
     "command, config, extra, unloaded",
     [
         ("integrate", integrate_config(), [], ["scatreg.dirac", "scatreg.deviation"]),
         ("fit", None, ["--samples", "log.csv", "--model", "auto"],
-         ["scatreg.dirac", "scatreg.deviation", "numpy.ma"]),
+         ["scatreg.dirac", "scatreg.deviation", "numpy.ma", "scatreg.ballquad",
+          "scatreg.integrand"]),
         ("regularize", None, ["--samples", "log.csv", "--model", "log"],
-         ["scatreg.dirac", "numpy.ma"]),
+         ["scatreg.dirac", "numpy.ma", "scatreg.ballquad", "scatreg.integrand"]),
         ("spectra", {"q": [0, 0, 0], "m": 1}, [], ["scatreg.deviation"]),
         ("spectra", {"q": [0, 0, 0], "m": 1}, [], QUADRATURE_MODULES),
         ("check", {"trials": 5}, [], QUADRATURE_MODULES),
@@ -896,6 +945,21 @@ def test_package_exports_resolve_on_first_use(module, name):
     exec(f"from scatreg import {name}", namespace)
     assert namespace[name] is expected
     assert name in scatreg.__all__ and name in dir(scatreg)
+
+
+def test_cutoff_samples_export_loads_no_quadrature_module():
+    # fit and regularize build their samples from a CSV file without the
+    # quadrature modules; ballquad re-exports the same class
+    probe = probe_process(
+        "import json, sys; from scatreg import CutoffSamples; "
+        "loaded = sorted(sys.modules); import scatreg.ballquad; "
+        "print(json.dumps([loaded, CutoffSamples is scatreg.ballquad.CutoffSamples]))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded, same = json.loads(probe.stdout)
+    assert "scatreg.samples" in loaded
+    assert not {"scatreg.ballquad", "scatreg.integrand"} & set(loaded)
+    assert same
 
 
 def test_package_refuses_unknown_names():
