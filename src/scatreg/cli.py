@@ -380,7 +380,8 @@ def _check_spectra_suite(rng, trials, tamper):
         sys_ = dirac.eigenvectors_closed_form(q, m)
         vectors, values = sys_.vectors, sys_.values[:, None, :]
         res = np.max(np.linalg.norm(h @ vectors - vectors * values, axis=1), axis=1)
-        bad = res > 1e-10 * np.linalg.norm(h, axis=(1, 2))
+        # every verdict reads not (value <= bound), so a NaN fails it
+        bad = ~(res <= 1e-10 * np.linalg.norm(h, axis=(1, 2)))
         messages = {i: f"eigen-residual {res[i]:.3e}" for i in np.flatnonzero(bad)}
         for flag in (False, True):
             rows = np.flatnonzero(~bad & (doubled == flag))
@@ -395,9 +396,9 @@ def _check_spectra_suite(rng, trials, tamper):
             for row, error, off, rec in zip(rows, errors, off_circle, defect):
                 if error is not None:
                     messages[row] = str(error)
-                elif off > 1e-10:
+                elif not off <= 1e-10:
                     messages[row] = "|d_k| deviates from 1"
-                elif rec > 1e-9:
+                elif not rec <= 1e-9:
                     messages[row] = "reconstruction defect"
         failures += [
             f"trial {start + i}, q={q[i]}, m={m[i].item()}: {messages[i]}" for i in sorted(messages)
@@ -417,7 +418,7 @@ def _check_factor_suite(rng, trials):
         # Python's pow: L is printed, and numpy's array power may round apart
         L = [10.0**x for x in c[:, 6].tolist()]
         theta = deviation._exponent(c[:, 0], c[:, 1], c[:, 2:5].T, c[:, 5], np.array(L))
-        off = np.abs(np.abs(np.exp(1j * theta)) - 1) > 1e-14
+        off = ~(np.abs(np.abs(np.exp(1j * theta)) - 1) <= 1e-14)
         failures += [f"|U0| deviates from 1 at L={l}" for l, bad in zip(L, off) if bad]
         trials -= len(c)
     log_only = deviation.DeviationFactor(log_coeffs=(0.25,))
@@ -429,7 +430,7 @@ def _check_factor_suite(rng, trials):
     if lin_check.verdict:
         failures.append("e^{i eps^2 L} factor wrongly in class A")
     expected = np.exp(1j * 0.01 * 1.0)
-    if np.max(np.abs(lin_check.ratios - expected)) > 1e-14:
+    if not np.max(np.abs(lin_check.ratios - expected)) <= 1e-14:
         failures.append("linear-exponent ratio is not the constant e^{i c L0}")
     return failures, lin_check.verdict
 

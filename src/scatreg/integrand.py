@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive)::
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := atom ['^' int]
-    atom   := number | ident | '(' expr ')' | '-' atom
+    atom   := number | ident | '(' expr ')' | '-' factor
 
 Identifiers are the coordinates p0..p3, q0..q3, the mass m, the cutoff L, and
 the built-in Euclidean contractions P2 = p0^2+p1^2+p2^2+p3^2, Q2 likewise, and
@@ -44,7 +44,8 @@ _SCREEN_THRESHOLD = 1e-8  # a denominator smaller than this on the scan is flagg
 
 
 class IntegrandSyntaxError(ValueError):
-    """Parse failure, carrying the byte offset and the tokens expected there."""
+    """Parse failure, carrying the offset (in characters, not UTF-8 bytes) and
+    the tokens expected there."""
 
     def __init__(self, message, offset, expected=()):
         detail = f"{message} at offset {offset}"
@@ -94,30 +95,20 @@ class Pow:
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)|$)"  # '$' ends the scan in one step after trailing whitespace
 )
 
 
 def _tokenize(source):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN.match(source, pos)
-        if match is None or match.end() == match.start():
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            raise IntegrandSyntaxError(
-                f"unexpected character '{stripped[0]}'",
-                len(source) - len(stripped),
-            )
-        if match.lastgroup == "num":
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.lastgroup == "ident":
-            tokens.append(("ident", match.group("ident"), match.start("ident")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind is None:
+            break
+        if kind == "bad":
+            raise IntegrandSyntaxError(f"unexpected character '{match[kind]}'", match.start(kind))
+        tokens.append((kind, match[kind], match.start(kind)))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -127,82 +118,69 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
     def take(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect_op(self, symbols):
-        kind, text, offset = self.peek()
+    def accept(self, symbols):
+        """Take the next token and return its text if it is an operator in ``symbols``."""
+        kind, text, _ = self.tokens[self.i]
         if kind == "op" and text in symbols:
-            return self.take()
-        raise IntegrandSyntaxError(
-            f"unexpected token '{text or 'end of input'}'", offset, expected=symbols
-        )
+            self.i += 1
+            return text
+        return None
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+    def unexpected(self, token, expected):
+        _, text, offset = token
+        message = f"unexpected token '{text or 'end of input'}'"
+        return IntegrandSyntaxError(message, offset, expected)
 
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
-            nkind, ntext, noffset = self.take()
-            if nkind != "num" or not re.fullmatch(r"\d+", ntext):
-                raise IntegrandSyntaxError(
-                    "exponent must be an integer literal", noffset, expected=("integer",)
-                )
-            node = Pow(node, int(ntext))
+    def chain(self, symbols, operand, *args):
+        """``operand(*args)`` repeated, joined by the operators in ``symbols``,
+        grouped to the left."""
+        node = operand(*args)
+        while op := self.accept(symbols):
+            node = BinOp(op, node, operand(*args))
         return node
 
-    def atom(self):
-        kind, text, offset = self.take()
+    def expr(self):
+        # terms joined by + and -, each a chain of factors joined by * and /;
+        # chain calls chain with no frame between, so each '(' costs four
+        # frames and ~245 levels of nesting fit Python's default recursion limit
+        return self.chain("+-", self.chain, "*/", self.factor)
+
+    def factor(self):
+        """A factor, with its atom read in place."""
+        token = kind, text, offset = self.take()
         if kind == "num":
-            return Num(float(text))
-        if kind == "ident":
-            if text in VARIABLES or text in BUILTINS:
-                return Var(text)
-            raise IntegrandSyntaxError(f"unknown identifier '{text}'", offset)
-        if kind == "op" and text == "(":
+            node = Num(float(text))
+        elif kind == "ident":
+            if text not in VARIABLES and text not in BUILTINS:
+                raise IntegrandSyntaxError(f"unknown identifier '{text}'", offset)
+            node = Var(text)
+        elif kind == "op" and text == "(":
             node = self.expr()
-            self.expect_op((")",))
-            return node
-        if kind == "op" and text == "-":
-            # so that -x^2 parses as -(x^2), matching usual convention
-            return Neg(self.factor())
-        raise IntegrandSyntaxError(
-            f"unexpected token '{text or 'end of input'}'",
-            offset,
-            expected=("number", "identifier", "(", "-"),
-        )
+            if not self.accept(")"):
+                raise self.unexpected(self.tokens[self.i], (")",))
+        elif kind == "op" and text == "-":
+            node = Neg(self.factor())  # so that -x^2 parses as -(x^2)
+        else:
+            raise self.unexpected(token, ("number", "identifier", "(", "-"))
+        if self.accept("^"):
+            kind, text, offset = self.take()
+            if kind != "num" or not re.fullmatch(r"\d+", text):
+                raise IntegrandSyntaxError(
+                    "exponent must be an integer literal", offset, expected=("integer",)
+                )
+            node = Pow(node, int(text))
+        return node
 
 
 def parse_integrand(source):
     """Parse ``source`` into an expression tree."""
     parser = _Parser(_tokenize(source))
     node = parser.expr()
-    kind, text, offset = parser.peek()
+    kind, text, offset = parser.tokens[parser.i]
     if kind != "end":
         raise IntegrandSyntaxError(f"trailing input '{text}'", offset)
     return node
@@ -334,10 +312,6 @@ class SingularityReport:
     @property
     def flagged(self):
         return any(_flag(min_abs, sign_change) for _, min_abs, sign_change in self.details)
-
-    @property
-    def min_abs_denominator(self):
-        return min([np.inf, *(min_abs for _, min_abs, _ in self.details)])
 
     def __str__(self):
         if not self.details:

@@ -372,6 +372,33 @@ def test_check_same_seed_same_output(tmp_path, capsys, config):
     assert outputs[0][0] == (1 if "tamper" in config else 0)
 
 
+def nan_joint_diagonalize(q, m, s, joint=dirac.joint_diagonalize):
+    """``dirac.joint_diagonalize`` with NaN vectors and diagonal, and no error."""
+    diag, errors = joint(q, m, s)
+    nan = dirac.ScatteringDiagonal(
+        vectors=np.full_like(diag.vectors, np.nan), diagonal=np.full_like(diag.diagonal, np.nan)
+    )
+    return nan, errors
+
+
+@pytest.mark.parametrize(
+    "module,name,patch,failure",
+    [
+        (dirac, "joint_diagonalize", nan_joint_diagonalize, "|d_k| deviates from 1"),
+        (deviation, "_exponent", lambda *args: np.full(len(args[-1]), np.nan),
+         "|U0| deviates from 1 at L="),
+    ],
+    ids=["joint_diagonalize", "exponent"],
+)
+def test_check_fails_on_nan_verdicts(tmp_path, capsys, monkeypatch, module, name, patch, failure):
+    # a NaN compares false with every bound, so each verdict is "not (x <= bound)"
+    monkeypatch.setattr(module, name, patch)
+    code, _ = run(tmp_path, "check", {"trials": 2000}, ["--seed", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "check: 2000 failures (seed 5)\n"
+    assert failure in captured.err.splitlines()[0]
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
 def test_check_refuses_non_finite_tamper(tmp_path, capsys, bad):
     # inf * 0 in the tampered unitary would warn, and NaN would report "defect nan"

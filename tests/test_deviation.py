@@ -12,6 +12,7 @@ from scatreg.deviation import (
     regularized_series,
     resum_coulomb_series,
     series_exp,
+    _exponent,
 )
 
 
@@ -58,6 +59,19 @@ def test_exponent_without_l2_term_past_l2_overflow():
     factor = DeviationFactor(log_coeffs=(0.25,), gauge=0.5)
     assert factor.exponent(1e200) == 0.0 + 0.0 + 0.5 + 0.25 * np.log(1e200)
     assert abs(factor(1e200)) == pytest.approx(1.0, abs=1e-15)
+
+
+
+def test_exponent_skips_l2_per_row():
+    # the zero row must not square its L = 1e200: 0 * inf would be NaN, with a warning
+    theta = _exponent(
+        np.array([0.0, -0.0, 0.5]), 0.0, (0.25,), 0.0, np.array([1e200, 1e200, 10.0])
+    )
+    ln_l = np.log(1e200)
+    assert theta.tolist() == [0.25 * ln_l, 0.25 * ln_l, 50.0 + 0.25 * np.log(10.0)]
+    with pytest.warns(RuntimeWarning, match="overflow"):  # only the nonzero row overflows
+        theta = _exponent(np.array([0.0, 1e-300]), 0.0, (0.25,), 0.0, np.full(2, 1e200))
+    assert theta.tolist() == [0.25 * ln_l, np.inf]
 
 
 @given(

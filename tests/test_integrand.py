@@ -47,6 +47,36 @@ def test_syntax_error_carries_offset_and_expectations():
     assert ")" in err.value.expected
 
 
+@pytest.mark.parametrize(
+    "source,message,offset,expected",
+    [
+        ("p0 +   $", "unexpected character '$'", 7, ()),
+        ("p0\t\t#", "unexpected character '#'", 4, ()),
+        ("P2\u2003\u2003!", "unexpected character '!'", 4, ()),
+        ("p0\né", "unexpected character 'é'", 3, ()),
+        # offsets count characters: the em space is one, though three UTF-8 bytes
+        ("\u2003x", "unknown identifier 'x'", 1, ()),
+        ("p0 p1", "trailing input 'p1'", 3, ()),
+        ("p0^2^3", "trailing input '^'", 4, ()),
+        ("(p0 + 1", "unexpected token 'end of input'", 7, (")",)),
+        ("(p0 + 1 ]", "unexpected character ']'", 8, ()),
+        ("p0^1.5", "exponent must be an integer literal", 3, ("integer",)),
+        ("1 + * 2", "unexpected token '*'", 4, ("number", "identifier", "(", "-")),
+    ],
+)
+def test_syntax_error_message_offset_and_expected(source, message, offset, expected):
+    with pytest.raises(IntegrandSyntaxError) as err:
+        parse_integrand(source)
+    alternatives = f" (expected {' | '.join(sorted(expected))})" if expected else ""
+    assert str(err.value) == f"{message} at offset {offset}{alternatives}"
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
+@pytest.mark.parametrize("tail", [" ", "\t\n", "\u2003", " \u3000\x0b\x0c\r"])
+def test_trailing_whitespace_is_accepted(tail):
+    assert parse_integrand("1/(P2+1)" + tail) == parse_integrand("1/(P2+1)")
+
+
 def test_unknown_identifier():
     with pytest.raises(IntegrandSyntaxError, match="unknown identifier"):
         parse_integrand("p0 + x9")
@@ -159,7 +189,8 @@ def test_evaluator_matches_reference(tree, seed):
 def test_screen_clean_denominator():
     report = screen_singularities(parse_integrand("1/(P2+1)"), (0, 0, 0, 0), 0, 5.0)
     assert not report.flagged
-    assert report.min_abs_denominator >= 1.0
+    [(text, min_abs, sign_change)] = report.details
+    assert text == "P2 + 1.0" and min_abs >= 1.0 and not sign_change
 
 
 def test_screen_flags_origin_pole():

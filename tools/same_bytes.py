@@ -15,9 +15,12 @@ One line is printed per difference; the exit code is 1 if there is any, and
 
 The scenarios: the README configs, the stage configs of the benchmark's two
 cutoff workloads, integrate configs that the singularity screen flags or
-passes, fit and regularize with every ``--model`` kind on
-synthetic log, power-log and poly-log samples, model dicts with +-0.0
-entries, and ``check`` at seeds 1-3 with 1, 300 and 2000 trials.
+passes, integrate configs whose integrand does not parse (an unexpected
+character after a Unicode space, trailing input, a non-integer exponent, an
+unknown identifier, a missing ``)``), fit and regularize with every
+``--model`` kind on synthetic log, power-log and poly-log samples, model dicts
+with +-0.0 entries, ``check`` at seeds 1-3 with 1, 300 and 2000 trials, and a
+tampered ``check`` that fails.
 """
 
 from __future__ import annotations
@@ -122,6 +125,16 @@ SCREEN_CONFIGS = {
     },
 }
 
+# integrate configs whose integrand does not parse (exit 3), one per kind of
+# syntax error
+MALFORMED_INTEGRANDS = {
+    "unicode-space-then-bad-character": "1/(P2+1)\u2003$",
+    "trailing-input": "1/(P2+1) P2",
+    "non-integer-exponent": "1/(P2+1)^1.5",
+    "unknown-identifier": "1/(P2+x)",
+    "missing-paren": "1/(P2+1",
+}
+
 
 def scenarios():
     """(name, {file: text}, [argv, ...]) for every scenario."""
@@ -138,7 +151,9 @@ def scenarios():
            [["resum", "--config", "resum.json", "--out", "out"]])
     for name, config in WORKLOAD_CONFIGS.items():
         yield name, {"integrate.json": json.dumps(config)}, pipeline
-    for name, config in SCREEN_CONFIGS.items():
+    malformed = {f"malformed-{name}": {**README_INTEGRATE, "integrand_im": source}
+                 for name, source in MALFORMED_INTEGRANDS.items()}
+    for name, config in {**SCREEN_CONFIGS, **malformed}.items():
         yield (name, {"integrate.json": json.dumps(config)},
                [["integrate", "--config", "integrate.json", "--out", "out"]])
     samples = _synthetic_samples()
@@ -175,6 +190,8 @@ def scenarios():
                    {"check.json": json.dumps({"trials": trials})},
                    [["check", "--config", "check.json", "--seed", str(seed),
                      "--out", "out"]])
+    yield ("check-tampered", {"check.json": json.dumps({"trials": 5, "tamper": 1e-3})},
+           [["check", "--config", "check.json", "--out", "out"]])
 
 
 def _tree(directory):
