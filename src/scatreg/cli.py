@@ -37,26 +37,35 @@ def parse_integrand(source):
     return parse(source)
 
 
-def _formatted(values, fmt):
-    """``fmt % v`` for each float of ``values``, as nested lists of str.  Each
-    distinct value is formatted once: values are told apart by their bits (so
-    -0.0 is not 0.0), sorted, and each value's string is found by binary
-    search among the first of each run of equal bits."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+_BLOCK = 256  # rows per write, so the writer holds one block's strings at a time
+
+
+def _write_rows(path, head, entry, rows, fmt, sep="", tail=""):
+    """Write ``head``, then ``entry`` per row of the 2-D float array ``rows``,
+    its ``%s`` slots filled by ``fmt % value`` and joined by ``sep``, then
+    ``tail``.  Each distinct value (by its bits, so -0.0 is not 0.0) is formatted
+    once; a block of rows finds its strings by binary search among them."""
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+    # not np.unique, which imports numpy.ma in numpy >= 2.3 (≈12 ms a process)
     ordered = np.sort(bits, axis=None)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
+    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     strings = np.array([fmt % v for v in distinct.view(float).tolist()], dtype=object)
-    return strings[np.searchsorted(distinct, bits)].tolist()
+    cells = np.empty((_BLOCK, 2 * entry.count("%s") + 1), dtype=object)
+    cells[:, 0::2] = np.array((sep + entry).split("%s"), dtype=object)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(head)
+        for start in range(0, len(bits), _BLOCK):
+            block = bits[start:start + _BLOCK]
+            cells[: len(block), 1::2] = strings[np.searchsorted(distinct, block)]
+            text = "".join(cells[: len(block)].ravel().tolist())
+            fh.write(text[len(sep):] if start == 0 else text)
+        fh.write(tail)
 
 
 def _write_csv(path, header, rows):
-    template = ",".join(["%s"] * len(header)) + "\n"
-    cells = _formatted(list(rows), "%.17g")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(template % tuple(row) for row in cells)
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    _write_rows(path, ",".join(header) + "\n", ",".join(["%s"] * len(header)) + "\n",
+                values, "%.17g")
 
 
 def _write_json(path, payload):
@@ -67,27 +76,16 @@ def _write_json(path, payload):
 
 def _write_json_rows(path, columns):
     """The bytes of ``_write_json(path, [{name: column[i].tolist() ...} ...])``
-    for named float arrays of one length, written row by row: ``json`` lays
-    out one entry with a ``%s`` slot per value, and each row fills it with its
-    values' reprs (``json`` writes a finite float as its repr)."""
+    for named float arrays of one length, from one entry that ``json`` lays out
+    with a ``%s`` slot per value (``json`` writes a finite float as its repr)."""
     columns = dict(sorted(columns.items()))
     n = len(next(iter(columns.values())))
-    flat = np.concatenate(
-        [a.reshape(n, np.prod(a.shape[1:], dtype=int)) for a in columns.values()], axis=1
-    )
+    flat = np.hstack([a.reshape(n, np.prod(a.shape[1:], dtype=int)) for a in columns.values()])
     if not np.isfinite(flat).all():
         raise ValueError(f"{path.name}: non-finite value, which JSON cannot hold")
     slots = {k: np.full(a.shape[1:], "%s", dtype=object).tolist() for k, a in columns.items()}
     entry = json.dumps([slots], indent=2).replace('"%s"', "%s")[1:-2]
-    with open(path, "w", newline="\n") as fh:
-        if not n:
-            fh.write("[]\n")
-            return
-        rows = _formatted(flat, "%r")
-        fh.write("[" + entry % tuple(rows[0]))
-        later = "," + entry
-        fh.writelines(later % tuple(row) for row in rows[1:])
-        fh.write("\n]\n")
+    _write_rows(path, "[", entry, flat, "%r", sep=",", tail="\n]\n" if n else "]\n")
 
 
 def _read_json(path):
@@ -265,6 +263,7 @@ def cmd_spectra(config):
     up = np.where(vals[:, 3] < np.finfo(float).tiny, 2.0**600, 1.0)[:, None, None]
     e = np.where(vals[:, 3] > 0, vals[:, 3], np.inf)[:, None, None]
     res = np.linalg.norm((h @ vecs - vecs * vals[:, None, :]) * up / (e * up), axis=1) / 2
+    del h  # as large as the vectors: freed before the writers run
     worst = float(np.max(res, initial=0.0))
     out = _out_dir(config)
     _write_csv(
@@ -286,7 +285,7 @@ def cmd_integrate(config):
     _write_csv(
         out / "samples.csv",
         ["L", "re", "im", "err"],
-        zip(samples.grid, samples.values.real, samples.values.imag, samples.errors),
+        np.column_stack([samples.grid, samples.values.real, samples.values.imag, samples.errors]),
     )
     grid = samples.grid
     print(
@@ -338,7 +337,7 @@ def cmd_regularize(config):
     _write_csv(
         out / "regularized.csv",
         ["L", "re", "im"],
-        zip(regular.grid, regular.values.real, regular.values.imag),
+        np.column_stack([regular.grid, regular.values.real, regular.values.imag]),
     )
     diffs = np.abs(np.diff(regular.values))
     converged = bool(diffs.size and diffs[-1] <= 1e-2 and np.all(np.diff(diffs) <= 0))

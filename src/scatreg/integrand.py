@@ -4,13 +4,17 @@ Grammar (whitespace-insensitive)::
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := atom ['^' int]
-    atom   := number | ident | '(' expr ')' | '-' factor
+    factor := '-' factor | atom ['^' int]
+    atom   := number | ident | '(' expr ')'
 
 Identifiers are the coordinates p0..p3, q0..q3, the mass m, the cutoff L, and
 the built-in Euclidean contractions P2 = p0^2+p1^2+p2^2+p3^2, Q2 likewise, and
 PQ = p0*q0+p1*q1+p2*q2+p3*q3.  Exponents must be integer literals; there are
-no transcendental functions, so every expression is rational.
+no transcendental functions, so every expression is rational.  A factor takes
+at most one exponent, so ``-x^2`` is ``-(x^2)`` and ``-x^2^3`` is refused, as
+``x^2^3`` is.  A tree more than 100 nodes deep, or more than 100 nested
+parentheses (``_MAX_DEPTH``), is refused at the operator or parenthesis that
+passes the limit.
 
 Evaluation is numpy-vectorized: bind arrays in the context and the tree is
 evaluated elementwise.
@@ -113,10 +117,19 @@ def _tokenize(source):
     return tokens
 
 
+# the deepest tree, and the deepest nesting of parentheses, that parse: the
+# parser takes four frames per '(', and evaluating or printing a tree one per
+# level, so all three stay well inside Python's default recursion limit
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Each rule returns its tree and the tree's depth in nodes."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0  # the '(' open at the current token
 
     def take(self):
         self.i += 1
@@ -135,51 +148,66 @@ class _Parser:
         message = f"unexpected token '{text or 'end of input'}'"
         return IntegrandSyntaxError(message, offset, expected)
 
+    def within(self, depth, offset):
+        """``depth``, refused at ``offset`` if it passes ``_MAX_DEPTH``."""
+        if depth > _MAX_DEPTH:
+            raise IntegrandSyntaxError(f"expression deeper than {_MAX_DEPTH} levels", offset)
+        return depth
+
     def chain(self, symbols, operand, *args):
         """``operand(*args)`` repeated, joined by the operators in ``symbols``,
         grouped to the left."""
-        node = operand(*args)
+        node, depth = operand(*args)
         while op := self.accept(symbols):
-            node = BinOp(op, node, operand(*args))
-        return node
+            offset = self.tokens[self.i - 1][2]
+            right, right_depth = operand(*args)
+            node, depth = BinOp(op, node, right), self.within(max(depth, right_depth) + 1, offset)
+        return node, depth
 
     def expr(self):
         # terms joined by + and -, each a chain of factors joined by * and /;
-        # chain calls chain with no frame between, so each '(' costs four
-        # frames and ~245 levels of nesting fit Python's default recursion limit
+        # chain calls chain with no frame between, so each '(' costs four frames
         return self.chain("+-", self.chain, "*/", self.factor)
 
     def factor(self):
-        """A factor, with its atom read in place."""
+        """A factor, with its atom read in place.  Its unary minuses are counted
+        rather than recursed into, and negate the rest: -x^2 is -(x^2)."""
+        first = self.i
+        while self.accept("-"):
+            pass
+        minuses = range(first, self.i)
         token = kind, text, offset = self.take()
         if kind == "num":
-            node = Num(float(text))
+            node, depth = Num(float(text)), 1
         elif kind == "ident":
             if text not in VARIABLES and text not in BUILTINS:
                 raise IntegrandSyntaxError(f"unknown identifier '{text}'", offset)
-            node = Var(text)
+            node, depth = Var(text), 1
         elif kind == "op" and text == "(":
-            node = self.expr()
+            self.nesting = self.within(self.nesting + 1, offset)
+            node, depth = self.expr()
+            self.nesting -= 1
             if not self.accept(")"):
                 raise self.unexpected(self.tokens[self.i], (")",))
-        elif kind == "op" and text == "-":
-            node = Neg(self.factor())  # so that -x^2 parses as -(x^2)
         else:
             raise self.unexpected(token, ("number", "identifier", "(", "-"))
         if self.accept("^"):
-            kind, text, offset = self.take()
+            offset = self.tokens[self.i - 1][2]
+            kind, text, exponent_offset = self.take()
             if kind != "num" or not re.fullmatch(r"\d+", text):
                 raise IntegrandSyntaxError(
-                    "exponent must be an integer literal", offset, expected=("integer",)
+                    "exponent must be an integer literal", exponent_offset, expected=("integer",)
                 )
-            node = Pow(node, int(text))
-        return node
+            node, depth = Pow(node, int(text)), self.within(depth + 1, offset)
+        for i in reversed(minuses):
+            node, depth = Neg(node), self.within(depth + 1, self.tokens[i][2])
+        return node, depth
 
 
 def parse_integrand(source):
     """Parse ``source`` into an expression tree."""
     parser = _Parser(_tokenize(source))
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, text, offset = parser.tokens[parser.i]
     if kind != "end":
         raise IntegrandSyntaxError(f"trailing input '{text}'", offset)

@@ -134,8 +134,10 @@ SPECTRA_SHAPES = {"q": (3,), "eigenvalues": (4,), "vectors_re": (4, 4), "vectors
 
 
 # a few values, each repeated many times, as in the grid's artifacts
-POOL = st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308])
-CSV_POOL = POOL | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+POOL_VALUES = [-0.0, 0.0, 5e-324, 1.7e308]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+POOL = st.sampled_from(POOL_VALUES)
+CSV_POOL = POOL | st.sampled_from(NON_FINITE)
 
 
 @st.composite
@@ -229,6 +231,26 @@ def test_csv_rows_match_per_value_format(tmp_path_factory, rows):
 @given(rows=csv_rows(CSV_POOL))
 def test_csv_rows_match_per_value_format_on_repeated_values(tmp_path_factory, rows):
     assert_csv_rows_match_per_value_format(tmp_path_factory.getbasetemp(), rows)
+
+
+def block_values(rng, size, pool):
+    """Values drawn from ``pool`` and random floats of any magnitude, half each."""
+    floats = np.ldexp(rng.standard_normal(size), rng.integers(-1070, 1020, size))
+    return np.where(rng.random(size) < 0.5, rng.choice(pool, size), floats)
+
+
+# the writers go out in blocks of cli._BLOCK = 256 rows: none, one row, a
+# block less or more one row, a whole block, two blocks and one row
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+def test_writers_match_the_references_across_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = {
+        key: block_values(rng, (n, *shape), POOL_VALUES) for key, shape in SPECTRA_SHAPES.items()
+    }
+    assert_json_rows_match_json_dump(tmp_path, columns)
+    rows = block_values(rng, (n, 3), POOL_VALUES + NON_FINITE)
+    assert_csv_rows_match_per_value_format(tmp_path, list(rows))
+    assert_csv_rows_match_per_value_format(tmp_path, list(zip(*rows.T)))
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -768,6 +790,11 @@ def test_cli_import_loads_no_quadrature_module():
     [
         ("spectra", {"q": [0, 0, 0], "m": "heavy"}, 2),
         ("integrate", integrate_config(integrand_im="1/(P2"), 3),
+        # deeper than the parser's limit: a long sum and nested parentheses
+        ("integrate", integrate_config(integrand_im="+".join(["1/(P2+1)^2"] * 1200)), 3),
+        ("integrate", integrate_config(integrand_im="(" * 300 + "1" + ")" * 300), 3),
+        # a second exponent behind a unary minus
+        ("integrate", integrate_config(integrand_im="-(1/(P2+1))^2^3"), 3),
     ],
 )
 def test_errors_exit_with_one_line_in_a_fresh_process(tmp_path, command, config, code):

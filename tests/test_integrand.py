@@ -8,7 +8,9 @@ from scatreg.integrand import (
     BinOp,
     EvaluationError,
     IntegrandSyntaxError,
+    Neg,
     Num,
+    Pow,
     Var,
     evaluate,
     parse_integrand,
@@ -62,6 +64,20 @@ def test_syntax_error_carries_offset_and_expectations():
         ("(p0 + 1 ]", "unexpected character ']'", 8, ()),
         ("p0^1.5", "exponent must be an integer literal", 3, ("integer",)),
         ("1 + * 2", "unexpected token '*'", 4, ("number", "identifier", "(", "-")),
+        # a factor takes one exponent, behind a unary minus too
+        ("-p0^2^3", "trailing input '^'", 5, ()),
+        ("-(1/(P2+1))^2^3", "trailing input '^'", 13, ()),
+        # past the depth limit: at the operator whose node is 101 deep (the
+        # 97th '+' of a sum of 10-character terms, the 100th '-' from the
+        # operand), or at the 101st '('
+        pytest.param("+".join(["1/(P2+1)^2"] * 1200), "expression deeper than 100 levels",
+                     1066, (), id="long-sum"),
+        pytest.param("-" * 1000 + "1", "expression deeper than 100 levels", 900, (),
+                     id="many-minuses"),
+        pytest.param("(" * 300 + "1" + ")" * 300, "expression deeper than 100 levels", 100, (),
+                     id="nested-parentheses"),
+        pytest.param("-(" * 150 + "1" + ")" * 150, "expression deeper than 100 levels", 201, (),
+                     id="nested-negations"),
     ],
 )
 def test_syntax_error_message_offset_and_expected(source, message, offset, expected):
@@ -70,6 +86,29 @@ def test_syntax_error_message_offset_and_expected(source, message, offset, expec
     alternatives = f" (expected {' | '.join(sorted(expected))})" if expected else ""
     assert str(err.value) == f"{message} at offset {offset}{alternatives}"
     assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
+def test_unary_minus_binds_looser_than_its_operands_exponent():
+    x = Var("p0")
+    assert parse_integrand("-p0^2") == Neg(Pow(x, 2))
+    assert parse_integrand("(-p0^2)^3") == Pow(Neg(Pow(x, 2)), 3)
+    assert parse_integrand("(-p0)^2") == Pow(Neg(x), 2)
+    assert parse_integrand("--p0^2") == Neg(Neg(Pow(x, 2)))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "+".join(["p0"] * 100),  # 99 '+': 100 nodes deep
+        "(" * 100 + "p0" + ")" * 100,
+        "-" * 99 + "p0",
+        "(" * 99 + "p0" + ")" * 99 + "^2",
+    ],
+)
+def test_trees_at_the_depth_limit_parse_evaluate_and_print(source):
+    tree = parse_integrand(source)
+    assert parse_integrand(pretty_print(tree)) == tree
+    assert np.isfinite(evaluate(tree, ctx(p=(1, 0, 0, 0))))
 
 
 @pytest.mark.parametrize("tail", [" ", "\t\n", "\u2003", " \u3000\x0b\x0c\r"])

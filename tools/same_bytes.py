@@ -13,14 +13,15 @@ stderr, exit code and the bytes of every file in the directory are compared.
 One line is printed per difference; the exit code is 1 if there is any, and
 0 otherwise.
 
-The scenarios: the README configs, the stage configs of the benchmark's two
-cutoff workloads, integrate configs that the singularity screen flags or
-passes, integrate configs whose integrand does not parse (an unexpected
-character after a Unicode space, trailing input, a non-integer exponent, an
-unknown identifier, a missing ``)``), fit and regularize with every
-``--model`` kind on synthetic log, power-log and poly-log samples, model dicts
-with +-0.0 entries, ``check`` at seeds 1-3 with 1, 300 and 2000 trials, and a
-tampered ``check`` that fails.
+The scenarios: the README configs, a ``spectra`` grid of 343 momenta, whose
+rows end in a partial block of the CLI's row writer (blocks of 256 rows), the
+stage configs of the benchmark's two cutoff workloads, integrate configs that
+the singularity screen flags or passes, integrate configs whose integrand does
+not parse (an unexpected character after a Unicode space, trailing input, a
+non-integer exponent, an unknown identifier, a missing ``)``), fit and
+regularize with every ``--model`` kind on synthetic log, power-log and
+poly-log samples, model dicts with +-0.0 entries, ``check`` at seeds 1-3 with
+1, 300 and 2000 trials, and a tampered ``check`` that fails.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ README_INTEGRATE = {
     "quadrature": {"radial_order": 64, "angular_orders": [32, 32, 32]},
 }
 README_SPECTRA = {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": 16}}
+# 7^3 = 343 momenta: the row writer's blocks of 256 rows end in a partial one
+BLOCK_EDGE_SPECTRA = {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": 7}}
 RESUM = {"psi": [1.0, 0.5, 0.25], "phi": 2.0, "epsilon": 0.1}
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
@@ -145,8 +148,10 @@ def scenarios():
          "--samples", "out/samples.csv", "--out", "out"],
     ]
     yield "readme-pipeline", {"integrate.json": json.dumps(README_INTEGRATE)}, pipeline
-    yield ("readme-spectra", {"spectra.json": json.dumps(README_SPECTRA)},
-           [["spectra", "--config", "spectra.json", "--out", "out"]])
+    for name, config in {"readme-spectra": README_SPECTRA,
+                         "block-edge-spectra": BLOCK_EDGE_SPECTRA}.items():
+        yield (name, {"spectra.json": json.dumps(config)},
+               [["spectra", "--config", "spectra.json", "--out", "out"]])
     yield ("resum", {"resum.json": json.dumps(RESUM)},
            [["resum", "--config", "resum.json", "--out", "out"]])
     for name, config in WORKLOAD_CONFIGS.items():
