@@ -250,7 +250,10 @@ def cmd_spectra(config):
         # warnings before dirac refused them with this message
         if not np.isfinite([lo, hi, hi - lo]).all():
             raise ValueError("momentum components must be finite")
-        axis = np.linspace(lo, hi, _get(spec, "count", int))
+        count = _get(spec, "count", int)
+        if count < 0:
+            raise ValueError(f"q_grid count must be at least 0, got {count}")
+        axis = np.linspace(lo, hi, count)
         points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     else:
         raise ValueError("config needs 'q' or 'q_grid'")
@@ -390,15 +393,12 @@ def _check_spectra_suite(rng, trials, tamper):
             if tamper:
                 s = s + tamper * np.eye(s.shape[-1]) * 1j  # breaks unitarity/commutation
             diag, errors = dirac.joint_diagonalize(q[rows], m[rows], s)
-            off_circle = np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1)
-            defect = np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1))
-            for row, error, off, rec in zip(rows, errors, off_circle, defect):
-                if error is not None:
-                    messages[row] = str(error)
-                elif not off <= 1e-10:
-                    messages[row] = "|d_k| deviates from 1"
-                elif not rec <= 1e-9:
-                    messages[row] = "reconstruction defect"
+            # a row with an error has a zero diagonal, so it fails off_circle
+            off_circle = ~(np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1) <= 1e-10)
+            unrebuilt = ~(np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1)) <= 1e-9)
+            for i in np.flatnonzero(off_circle | unrebuilt):
+                reason = "|d_k| deviates from 1" if off_circle[i] else "reconstruction defect"
+                messages[rows[i]] = reason if errors[i] is None else str(errors[i])
         failures += [
             f"trial {start + i}, q={q[i]}, m={m[i].item()}: {messages[i]}" for i in sorted(messages)
         ]
@@ -464,7 +464,10 @@ def cmd_resum(config):
     psi = _get(config, "psi", [float])
     phi = _get(config, "phi", float)
     eps = _get(config, "epsilon", float, 0.1)
-    nmax = _get(config, "order", int, len(psi) - 1)
+    # an empty psi is refused by resum_coulomb_series
+    nmax = _get(config, "order", int, max(len(psi) - 1, 0))
+    if nmax < 0:
+        raise ValueError(f"order must be at least 0, got {nmax}")
     l_values = _get(config, "L_values", [float], [1.0, np.e, 10.0, 100.0])
     if not l_values:
         raise ValueError("L_values must not be empty")

@@ -272,24 +272,21 @@ def _diagonalize_unitary(u):
     (-pi, pi].
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[-1]
     w, v = np.linalg.eigh((u + _adjoint(u)) / 2)
-    # split degenerate clusters of the Hermitian part with (U - U*)/2i, on the
-    # matrices that have one: a cluster exists iff two neighbours are close
+    # a cluster chains neighbouring eigenvalues of the Hermitian part that are
+    # closer than 1e-10 relative; the rows with one are split in one solve
     close = np.diff(w, axis=-1) < 1e-10 * np.maximum(1.0, np.abs(w[..., :-1]))
-    for row in np.argwhere(close.any(axis=-1)):
-        w1, v1, u1 = w[tuple(row)], v[tuple(row)], u[tuple(row)]
-        im = (u1 - u1.conj().T) / 2j
-        k = 0
-        while k < n:
-            jend = k + 1
-            while jend < n and w1[jend] - w1[k] < 1e-10 * max(1.0, abs(w1[k])):
-                jend += 1
-            if jend - k > 1:
-                block = v1[:, k:jend]
-                _, rot = np.linalg.eigh(block.conj().T @ im @ block)
-                v1[:, k:jend] = block @ rot
-            k = jend
+    rows = close.any(axis=-1)
+    if rows.any():
+        cluster = np.cumsum(np.insert(~close[rows], 0, True, axis=-1), axis=-1)
+        vr, ur = v[rows], u[rows]
+        # (U - U*)/2i in the Hermitian eigenbasis, zero between clusters; its
+        # eigenvalues lie in [-1, 1], so 4k on the k-th cluster's diagonal
+        # keeps each cluster's eigenvectors apart and in cluster order
+        im = _adjoint(vr) @ ((ur - _adjoint(ur)) / 2j) @ vr
+        im = np.where(cluster[..., :, None] == cluster[..., None, :], im, 0.0)
+        im += 4.0 * cluster[..., None] * np.eye(u.shape[-1])
+        v[rows] = vr @ np.linalg.eigh(im)[1]
     d = np.einsum("...ij,...jk,...ki->...i", _adjoint(v), u, v)
     d = d / np.abs(d)
     order = np.argsort(np.angle(d), axis=-1, kind="stable")
@@ -340,23 +337,22 @@ def joint_diagonalize(q, m, s, tol=1e-8):
     leak = _fro(_adjoint(neg) @ s @ pos)
     back = _fro(_adjoint(pos) @ s @ neg)
     leakage = np.where(back > leak, back, leak)  # the one max(leak, back) returns
-    errors = []
-    for unit, comm, leaks, bound in zip(unitarity, defect, leakage, tol * _fro(s)):
-        if unit > tol:
-            errors.append(CommutationError("matrix is not unitary", unit))
-        elif not comm <= tol:
-            errors.append(CommutationError("S does not commute with H", comm))
-        elif leaks > bound:
-            errors.append(SubspaceLeakageError(leaks))
-        else:
-            errors.append(None)
-    ok = np.array([error is None for error in errors], dtype=bool)
+    # the first verdict each row fails, in this order, or 0; a NaN
+    # commutation defect fails, a NaN unitarity or leakage does not
+    verdict = np.select([unitarity > tol, ~(defect <= tol), leakage > tol * _fro(s)], [1, 2, 3])
+    errors = [None] * len(s)
+    for i in np.flatnonzero(verdict):
+        errors[i] = (
+            CommutationError("matrix is not unitary", unitarity[i]) if verdict[i] == 1
+            else CommutationError("S does not commute with H", defect[i]) if verdict[i] == 2
+            else SubspaceLeakageError(leakage[i])
+        )
+    ok = verdict == 0
     vectors = np.zeros(s.shape, dtype=complex)
     diagonal = np.zeros(s.shape[:-1], dtype=complex)
-    half = size // 2
     for i, frame in enumerate((neg[ok], pos[ok])):
         d, v = _diagonalize_unitary(_adjoint(frame) @ s[ok] @ frame)
-        cols = slice(i * half, (i + 1) * half)
+        cols = slice(i * size // 2, (i + 1) * size // 2)
         vectors[ok, :, cols] = frame @ v
         diagonal[ok, cols] = d
     if one:

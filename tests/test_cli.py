@@ -647,6 +647,11 @@ def integrate_config(**overrides):
         # before its terms are built
         ("fit", {"degree": -1}, ["--samples", "log.csv", "--model", "polylog"], 2),
         ("fit", {"degree": 10**6}, ["--samples", "log.csv", "--model", "polylog"], 5),
+        # refused at the key, with the message given after the exit code
+        ("spectra", {"m": 1, "q_grid": {"min": -5, "max": 5, "count": -2}}, [],
+         (2, "spectra: q_grid count must be at least 0, got -2\n")),
+        ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "order": -1}, [],
+         (2, "resum: order must be at least 0, got -1\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -666,9 +671,12 @@ def test_malformed_invocations_exit_with_documented_code(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run(tmp_path, command, config, extra)
+    expected, message = expected if isinstance(expected, tuple) else (expected, None)
     assert code == expected
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "RuntimeWarning" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert message is None or err == message
 
 
 @pytest.mark.parametrize(

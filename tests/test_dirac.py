@@ -194,6 +194,39 @@ def test_stacked_joint_diagonalization_matches_per_row_calls(stack, doubled):
     assert np.max(np.abs(diag.reconstruct() - s)) <= 1e-9
 
 
+@given(st.lists(st.tuples(momenta, masses, st.floats(0.05, 1.5)), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_clusters_whose_anti_hermitian_eigenvalues_coincide(rows, seed):
+    """On each 4-dim eigenspace of diag(H, H), S is a Haar-rotated
+    diag(e^{i t}, e^{-i t}, e^{i(pi - t)}, e^{-i(pi - t)}): the Hermitian part
+    has the clusters cos t and -cos t, and the anti-Hermitian part has the
+    same eigenvalues +-sin t on both."""
+    q, m, theta = (np.array(column) for column in zip(*rows))
+    n = len(q)
+    sub = dirac.spectral_subspaces(q, m)
+    basis = np.zeros((n, 8, 8), dtype=complex)  # M1 of diag(H, H), then M2
+    basis[:, :4, 0:2] = basis[:, 4:, 2:4] = sub.negative
+    basis[:, :4, 4:6] = basis[:, 4:, 6:8] = sub.positive
+    phases = np.exp(1j * np.array([theta, -theta, np.pi - theta, theta - np.pi]).T)
+    rng = np.random.default_rng(seed)
+    core = np.zeros((n, 8, 8), dtype=complex)
+    for block in (slice(0, 4), slice(4, 8)):
+        w = unitary_group.rvs(4, size=n, random_state=rng).reshape(n, 4, 4)
+        core[:, block, block] = (w * phases[:, None, :]) @ w.conj().swapaxes(-1, -2)
+    s = basis @ core @ basis.conj().swapaxes(-1, -2)
+    diag, errors = dirac.joint_diagonalize(q, m, s)
+    assert errors == [None] * n
+    assert np.max(np.abs(diag.reconstruct() - s)) <= 1e-9
+    gram = diag.vectors.conj().swapaxes(-1, -2) @ diag.vectors
+    assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
+    assert np.max(np.abs(np.abs(diag.diagonal) - 1)) <= 1e-10
+    for i in range(n):
+        one = dirac.simultaneous_diagonalize(q[i], m[i], s[i])
+        assert np.array_equal(diag.vectors[i], one.vectors)
+        assert np.array_equal(diag.diagonal[i], one.diagonal)
+
+
 def test_stacked_calls_check_their_rows():
     q, m = np.ones((3, 3)), np.ones(3)
     s = dirac.random_commuting_unitary(q, m, seed=5)

@@ -21,7 +21,8 @@ not parse (an unexpected character after a Unicode space, trailing input, a
 non-integer exponent, an unknown identifier, a missing ``)``), fit and
 regularize with every ``--model`` kind on synthetic log, power-log and
 poly-log samples, model dicts with +-0.0 entries, ``check`` at seeds 1-3 with
-1, 300 and 2000 trials, and a tampered ``check`` that fails.
+1, 300 and 2000 trials, a tampered ``check`` that fails, and a ``spectra``
+grid count and a ``resum`` order below 0, which are refused.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ README_SPECTRA = {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": 16}}
 # 7^3 = 343 momenta: the row writer's blocks of 256 rows end in a partial one
 BLOCK_EDGE_SPECTRA = {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": 7}}
 RESUM = {"psi": [1.0, 0.5, 0.25], "phi": 2.0, "epsilon": 0.1}
+# refused at the key (exit 2)
+REFUSED = {
+    "negative-count-spectra":
+        ("spectra", {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": -2}}),
+    "negative-order-resum": ("resum", {**RESUM, "order": -1}),
+}
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
 WORKLOAD_CONFIGS = {
@@ -154,6 +161,9 @@ def scenarios():
                [["spectra", "--config", "spectra.json", "--out", "out"]])
     yield ("resum", {"resum.json": json.dumps(RESUM)},
            [["resum", "--config", "resum.json", "--out", "out"]])
+    for name, (command, config) in REFUSED.items():
+        yield (name, {"c.json": json.dumps(config)},
+               [[command, "--config", "c.json", "--out", "out"]])
     for name, config in WORKLOAD_CONFIGS.items():
         yield name, {"integrate.json": json.dumps(config)}, pipeline
     malformed = {f"malformed-{name}": {**README_INTEGRATE, "integrand_im": source}
