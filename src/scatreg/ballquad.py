@@ -159,13 +159,24 @@ def _flat(points, shape, run=slice(None)):
     }
 
 
+def _weights(radius, wr, r, *angular):
+    """The axis weights of a product rule, r^3 dr first; refused when the
+    largest point weight, the product of their maxima, is not finite."""
+    with np.errstate(over="ignore"):
+        weights = (wr * r**3, *angular)
+        largest = math.prod(float(np.max(w)) for w in weights)
+    if not math.isfinite(largest):
+        raise ValueError(f"cutoff {radius:g} is too large: its quadrature weights are not finite")
+    return weights
+
+
 def _tensor_rule(q4, radius, spec, split=0.0):
     """The 4-D product rule in (r, chi, theta, phi): axis weights, point map, q."""
     r, wr = _radial(radius, spec.radial_order, split)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
     theta, wth = _gauss(spec.angular_orders[1], 0.0, np.pi)
     phi, wphi = _gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
-    weights = (wr * r**3, wchi * np.sin(chi) ** 2, wth * np.sin(theta), wphi)
+    weights = _weights(radius, wr, r, wchi * np.sin(chi) ** 2, wth * np.sin(theta), wphi)
     return weights, _point_map(r, chi, theta, phi), q4
 
 
@@ -178,7 +189,7 @@ def _reduced_rule(q4, radius, spec, split=0.0):
     """
     r, wr = _radial(radius, spec.radial_order, split)
     chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
-    weights = (wr * r**3, 4 * np.pi * wchi * np.sin(chi) ** 2)
+    weights = _weights(radius, wr, r, 4 * np.pi * wchi * np.sin(chi) ** 2)
     return weights, _point_map(r, chi), _rotated(q4)
 
 
@@ -241,7 +252,8 @@ def _halved(spec):
 
 
 def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
-    """Integral of f_re + i f_im over the 4-ball, with an error estimate.
+    """Integral of f_re + i f_im over the 4-ball ``region``, a
+    :class:`BallRegion`, with an error estimate.
 
     The integral runs on the 2-D (r, chi) rule when both given parts are
     O(4)-invariant (see the module docstring; only ``angular_orders[0]`` is
@@ -250,10 +262,9 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     |I(n) - I(n/2)|, the difference to the same rule with every order halved.
     First the singularity screen scans every denominator on a coarse grid,
     its (r, chi) slice at the rotated q for an invariant part, and flagged
-    singular integrands are refused with the screen report attached.
+    singular integrands are refused with the screen report attached, and a
+    cutoff at which a product of the rule's weights overflows with a ValueError.
     """
-    if not isinstance(region, BallRegion):
-        region = BallRegion(float(region))
     q4, m = _kinematics(q, m)
     exprs = (f_re, f_im)
     for expr in exprs:

@@ -20,6 +20,7 @@ if __name__ == "__main__":
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,51 +191,36 @@ def _parse_expr(config, key):
     return None if source is None else parse_integrand(source)
 
 
-def _sample(config):
-    """Cutoff samples of the config's integrands over its L grid."""
-    from . import ballquad
-
-    grid = _l_grid(config)
-    q = _get(config, "q", [float], [0.0, 0.0, 0.0, 0.0])
-    m = _get(config, "m", float, 0.0)
-    spec = _quad_spec(config)
-    f_re = _parse_expr(config, "integrand_re")
-    f_im = _parse_expr(config, "integrand_im")
-    if f_re is None and f_im is None:
-        raise ValueError("config needs 'integrand_re' and/or 'integrand_im'")
-    return ballquad.sample_over_cutoffs(f_re, f_im, q, m, grid, spec)
-
-
-def _read_samples_csv(path):
+def _read_samples(config):
+    """The cutoff samples of the CSV file ``samples_file`` (L,re,im[,err]),
+    which ``integrate`` writes."""
     from .samples import CutoffSamples
 
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    path = _get(config, "samples_file", str, "")
+    if not path:
+        raise ValueError("needs --samples CSV (or the key 'samples_file'), which integrate writes")
+    with warnings.catch_warnings():
+        # numpy warns on a file without rows, which is refused below instead
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not data.size:
+        raise ValueError(f"samples file {path} has no rows")
     if data.shape[1] < 3:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
     err = data[:, 3] if data.shape[1] > 3 else None
     return CutoffSamples(grid=data[:, 0], values=data[:, 1] + 1j * data[:, 2], errors=err)
 
 
-def _get_samples(config):
-    path = _get(config, "samples_file", str, "")
-    if path:
-        return _read_samples_csv(path)
-    if "integrand_re" not in config and "integrand_im" not in config:
-        raise ValueError("provide --samples, 'samples_file', or integrand + L_grid")
-    return _sample(config)
-
-
-def _fitter(config):
-    """The fit of the config's model kind as a function of the samples; "auto"
-    classifies.  The config's fit keys are checked now, before any sampling."""
+def _fit(config, samples):
+    """The fit of ``samples`` by the config's model kind; "auto" classifies."""
     from . import asymfit
 
     kind = _get(config, "model", str, "auto")
     tail = _get(config, "tail_fraction", float, 0.5)
     degree = _get(config, "degree", int, 2)
     if kind == "auto":
-        return lambda samples: asymfit.classify(samples, tail_fraction=tail, max_degree=degree + 2)
-    return lambda samples: asymfit.fit(samples, kind, tail_fraction=tail, degree=degree)
+        return asymfit.classify(samples, tail_fraction=tail, max_degree=degree + 2)
+    return asymfit.fit(samples, kind, tail_fraction=tail, degree=degree)
 
 
 def cmd_spectra(config):
@@ -283,7 +269,17 @@ def cmd_spectra(config):
 
 
 def cmd_integrate(config):
-    samples = _sample(config)
+    from . import ballquad
+
+    grid = _l_grid(config)
+    q = _get(config, "q", [float], [0.0, 0.0, 0.0, 0.0])
+    m = _get(config, "m", float, 0.0)
+    spec = _quad_spec(config)
+    f_re = _parse_expr(config, "integrand_re")
+    f_im = _parse_expr(config, "integrand_im")
+    if f_re is None and f_im is None:
+        raise ValueError("config needs 'integrand_re' and/or 'integrand_im'")
+    samples = ballquad.sample_over_cutoffs(f_re, f_im, q, m, grid, spec)
     out = _out_dir(config)
     _write_csv(
         out / "samples.csv",
@@ -301,10 +297,9 @@ def cmd_integrate(config):
 def cmd_fit(config):
     from .asymfit import UnclassifiedDivergenceError
 
-    fit_model = _fitter(config)
-    samples = _get_samples(config)
+    samples = _read_samples(config)
     try:
-        report = fit_model(samples)
+        report = _fit(config, samples)
     except UnclassifiedDivergenceError as exc:
         _write_json(
             _out_dir(config) / "fit.json",
@@ -329,10 +324,9 @@ def cmd_regularize(config):
         model = asymfit.model_from_dict(model)
     elif fit_report is not None:
         model = asymfit.model_from_dict(_get(_read_json(fit_report), "model", dict))
-    fit_model = _fitter(config) if isinstance(model, str) else None
-    samples = _get_samples(config)
-    if fit_model:
-        model = fit_model(samples).model
+    samples = _read_samples(config)
+    if isinstance(model, str):
+        model = _fit(config, samples).model
     regular = deviation.regularize_coefficient(samples, model)
     factor = deviation.factor_from_model(model, eps)
     out = _out_dir(config)
@@ -438,6 +432,8 @@ def cmd_check(config):
     seed = _get(config, "seed", int, 20260826)
     trials = _get(config, "trials", int, 200)
     tamper = _get(config, "tamper", float, 0.0)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not np.isfinite(tamper):
@@ -501,7 +497,7 @@ _FLAGS = (
           help="CSV file of cutoff samples (L,re,im[,err])")),
     ("--model", ("fit", "regularize"),
      dict(choices=["log", "powerlog", "polylog", "auto"])),
-    ("--quad-orders", ("integrate", "fit", "regularize"),
+    ("--quad-orders", ("integrate",),
      dict(type=_quad_orders, metavar="R,A1,A2,A3", help="quadrature orders")),
     ("--threads", ("integrate",),
      dict(type=int, default=1,
@@ -511,14 +507,13 @@ _FLAGS = (
 )
 
 
-_SAMPLING = ("integrand_re", "integrand_im", "L_grid", "q", "m", "quadrature")
 # the config keys each subcommand reads besides the keys its flags override;
 # any other key is refused
 _KEYS = {
     "spectra": ("m", "q", "q_grid"),
-    "integrate": _SAMPLING,
-    "fit": _SAMPLING + ("tail_fraction", "degree"),
-    "regularize": _SAMPLING + ("tail_fraction", "degree", "fit_report"),
+    "integrate": ("integrand_re", "integrand_im", "L_grid", "q", "m", "quadrature"),
+    "fit": ("tail_fraction", "degree"),
+    "regularize": ("tail_fraction", "degree", "fit_report"),
     "check": ("trials", "tamper"),
     "resum": ("psi", "phi", "order", "L_values"),
 }

@@ -233,7 +233,10 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError("the cutoff must be positive and finite")
     if eps == 0:
         raise ValueError("the coupling must be nonzero to recover per-order terms")
-    x = 1j * phi * math.log(L)
+    phase = phi * math.log(L)
+    if not math.isfinite(phase):
+        raise ValueError(f"phi ln L is not finite at phi={phi!r}, L={L!r}")
+    x = 1j * phase
     powers = np.array([x**k / math.factorial(k) for k in range(nmax + 1)])
     a = np.array(
         [np.sum(psi[m::-1][: m + 1] * powers[: m + 1]) for m in range(nmax + 1)]

@@ -186,6 +186,13 @@ def test_coordinate_integrand_takes_the_tensor_rule(monkeypatch):
     assert sizes == [24 * 16**3, 12 * 8**3]
 
 
+def test_a_coordinate_behind_a_unary_minus_is_seen():
+    # the tree walk that picks the rule and the screen's grid follows Neg nodes
+    assert not o4_invariant(parse_integrand("-p1^2/(P2+1)^3"))
+    assert not o4_invariant(parse_integrand("1/(P2+1)^2 - (-(p1))"))
+    assert o4_invariant(parse_integrand("-1/(P2+1)^2"))
+
+
 # Invariant integrands that are positive on the ball, so a relative tolerance
 # applies: numerators are sums of products of nonnegative invariants (P2 + PQ
 # + Q2 >= (P2 + Q2) / 2), denominators products of powers of positive ones.

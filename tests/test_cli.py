@@ -305,6 +305,14 @@ def test_integrate_singular_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("source", ["1/(P2-4)", "-(1/(P2-4))"])
+def test_a_singular_integrand_behind_a_unary_minus_exits_4(tmp_path, source):
+    # the screen finds the denominator under the minus
+    l_grid = {"start": 3.0, "ratio": 2.0, "count": 3}
+    code, _ = run(tmp_path, "integrate", {"integrand_im": source, "L_grid": l_grid})
+    assert code == 4
+
+
 def test_fit_pipeline_auto(tmp_path):
     samples = tmp_path / "samples.csv"
     grid = np.geomspace(10, 1e4, 17)
@@ -317,6 +325,20 @@ def test_fit_pipeline_auto(tmp_path):
     payload = json.loads((tmp_path / "fit.json").read_text())
     assert payload["model"]["kind"] == "log"
     assert payload["model"]["phi"] == pytest.approx(3.0, abs=1e-9)
+
+
+def test_fit_summary_names_the_poly_log_terms(tmp_path, capsys):
+    grid = np.geomspace(10, 1e4, 25)
+    logl = np.log(grid)
+    values = 1.5 * logl**2 + 2 * logl - 3
+    samples = tmp_path / "samples.csv"
+    samples.write_text(
+        "L,re,im\n" + "".join(f"{l!r},0.0,{v!r}\n" for l, v in zip(grid.tolist(), values.tolist()))
+    )
+    code = main(["fit", "--samples", str(samples), "--out", str(tmp_path), "--model", "polylog"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "fit: polylog [ln^0=-3, ln^1=2, ln^2=1.5], decay_ok=True\n")
 
 
 def test_fit_unclassified_exits_5(tmp_path):
@@ -652,6 +674,25 @@ def integrate_config(**overrides):
          (2, "spectra: q_grid count must be at least 0, got -2\n")),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "order": -1}, [],
          (2, "resum: order must be at least 0, got -1\n")),
+        # a samples file without rows, which numpy would warn about
+        ("fit", None, ["--samples", "header.csv"],
+         (2, "fit: samples file header.csv has no rows\n")),
+        ("fit", None, ["--samples", "empty.csv"],
+         (2, "fit: samples file empty.csv has no rows\n")),
+        ("regularize", None, ["--samples", "header.csv", "--model", "log"],
+         (2, "regularize: samples file header.csv has no rows\n")),
+        ("regularize", None, ["--samples", "empty.csv", "--model", "log"],
+         (2, "regularize: samples file empty.csv has no rows\n")),
+        # only integrate integrates: without a samples file there is nothing to fit
+        ("fit", {"model": "log"}, [],
+         (2, "fit: needs --samples CSV (or the key 'samples_file'), which integrate writes\n")),
+        ("regularize", None, ["--model", "log"],
+         (2, "regularize: needs --samples CSV (or the key 'samples_file'), "
+             "which integrate writes\n")),
+        # values that numpy or Python would refuse in their own words
+        ("check", None, ["--seed", "-1"], (2, "check: seed must be at least 0, got -1\n")),
+        ("resum", {"psi": [1.0, 0.5], "phi": 1e308}, [],
+         (2, "resum: phi ln L is not finite at phi=1e+308, L=10.0\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -667,6 +708,8 @@ def test_malformed_invocations_exit_with_documented_code(
         "L,re,im\n" + "".join(f"{100 - i},0,{i}\n" for i in range(10))
     )
     (tmp_path / "text.csv").write_text("L,re,im\na,b,c\n")
+    (tmp_path / "header.csv").write_text("L,re,im\n")
+    (tmp_path / "empty.csv").write_text("")
     # a warning recorded here is one a command-line run prints on stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -676,7 +719,8 @@ def test_malformed_invocations_exit_with_documented_code(
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err
-    assert message is None or err == message
+    # a row given with its message records no warning of any kind
+    assert message is None or (err == message and not caught)
 
 
 @pytest.mark.parametrize(
@@ -717,13 +761,14 @@ def test_fit_report_with_a_malformed_model_exits_2(tmp_path, capsys, model):
 )
 def test_fit_keys_are_checked_before_sampling(tmp_path, monkeypatch, capsys, command,
                                               overrides, message):
-    def no_sampling(config):
-        raise AssertionError("sampled before the fit keys were checked")
-
-    monkeypatch.setattr(cli, "_sample", no_sampling)
+    # each case reads a valid samples file, so the refusal is the key's own
     monkeypatch.chdir(tmp_path)
+    grid = np.geomspace(10, 1e4, 17)
+    (tmp_path / "log.csv").write_text(
+        "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"
+    )
     (tmp_path / "report.json").write_text(json.dumps({"model": {"kind": "log", "phi": 1.0}}))
-    code, out = run(tmp_path, command, integrate_config(**overrides))
+    code, out = run(tmp_path, command, overrides, ["--samples", "log.csv"])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and not out.exists()
     assert len(err) == 1 and err[0].startswith(f"{command}: ") and message in err[0]
@@ -747,13 +792,29 @@ def test_config_out_key_is_honoured_and_the_flag_beats_it(tmp_path, monkeypatch)
 @pytest.mark.parametrize("l_grid", [
     {"start": np.inf, "ratio": 2.0, "count": 2},
     {"start": 1e300, "ratio": 1e10, "count": 3},
+    # finite, but at L = 1e78 the weights r^3 dr of either rule overflow at
+    # the default orders
+    {"start": 1e77, "ratio": 10.0, "count": 2},
 ])
 def test_non_finite_cutoffs_exit_2_without_warnings(tmp_path, capsys, l_grid):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _ = run(tmp_path, "integrate", integrate_config(L_grid=l_grid))
-    assert code == 2 and not caught
-    assert "finite" in capsys.readouterr().err
+    # on the 2-D rule of an invariant integrand and on the 4-D rule
+    for source in ("1/(P2+1)^2", "p1^2/(P2+1)^3"):
+        config = {"integrand_im": source, "m": 1.0, "L_grid": l_grid}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(tmp_path, "integrate", config)
+        assert code == 2 and not caught
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+        assert l_grid["start"] != 1e77 or err[0].startswith("integrate: cutoff 1e+78 ")
+
+
+def test_a_cutoff_below_the_overflow_still_integrates(tmp_path):
+    for source in ("1/(P2+1)^2", "p1^2/(P2+1)^3"):
+        config = {"integrand_im": source, "m": 1.0,
+                  "L_grid": {"start": 1e76, "ratio": 10.0, "count": 1}}
+        code, out = run(tmp_path, "integrate", config)
+        assert code == 0 and np.isfinite(read_csv(out / "samples.csv")).all()
 
 
 def test_orders_above_the_cap_exit_2_at_once(tmp_path, capsys):
@@ -822,8 +883,6 @@ def test_errors_exit_with_one_line_in_a_fresh_process(tmp_path, command, config,
     [
         ("integrate", {"method": "monte-carlo", "samples": 1000, "seed": 1},
          "method, samples, seed"),
-        ("fit", {**SMALL_QUAD, "method": "tensor-gauss"}, "method"),
-        ("regularize", {**SMALL_QUAD, "samples": 1000}, "samples"),
         ("integrate", {**SMALL_QUAD, "seed": 1}, "seed"),
     ],
 )
@@ -844,11 +903,15 @@ def test_unknown_quadrature_keys_exit_2_naming_them(tmp_path, capsys, command, q
         # flags that override no top-level key
         ("integrate", integrate_config(quad_orders="8,8,8,8", threads=2),
          "quad_orders, threads"),
-        ("fit", integrate_config(tail_fractoin=0.9, modle="powerlog"), "modle, tail_fractoin"),
-        ("regularize", integrate_config(epsilom=0.2, fit_reprot="fit.json"),
-         "epsilom, fit_reprot"),
+        ("fit", {"tail_fractoin": 0.9, "modle": "powerlog"}, "modle, tail_fractoin"),
+        ("regularize", {"epsilom": 0.2, "fit_reprot": "fit.json"}, "epsilom, fit_reprot"),
         ("check", {"trials": 3, "trails": 5, "config": "check.json"}, "config, trails"),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L": [10.0]}, "L"),
+        # only integrate integrates, so fit and regularize refuse its keys
+        ("fit", integrate_config(integrand_re="1", q=[0, 0, 0], m=1.0),
+         "L_grid, integrand_im, integrand_re, m, q, quadrature"),
+        ("regularize", integrate_config(integrand_re="1", q=[0, 0, 0], m=1.0),
+         "L_grid, integrand_im, integrand_re, m, q, quadrature"),
     ],
 )
 def test_unknown_config_keys_exit_2_naming_them(tmp_path, capsys, command, config, named):
@@ -1038,6 +1101,8 @@ def test_package_refuses_unknown_names():
         ["fit", "--threads", "2"],
         ["integrate", "--seed", "3"],
         ["regularize", "--seed", "3"],
+        ["fit", "--samples", "log.csv", "--quad-orders", "8,8,8,8"],
+        ["regularize", "--samples", "log.csv", "--quad-orders", "8,8,8,8"],
     ],
 )
 def test_flags_of_other_subcommands_are_refused(argv):
@@ -1095,7 +1160,6 @@ SAMPLING = {
     "quadrature": QUADRATURE,
 }
 FIT = {
-    **SAMPLING,
     "samples_file": st.sampled_from(["log.csv", "one_row.csv", "text.csv", "descending.csv",
                                      "missing.csv", ""]),
     "model": st.sampled_from(["log", "powerlog", "polylog", "auto", "cubic"]),

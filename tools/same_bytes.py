@@ -21,8 +21,11 @@ not parse (an unexpected character after a Unicode space, trailing input, a
 non-integer exponent, an unknown identifier, a missing ``)``), fit and
 regularize with every ``--model`` kind on synthetic log, power-log and
 poly-log samples, model dicts with +-0.0 entries, ``check`` at seeds 1-3 with
-1, 300 and 2000 trials, a tampered ``check`` that fails, and a ``spectra``
-grid count and a ``resum`` order below 0, which are refused.
+1, 300 and 2000 trials, a tampered ``check`` that fails, and these, which are
+refused: a ``spectra`` grid count and a ``resum`` order below 0, ``integrate``
+at cutoffs 1e77 and 1e78, whose quadrature weights overflow at the second,
+``check --seed -1``, ``fit`` and ``regularize`` on the README integrate config
+without a samples file, and ``fit`` on a samples file with a header only.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ REFUSED = {
     "negative-count-spectra":
         ("spectra", {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": -2}}),
     "negative-order-resum": ("resum", {**RESUM, "order": -1}),
+    "huge-cutoff-integrate":
+        ("integrate", {**README_INTEGRATE, "L_grid": {"start": 1e77, "ratio": 10.0, "count": 2}}),
 }
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
@@ -164,6 +169,13 @@ def scenarios():
     for name, (command, config) in REFUSED.items():
         yield (name, {"c.json": json.dumps(config)},
                [[command, "--config", "c.json", "--out", "out"]])
+    yield "negative-seed-check", {}, [["check", "--seed", "-1", "--out", "out"]]
+    yield "fit-on-an-integrate-config", {"integrate.json": json.dumps(README_INTEGRATE)}, [
+        ["fit", "--config", "integrate.json", "--out", "out"],
+        ["regularize", "--config", "integrate.json", "--model", "log", "--out", "out"],
+    ]
+    yield ("header-only-samples", {"header.csv": "L,re,im\n"},
+           [["fit", "--samples", "header.csv", "--out", "out"]])
     for name, config in WORKLOAD_CONFIGS.items():
         yield name, {"integrate.json": json.dumps(config)}, pipeline
     malformed = {f"malformed-{name}": {**README_INTEGRATE, "integrand_im": source}
