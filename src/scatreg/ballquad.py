@@ -219,6 +219,7 @@ def screen_singularities(expr, q, m, radius):
     return scan_denominators(expr, ctx | {"m": m, "L": float(radius)})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rule_sum(exprs, rule, m, radius):
     """Weighted sums of each expr over one rule, in chunks of ``_CHUNK``
     consecutive points of the flattened grid.  Each chunk is built from the
@@ -240,7 +241,10 @@ def _rule_sum(exprs, rule, m, radius):
         for expr, sums in zip(exprs, chunk_sums):
             if expr is not None:
                 sums.append(np.sum(evaluate(expr, ctx) * weight))
-    return [float(np.sum(np.asarray(sums))) if sums else 0.0 for sums in chunk_sums]
+    totals = [float(np.sum(np.asarray(sums))) if sums else 0.0 for sums in chunk_sums]
+    if not np.isfinite(totals).all():
+        raise ValueError(f"cutoff {radius:g} is too large: its integral is not finite")
+    return totals
 
 
 # the orders a product rule reads; unlike a QuadratureSpec's they may be 1
@@ -263,7 +267,7 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     First the singularity screen scans every denominator on a coarse grid,
     its (r, chi) slice at the rotated q for an invariant part, and flagged
     singular integrands are refused with the screen report attached, and a
-    cutoff at which a product of the rule's weights overflows with a ValueError.
+    cutoff whose rule weights or integral overflow with a ValueError.
     """
     q4, m = _kinematics(q, m)
     exprs = (f_re, f_im)

@@ -243,8 +243,8 @@ def cmd_spectra(config):
         points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     else:
         raise ValueError("config needs 'q' or 'q_grid'")
-    vals = dirac.eigenvalues(points, m)
-    vecs = dirac.eigenvectors_closed_form(points, m).vectors
+    solved = dirac.eigenvectors_closed_form(points, m)
+    vals, vecs = solved.values, solved.vectors
     h = dirac.build_hamiltonian(points, m)
     # relative to ||H||_F = 2E, which overflows long before E does; H = 0
     # where E = 0, so those rows report 0.  The complex division by a

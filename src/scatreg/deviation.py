@@ -237,10 +237,12 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
     if not math.isfinite(phase):
         raise ValueError(f"phi ln L is not finite at phi={phi!r}, L={L!r}")
     x = 1j * phase
-    powers = np.array([x**k / math.factorial(k) for k in range(nmax + 1)])
-    a = np.array(
-        [np.sum(psi[m::-1][: m + 1] * powers[: m + 1]) for m in range(nmax + 1)]
-    )
+    try:
+        powers = np.array([x**k / math.factorial(k) for k in range(nmax + 1)])
+    except OverflowError:
+        raise ValueError(f"(i phi ln L)^k/k! overflows at phi={phi!r}, L={L!r}") from None
+    # psi[m::-1] is psi_m, ..., psi_0: the m + 1 constants that meet the powers
+    a = np.array([np.sum(psi[m::-1] * powers[: m + 1]) for m in range(nmax + 1)])
     factor = DeviationFactor(log_coeffs=(eps * phi,), eps=eps, eps_order=1)
     reg = regularized_series(a[1:], factor, eps, L)
     residuals = np.abs(reg.coefficients - psi[: nmax + 1])

@@ -124,21 +124,21 @@ def _rescaled(q, m):
 
 
 def energy(q, m):
-    """E = sqrt(m^2 + |q|^2) per momentum; a momentum or mass whose E
-    overflows is a ValueError."""
+    """E = sqrt(m^2 + |q|^2) per momentum, taken on the rescaled momentum
+    where m^2 + |q|^2 leaves the normal float range; a momentum or mass whose
+    E itself overflows is a ValueError."""
     q, m = _check_point(q, m)
     with np.errstate(over="ignore"):
         e2 = m * m + _norm2(q)
-    e = np.sqrt(e2)
+        e = np.sqrt(e2)
+        odd = ~((e2 >= np.finfo(float).tiny) & (e2 < np.inf))
+        if np.any(odd):
+            scale, qs, ms = _rescaled(q, m)
+            e = np.where(odd, scale * np.sqrt(ms * ms + _norm2(qs)), e)[()]
     if not np.all(np.isfinite(e)):
         i = np.argmin(np.isfinite(e))  # the first that overflows
         q, m = q.reshape(-1, 3)[i], np.broadcast_to(m, np.shape(e)).ravel()[i]
         raise ValueError(f"energy sqrt(m^2 + |q|^2) overflows at q={q}, m={m}")
-    # where m^2 + |q|^2 underflows, take E on the rescaled momentum
-    under = e2 < np.finfo(float).tiny
-    if np.any(under):
-        scale, q, m = _rescaled(q, m)
-        e = np.where(under, scale * np.sqrt(m * m + _norm2(q)), e)[()]
     return e
 
 
@@ -177,19 +177,36 @@ def eigenvalues(q, m):
 
 
 def eigenvectors_closed_form(q, m):
-    """Normalized eigenvectors of H(q) from the closed-form expressions, for
-    one momentum (3,) or a stack (n, 3).
+    """Normalized eigenvectors of H(q) from the closed-form expressions, with
+    ``values`` = eigenvalues(q, m), for one momentum (3,) or a stack (n, 3)."""
+    q, m = _check_point(q, m)
+    return EigenSystem(values=eigenvalues(q, m), vectors=_basis(q, m, 4))
+
+
+def spectral_subspaces(q, m):
+    """Orthonormal frames for the invariant spans M1 (negative eigenvalues)
+    and M2 (positive): the first and last two closed-form eigenvector columns."""
+    vectors = _basis(*_check_point(q, m), 4)
+    return SpectralSubspaces(negative=vectors[..., :2], positive=vectors[..., 2:])
+
+
+def _basis(q, m, size):
+    """The closed-form eigenbasis of H (size 4) or of diag(H, H) (size 8) at
+    checked momenta, stacked for stacked momenta: negative-energy columns
+    first, and for diag(H, H) each pair of the first copy before the second's.
 
     Each column is rotated so that its last entry above 1e-13 of the column's
     largest is real positive.  The raw expressions divide by m -/+ E, which
     vanishes at q = 0; there H is already diagonal and the canonical basis is
     used instead (e3, e4 for the negative pair, e1, e2 for the positive pair).
+    The columns are orthonormal by construction: g1 and g2 (g3 and g4) are
+    orthogonal identically, and the two pairs belong to the distinct
+    eigenvalues -E and +E of the Hermitian H.
     """
-    # rescaled to O(1), the eigenvalues scaled back
-    scale, q, m = _rescaled(*_check_point(q, m))
+    # rescaled to O(1): the eigenvectors do not depend on the scale
+    _, q, m = _rescaled(q, m)
     qq = _norm2(q)
     e = np.sqrt(m * m + qq)
-    vals = (scale * np.array([-e, -e, e, e])).T
     # at-rest rows divide by ~0 here; they are replaced below
     with np.errstate(all="ignore"):
         sp = m + e  # m + lambda_3
@@ -209,26 +226,18 @@ def eigenvectors_closed_form(q, m):
         vecs /= np.abs(vecs).max(axis=-2, keepdims=True)  # avoid squaring subnormals
         vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
         # rotate the last entry above 1e-13 of each column's largest to real positive
-        size = np.abs(vecs)
-        big = size > 1e-13 * size.max(axis=-2, keepdims=True)
+        mag = np.abs(vecs)
+        big = mag > 1e-13 * mag.max(axis=-2, keepdims=True)
         last = 3 - big[..., ::-1, :].argmax(axis=-2, keepdims=True)
         c = np.take_along_axis(vecs, last, axis=-2)
         vecs = vecs * (np.conj(c) / np.abs(c))
     # q = 0 up to underflow: H is diagonal, use the canonical basis
     vecs = np.where((sm == 0.0)[..., None, None], _AT_REST, vecs)
-    return EigenSystem(values=vals, vectors=vecs)
-
-
-def spectral_subspaces(q, m):
-    """Orthonormal frames for the invariant spans M1 (negative eigenvalues)
-    and M2 (positive): the first and last two closed-form eigenvector columns.
-
-    They are orthonormal by construction: g1 and g2 (g3 and g4) are orthogonal
-    identically, and the two pairs belong to the distinct eigenvalues -E and +E
-    of the Hermitian H.
-    """
-    vectors = eigenvectors_closed_form(q, m).vectors
-    return SpectralSubspaces(negative=vectors[..., :2], positive=vectors[..., 2:])
+    if size == 4:
+        return vecs
+    basis = np.zeros(vecs.shape[:-2] + (8, 8), dtype=complex)
+    basis[..., :4, [0, 1, 4, 5]] = basis[..., 4:, [2, 3, 6, 7]] = vecs
+    return basis
 
 
 def _adjoint(x):
@@ -271,7 +280,6 @@ def _diagonalize_unitary(u):
     Returns (phases d, eigenvector columns) sorted by angle(d) ascending in
     (-pi, pi].
     """
-    u = np.asarray(u, dtype=complex)
     w, v = np.linalg.eigh((u + _adjoint(u)) / 2)
     # a cluster chains neighbouring eigenvalues of the Hermitian part that are
     # closer than 1e-10 relative; the rows with one are split in one solve
@@ -294,32 +302,19 @@ def _diagonalize_unitary(u):
     return d, np.take_along_axis(v, order[..., None, :], -1)
 
 
-def _frames(q, m, size):
-    """Eigenspace frames of H (size 4) or of diag(H, H) (size 8), stacked for
-    stacked momenta."""
-    sub = spectral_subspaces(q, m)
-    if size == 4:
-        return sub.negative, sub.positive
-    frames = []
-    for frame in (sub.negative, sub.positive):
-        doubled = np.zeros(frame.shape[:-2] + (8, 4), dtype=complex)
-        doubled[..., :4, :2] = frame
-        doubled[..., 4:, 2:] = frame
-        frames.append(doubled)
-    return frames
-
-
 def joint_diagonalize(q, m, s, tol=1e-8):
     """Common eigenbasis of H(q) (or its 8x8 doubling) and a commuting unitary
     S, and a list of the error each row fails with, or None (one entry for
     one momentum).
 
-    S is restricted to the two degenerate eigenspaces of H, each restriction is
-    diagonalized, and the resulting unit-modulus eigenvalues d_k are returned
-    together with the common eigenvectors h_k.  Within each block the d_k are
-    ordered by phase angle ascending.  Stacked momenta (n, 3) take a stack of
-    S (n, size, size); row i equals the one-momentum call on row i bit for
-    bit.  Failing rows are not diagonalized (zero columns).
+    S is taken into H's eigenbasis B by one product T = B*SB: T's off-diagonal
+    blocks are the leakage between H's two degenerate eigenspaces, and its
+    diagonal blocks, the restrictions of S to them, are diagonalized.  The
+    unit-modulus eigenvalues d_k, ordered by phase angle ascending within each
+    block, come with the common eigenvectors h_k, B's columns times each
+    block's eigenvectors.  Stacked momenta (n, 3) take a stack of S (n, size,
+    size); row i equals the one-momentum call on row i bit for bit.  Failing
+    rows are not diagonalized (zero columns).
     """
     q, m = _check_point(q, m)
     s = np.asarray(s, dtype=complex)
@@ -333,9 +328,10 @@ def joint_diagonalize(q, m, s, tol=1e-8):
     q, s = q.reshape(-1, 3), s.reshape(-1, size, size)
     h = build_hamiltonian(q, m) if size == 4 else build_doubled(q, m)
     unitarity, defect = _defects(h, s)
-    neg, pos = _frames(q, m, size)
-    leak = _fro(_adjoint(neg) @ s @ pos)
-    back = _fro(_adjoint(pos) @ s @ neg)
+    basis = _basis(q, m, size)
+    t = _adjoint(basis) @ s @ basis  # S in H's eigenbasis
+    neg, pos = slice(0, size // 2), slice(size // 2, size)
+    leak, back = _fro(t[:, neg, pos]), _fro(t[:, pos, neg])
     leakage = np.where(back > leak, back, leak)  # the one max(leak, back) returns
     # the first verdict each row fails, in this order, or 0; a NaN
     # commutation defect fails, a NaN unitarity or leakage does not
@@ -348,13 +344,12 @@ def joint_diagonalize(q, m, s, tol=1e-8):
             else SubspaceLeakageError(leakage[i])
         )
     ok = verdict == 0
-    vectors = np.zeros(s.shape, dtype=complex)
-    diagonal = np.zeros(s.shape[:-1], dtype=complex)
-    for i, frame in enumerate((neg[ok], pos[ok])):
-        d, v = _diagonalize_unitary(_adjoint(frame) @ s[ok] @ frame)
-        cols = slice(i * size // 2, (i + 1) * size // 2)
-        vectors[ok, :, cols] = frame @ v
-        diagonal[ok, cols] = d
+    basis, t = basis[ok], t[ok]
+    vectors, diagonal = np.zeros(s.shape, dtype=complex), np.zeros(s.shape[:-1], dtype=complex)
+    for block in (neg, pos):
+        d, v = _diagonalize_unitary(t[:, block, block])
+        vectors[ok, :, block] = basis[:, :, block] @ v
+        diagonal[ok, block] = d
     if one:
         vectors, diagonal = vectors[0], diagonal[0]
     return ScatteringDiagonal(vectors=vectors, diagonal=diagonal), errors
@@ -391,8 +386,7 @@ def random_commuting_unitary(q, m, seed, doubled=False):
     qmat, r = np.linalg.qr(gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :])
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     blocks = qmat * (phases / np.abs(phases))[..., None, :]
-    neg, pos = _frames(q, m, size)
-    basis = np.concatenate([neg, pos], axis=-1)
+    basis = _basis(q, m, size)
     core = np.zeros(q.shape[:-1] + (size, size), dtype=complex)
     for i in range(nblocks):
         core[..., 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[..., i, :, :]

@@ -105,6 +105,27 @@ def test_spectra_eigenvalues_survive_underflow(tmp_path, capsys, config, energy)
     assert np.isfinite(residual) and residual <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "config, energy",
+    [
+        ({"q": [1e155, 0, 0], "m": 1}, 1e155),
+        ({"q": [1e300, 1e300, 0], "m": 1}, 1e300 * np.sqrt(2)),
+    ],
+)
+def test_spectra_eigenvalues_survive_overflow_of_the_square(tmp_path, capsys, config, energy):
+    # m^2 + |q|^2 overflows while E does not: E is taken on the rescaled
+    # momentum, and only an E that itself overflows is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "spectra", config)
+    assert code == 0
+    values = read_csv(out / "spectra.csv")[0, 4:]
+    assert np.isfinite(values).all()
+    assert values.tolist() == pytest.approx([-energy, -energy, energy, energy], rel=1e-15)
+    residual = float(capsys.readouterr().out.rsplit(" ", 1)[1])
+    assert np.isfinite(residual) and residual <= 1e-15
+
+
 def reference_write_csv(path, header, rows):
     """The per-value CSV writer that ``cli._write_csv`` replaced: the reference
     for its bytes."""
@@ -629,7 +650,8 @@ def integrate_config(**overrides):
         ("integrate", integrate_config(integrand_im="(P2+1)^200"), [], 4),
         ("integrate", integrate_config(integrand_im="10^400/(P2+1)^2"), [], 4),
         ("integrate", integrate_config(integrand_im="1/(P2+L^400)"), [], 4),
-        ("spectra", {"q": [1e300, 1e300, 0], "m": 1}, [], 2),
+        # E = sqrt(2) 1.5e308 overflows
+        ("spectra", {"q": [1.5e308, 1.5e308, 0], "m": 1}, [], 2),
         ("check", {"trials": 0}, [], 2),
         ("check", {"trials": -3}, [], 2),
         # sizes past the 128 TiB x86-64 address space, so that the allocation
@@ -693,6 +715,8 @@ def integrate_config(**overrides):
         ("check", None, ["--seed", "-1"], (2, "check: seed must be at least 0, got -1\n")),
         ("resum", {"psi": [1.0, 0.5], "phi": 1e308}, [],
          (2, "resum: phi ln L is not finite at phi=1e+308, L=10.0\n")),
+        ("resum", {"psi": [1.0, 0.5, 0.2], "phi": 1e308, "L_values": [2.718281828459045]}, [],
+         (2, "resum: (i phi ln L)^k/k! overflows at phi=1e+308, L=2.718281828459045\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -789,16 +813,22 @@ def test_config_out_key_is_honoured_and_the_flag_beats_it(tmp_path, monkeypatch)
         "elsewhere", "flag", "resum.json", "resum_residuals.csv"]
 
 
-@pytest.mark.parametrize("l_grid", [
-    {"start": np.inf, "ratio": 2.0, "count": 2},
-    {"start": 1e300, "ratio": 1e10, "count": 3},
+# on the 2-D rule of an invariant integrand and on the 4-D rule
+BOTH_RULES = ("1/(P2+1)^2", "p1^2/(P2+1)^3")
+
+
+@pytest.mark.parametrize("l_grid, sources", [
+    ({"start": np.inf, "ratio": 2.0, "count": 2}, BOTH_RULES),
+    ({"start": 1e300, "ratio": 1e10, "count": 3}, BOTH_RULES),
     # finite, but at L = 1e78 the weights r^3 dr of either rule overflow at
     # the default orders
-    {"start": 1e77, "ratio": 10.0, "count": 2},
-])
-def test_non_finite_cutoffs_exit_2_without_warnings(tmp_path, capsys, l_grid):
-    # on the 2-D rule of an invariant integrand and on the 4-D rule
-    for source in ("1/(P2+1)^2", "p1^2/(P2+1)^3"):
+    ({"start": 1e77, "ratio": 10.0, "count": 2}, BOTH_RULES),
+    # finite weights at both cutoffs, but the integral of 1, pi^2 L^4 / 2,
+    # overflows at L = 1e77
+    ({"start": 1e76, "ratio": 10.0, "count": 2}, ("1",)),
+], ids=[f"l_grid{i}" for i in range(4)])
+def test_non_finite_cutoffs_exit_2_without_warnings(tmp_path, capsys, l_grid, sources):
+    for source in sources:
         config = {"integrand_im": source, "m": 1.0, "L_grid": l_grid}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -807,6 +837,8 @@ def test_non_finite_cutoffs_exit_2_without_warnings(tmp_path, capsys, l_grid):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "finite" in err[0]
         assert l_grid["start"] != 1e77 or err[0].startswith("integrate: cutoff 1e+78 ")
+        assert sources != ("1",) or err[0] == (
+            "integrate: cutoff 1e+77 is too large: its integral is not finite")
 
 
 def test_a_cutoff_below_the_overflow_still_integrates(tmp_path):

@@ -146,6 +146,26 @@ def test_stacked_momenta_match_per_row_calls(q, m):
         assert c.real > 0 and abs(c.imag) <= 1e-15 * c.real
 
 
+def test_eigensystem_values_are_the_eigenvalues_bit_for_bit():
+    # the spectra grid of the README, and the draws of the check suite
+    axis = np.linspace(-5, 5, 16)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    rng = np.random.default_rng(2000)
+    for q, m in ((grid, 0.5), (rng.uniform(-10, 10, (2000, 3)), rng.uniform(0, 10, 2000))):
+        assert np.array_equal(dirac.eigenvectors_closed_form(q, m).values, dirac.eigenvalues(q, m))
+
+
+@pytest.mark.parametrize("q, m", [
+    ((1e155, 0.0, 0.0), 1.0), ((1e300, 1e300, 0.0), 1.0), ((0.0, 0.0, 0.0), 1.5e308),
+])
+def test_energy_is_refused_only_where_it_overflows(q, m):
+    # m^2 + |q|^2 overflows in each, E does not
+    e = dirac.energy(q, m)
+    assert np.isfinite(e) and e == pytest.approx(np.hypot(np.hypot(*q[:2]), np.hypot(q[2], m)))
+    with pytest.raises(ValueError, match="overflows"):
+        dirac.energy(np.array([q, (1.5e308, 1.5e308, 0.0)]), m)
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3), (4, 3), (3,)])
 def test_momentum_stack_shape_is_checked(shape):
     # (4, 3) and (3,) are valid momenta, refused for a mass array of length 3

@@ -26,6 +26,10 @@ refused: a ``spectra`` grid count and a ``resum`` order below 0, ``integrate``
 at cutoffs 1e77 and 1e78, whose quadrature weights overflow at the second,
 ``check --seed -1``, ``fit`` and ``regularize`` on the README integrate config
 without a samples file, and ``fit`` on a samples file with a header only.
+Last, three steps at an overflow's edge: ``spectra`` at q = (1e155, 0, 0),
+where m^2 + |q|^2 overflows but E does not, ``integrate`` of ``1`` at cutoffs
+1e76 and 1e77, whose integral overflows at the second, and ``resum`` at
+phi = 1e308, L = e, where (i phi ln L)^2 overflows.
 """
 
 from __future__ import annotations
@@ -99,6 +103,15 @@ REFUSED = {
     "negative-order-resum": ("resum", {**RESUM, "order": -1}),
     "huge-cutoff-integrate":
         ("integrate", {**README_INTEGRATE, "L_grid": {"start": 1e77, "ratio": 10.0, "count": 2}}),
+}
+# at an overflow's edge: solved, or refused (exit 2) by name
+OVERFLOW_EDGES = {
+    "huge-momentum-spectra": ("spectra", {"q": [1e155, 0.0, 0.0], "m": 1.0}),
+    "overflowing-integral-integrate":
+        ("integrate", {"integrand_re": "1", "m": 1.0,
+                       "L_grid": {"start": 1e76, "ratio": 10.0, "count": 2}}),
+    "overflowing-power-resum":
+        ("resum", {"psi": [1.0, 0.5, 0.2], "phi": 1e308, "L_values": [2.718281828459045]}),
 }
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
@@ -219,6 +232,9 @@ def scenarios():
                      "--out", "out"]])
     yield ("check-tampered", {"check.json": json.dumps({"trials": 5, "tamper": 1e-3})},
            [["check", "--config", "check.json", "--out", "out"]])
+    for name, (command, config) in OVERFLOW_EDGES.items():
+        yield (name, {"c.json": json.dumps(config)},
+               [[command, "--config", "c.json", "--out", "out"]])
 
 
 def _tree(directory):
