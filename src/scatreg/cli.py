@@ -106,12 +106,13 @@ def _is(value, kind):
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _get(config, key, kind, default=...):
+def _get(config, key, kind, default=..., keys=None):
     """``config[key]``, checked to be of ``kind`` and converted to it.
 
     ``kind`` is float (which accepts an integer), int, str or dict; [kind] for
     a list of that kind; or a tuple of kinds, whose value is returned as is.
-    Without a ``default`` the key is required.
+    Without a ``default`` the key is required.  A dict with a key outside
+    ``keys``, when they are given, is refused.
     """
     if key not in config:
         if default is ...:
@@ -120,6 +121,8 @@ def _get(config, key, kind, default=...):
     value = config[key]
     if not _is(value, kind):
         raise ValueError(f"config key '{key}' has the wrong type: {value!r}")
+    if keys is not None and (unknown := sorted(set(value) - set(keys))):
+        raise ValueError(f"unknown {key} keys: {', '.join(unknown)}")
     if isinstance(kind, list):
         return [kind[0](v) for v in value]
     return value if isinstance(kind, tuple) else kind(value)
@@ -160,7 +163,7 @@ def _out_dir(config):
 
 
 def _l_grid(config):
-    spec = _get(config, "L_grid", dict)
+    spec = _get(config, "L_grid", dict, keys=("start", "ratio", "count"))
     start = _get(spec, "start", float)
     ratio = _get(spec, "ratio", float)
     count = _get(spec, "count", int)
@@ -176,10 +179,7 @@ def _l_grid(config):
 def _quad_spec(config):
     from .ballquad import QuadratureSpec
 
-    spec = _get(config, "quadrature", dict, {})
-    unknown = sorted(set(spec) - {"radial_order", "angular_orders"})
-    if unknown:
-        raise ValueError(f"unknown quadrature keys: {', '.join(unknown)}")
+    spec = _get(config, "quadrature", dict, {}, keys=("radial_order", "angular_orders"))
     return QuadratureSpec(
         radial_order=_get(spec, "radial_order", int, 64),
         angular_orders=tuple(_get(spec, "angular_orders", [int], [32, 32, 32])),
@@ -230,7 +230,7 @@ def cmd_spectra(config):
     if "q" in config:
         points = np.array([_get(config, "q", [float])])
     elif "q_grid" in config:
-        spec = _get(config, "q_grid", dict)
+        spec = _get(config, "q_grid", dict, keys=("min", "max", "count"))
         lo, hi = _get(spec, "min", float), _get(spec, "max", float)
         # refused here, since linspace would make inf/NaN nodes with numpy
         # warnings before dirac refused them with this message
@@ -467,13 +467,10 @@ def cmd_resum(config):
     l_values = _get(config, "L_values", [float], [1.0, np.e, 10.0, 100.0])
     if not l_values:
         raise ValueError("L_values must not be empty")
-    rows = []
-    for L in l_values:
-        result = deviation.resum_coulomb_series(psi, phi, eps, nmax, L)
-        for order, residual in enumerate(result.residuals):
-            rows.append([L, order, residual])
-    # np.max, unlike max, keeps a NaN
-    worst = np.max([row[2] for row in rows])
+    residuals = [deviation.resum_coulomb_series(psi, phi, eps, nmax, L).residuals
+                 for L in l_values]
+    rows = [[L, *row] for L, r in zip(l_values, residuals) for row in enumerate(r)]
+    worst = np.max(residuals)
     out = _out_dir(config)
     _write_csv(out / "resum_residuals.csv", ["L", "order", "residual"], rows)
     print(f"resum: max per-order residual {worst:.3e}")

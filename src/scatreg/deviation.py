@@ -6,7 +6,9 @@ scattering series by it removes the divergent part of each coefficient and
 leaves a convergent remainder.  The module also implements the membership
 test for the class of factors whose finite-shift ratio tends to 1, and the
 Coulomb-type resummation identity where dividing by L^(i eps phi) turns the
-log-laden series coefficients back into their generating constants.
+log-laden series coefficients back into their generating constants.  Both
+series expansions convolve the terms x^k/k! of exp(x), each the last one
+times x/k, and refuse by name a term, sum or coefficient that overflows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "factor_from_model",
     "regularize_coefficient",
     "regularized_series",
-    "series_exp",
     "class_a_check",
     "resum_coulomb_series",
 ]
@@ -87,9 +88,6 @@ class DeviationFactor:
     def __call__(self, L):
         return np.exp(1j * self.exponent(L))
 
-    def inverse_at(self, L):
-        return np.exp(-1j * self.exponent(L))
-
     @property
     def pure_log(self):
         """True iff only ln-power terms are present (the class-A criterion)."""
@@ -128,23 +126,18 @@ def regularize_coefficient(samples, model):
     return replace(samples, values=samples.values - 1j * model.divergent_part(samples.grid))
 
 
-def series_exp(poly, nmax):
-    """Coefficients of exp(P(x)) to order ``nmax`` for P with P(0) = 0.
+def _finite(values, name, where):
+    """``values``, or a ValueError naming them as ``name`` if any is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} overflows at {where}")
+    return values
 
-    ``poly`` maps order -> complex coefficient; uses the derivative recurrence
-    e_n = (1/n) sum_k k p_k e_{n-k}.
-    """
-    p = np.zeros(nmax + 1, dtype=complex)
-    for k, c in poly.items():
-        if k == 0 and c != 0:
-            raise ValueError("exponent polynomial must vanish at order 0")
-        if 1 <= k <= nmax:
-            p[k] = c
-    e = np.zeros(nmax + 1, dtype=complex)
-    e[0] = 1.0
-    for n in range(1, nmax + 1):
-        e[n] = sum(k * p[k] * e[n - k] for k in range(1, n + 1)) / n
-    return e
+
+def _exp_terms(x, n, name, where):
+    """x^k/k! for k = 0..n, each term the last one times x/k; refused if one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.cumprod(np.concatenate([[1.0], x / np.arange(1, n + 1)]))
+    return _finite(terms, name, where)
 
 
 @dataclass(frozen=True)
@@ -159,21 +152,28 @@ def regularized_series(a_coeffs, factor, eps, L):
     """Apply the inverse deviation factor to the truncated series at (eps, L).
 
     ``a_coeffs`` holds a_1..a_N evaluated at this L.  Per-order regularized
-    coefficients are computed by expanding exp(-i theta(L) eps^k) against the
-    series when the factor records its coupling order k; a gauge phase only
-    rescales the whole series and is kept out of the per-order expansion.
+    coefficients are computed by expanding exp(-i theta(L) eps^k), whose terms
+    (-i theta)^j/j! sit at the orders jk, against the series when the factor
+    records its coupling order k; a gauge phase only rescales the whole series
+    and is kept out of the per-order expansion.  A sum d, value or coefficient
+    that overflows is refused by name.
     """
     a_coeffs = np.asarray(a_coeffs, dtype=complex)
     n = len(a_coeffs)
-    d = 1.0 + np.sum(a_coeffs * eps ** np.arange(1, n + 1))
-    value = factor.inverse_at(L) * d
+    where = f"eps={eps!r}, L={L!r}"
     coefficients = None
-    if factor.eps_order is not None and factor.eps not in (None, 0.0):
-        theta = (factor.exponent(L) - factor.gauge) / factor.eps**factor.eps_order
-        inv = series_exp({factor.eps_order: -1j * theta}, n)
-        series = np.concatenate([[1.0], a_coeffs])
-        coefficients = np.convolve(inv, series)[: n + 1]
-        coefficients *= np.exp(-1j * factor.gauge)
+    # numpy's eps^k in theta may overflow or underflow to 0, where Python's raises
+    with np.errstate(all="ignore"):
+        d = _finite(1.0 + np.sum(a_coeffs * eps ** np.arange(1, n + 1)), "the sum d", where)
+        exponent = factor.exponent(L)
+        value = _finite(np.exp(-1j * exponent) * d, "U0^-1 d", where)
+        if (k := factor.eps_order) is not None and factor.eps not in (None, 0.0):
+            theta = (exponent - factor.gauge) / np.float64(factor.eps) ** k
+            inv = np.zeros(n + 1, dtype=complex)
+            inv[::k] = _exp_terms(-1j * theta, n // k, "(-i theta)^k/k!", where)
+            coefficients = np.convolve(inv, np.concatenate([[1.0], a_coeffs]))[: n + 1]
+            coefficients *= np.exp(-1j * factor.gauge)
+            coefficients = _finite(coefficients, "a regularized coefficient", where)
     return RegularizedSeries(value=complex(value), coefficients=coefficients)
 
 
@@ -221,7 +221,7 @@ class ResummationResult:
 def resum_coulomb_series(psi, phi, eps, nmax, L):
     """Build a_m = sum_k psi_{m-k} (i phi ln L)^k / k! and verify that the
     order-by-order expansion of L^{-i eps phi} d(q, L) returns psi_m exactly.
-    """
+    A power, a_m or sum d that overflows is refused by name."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi.size == 0 or psi[0] != 1.0:
         raise ValueError("the constant list must start with psi_0 = 1")
@@ -233,24 +233,17 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError("the cutoff must be positive and finite")
     if eps == 0:
         raise ValueError("the coupling must be nonzero to recover per-order terms")
-    phase = phi * math.log(L)
+    where, phase = f"phi={phi!r}, L={L!r}", phi * math.log(L)
     if not math.isfinite(phase):
-        raise ValueError(f"phi ln L is not finite at phi={phi!r}, L={L!r}")
-    x = 1j * phase
-    try:
-        powers = np.array([x**k / math.factorial(k) for k in range(nmax + 1)])
-    except OverflowError:
-        raise ValueError(f"(i phi ln L)^k/k! overflows at phi={phi!r}, L={L!r}") from None
-    # psi[m::-1] is psi_m, ..., psi_0: the m + 1 constants that meet the powers
-    a = np.array([np.sum(psi[m::-1] * powers[: m + 1]) for m in range(nmax + 1)])
+        raise ValueError(f"phi ln L is not finite at {where}")
+    powers = _exp_terms(1j * phase, nmax, "(i phi ln L)^k/k!", where)
+    a = _finite(np.convolve(psi[: nmax + 1], powers)[: nmax + 1], "a_m", where)
     factor = DeviationFactor(log_coeffs=(eps * phi,), eps=eps, eps_order=1)
     reg = regularized_series(a[1:], factor, eps, L)
-    residuals = np.abs(reg.coefficients - psi[: nmax + 1])
-    d = 1.0 + np.sum(a[1:] * eps ** np.arange(1, nmax + 1))
     return ResummationResult(
         a_coeffs=a[1:],
-        d_value=complex(d),
+        d_value=complex(1.0 + np.sum(a[1:] * eps ** np.arange(1, nmax + 1))),
         d_tilde_value=reg.value,
         recovered=reg.coefficients,
-        residuals=residuals,
+        residuals=np.abs(reg.coefficients - psi[: nmax + 1]),
     )

@@ -223,14 +223,21 @@ def _builtin(name, ctx):
 
 
 def evaluate(expr, ctx):
-    """Evaluate the tree with the bindings in ``ctx`` (scalars or arrays)."""
-    # overflow and invalid operations surface as the EvaluationError below,
-    # not as a numpy RuntimeWarning on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = _eval(expr, ctx)
+    """Evaluate the tree on the scalars or arrays bound in ``ctx``; a ValueError if too deep."""
+    result = _eval_quietly(expr, ctx)
     if not np.all(np.isfinite(result)):
         raise EvaluationError("non-finite result", expr)
     return result
+
+
+def _eval_quietly(expr, ctx):
+    """``_eval`` with overflow left as non-finite values, not numpy warnings; a
+    tree too deep for Python's recursion limit is a ValueError, not printed."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _eval(expr, ctx)
+    except RecursionError:
+        raise ValueError("expression too deep to evaluate") from None
 
 
 def _eval(expr, ctx):
@@ -270,8 +277,11 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def pretty_print(expr):
-    """Canonical text form; reparsing it reproduces the same tree."""
-    return _pp(expr, 0)
+    """Canonical text form, which reparses to the same tree; a ValueError if too deep."""
+    try:
+        return _pp(expr, 0)
+    except RecursionError:
+        raise ValueError("expression too deep to print") from None
 
 
 def _pp(expr, parent_prec):
@@ -356,8 +366,7 @@ def scan_denominators(expr, ctx):
     Report-only; never raises for singular integrands."""
     details = []
     for den in division_denominators(expr):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(_eval(den, ctx), dtype=float)
+        values = np.asarray(_eval_quietly(den, ctx), dtype=float)
         sign_change = bool((values > 0).any() and (values < 0).any())
         details.append((pretty_print(den), float(np.abs(values).min()), sign_change))
     return SingularityReport(tuple(details))

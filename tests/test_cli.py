@@ -717,6 +717,17 @@ def integrate_config(**overrides):
          (2, "resum: phi ln L is not finite at phi=1e+308, L=10.0\n")),
         ("resum", {"psi": [1.0, 0.5, 0.2], "phi": 1e308, "L_values": [2.718281828459045]}, [],
          (2, "resum: (i phi ln L)^k/k! overflows at phi=1e+308, L=2.718281828459045\n")),
+        # past 171 constants, where k! alone would overflow: solved
+        ("resum", {"psi": [1.0] + [0.0] * 180, "phi": 0.1, "L_values": [2.0]}, [], (0, "")),
+        ("resum", {"psi": [1.0, 1e308, 1e308], "phi": 10, "L_values": [2.718281828459045]}, [],
+         (2, "resum: a_m overflows at phi=10.0, L=2.718281828459045\n")),
+        ("resum", {"psi": [1.0, 1e300], "phi": 0.5, "epsilon": 1e10, "L_values": [2.0]}, [],
+         (2, "resum: the sum d overflows at eps=10000000000.0, L=2.0\n")),
+        # a table's unknown keys are refused by name, as the quadrature table's are
+        ("integrate", integrate_config(L_grid={"start": 10, "ratio": 10, "count": 2, "cout": 5}),
+         [], (2, "integrate: unknown L_grid keys: cout\n")),
+        ("spectra", {"m": 1, "q_grid": {"min": -1, "max": 1, "count": 2, "mx": 3}}, [],
+         (2, "spectra: unknown q_grid keys: mx\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(

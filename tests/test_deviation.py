@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from scatreg.deviation import (
     regularize_coefficient,
     regularized_series,
     resum_coulomb_series,
-    series_exp,
     _exponent,
 )
 
@@ -107,13 +108,21 @@ def test_regularize_powerlog_converges():
     assert abs(out.values[-1] - 7j) < 1e-3
 
 
-def test_series_exp_matches_numpy_exp():
-    coeffs = series_exp({1: 0.3 + 0.1j, 2: -0.2j}, 8)
-    # evaluate the truncated series at a small argument and compare
-    x = 0.05
-    truncated = sum(c * x**n for n, c in enumerate(coeffs))
-    exact = np.exp((0.3 + 0.1j) * x + (-0.2j) * x**2)
-    assert truncated == pytest.approx(exact, abs=1e-12)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_inverse_factor_expansion_sits_at_stride_order(order):
+    # with a_1..a_N = 0 the per-order coefficients are those of exp(-i theta eps^k)
+    theta, eps, n = 0.7, 0.1, 9
+    factor = DeviationFactor(log_coeffs=(theta * eps**order,), eps=eps, eps_order=order)
+    out = regularized_series(np.zeros(n), factor, eps, np.e)  # ln L = 1
+    expected = np.zeros(n + 1, dtype=complex)
+    expected[::order] = [(-1j * theta) ** j / math.factorial(j) for j in range(n // order + 1)]
+    assert out.coefficients == pytest.approx(expected, rel=1e-14, abs=0)
+    truncated = sum(c * eps**m for m, c in enumerate(out.coefficients))
+    direct = sum((-1j * theta * eps**order) ** j / math.factorial(j)
+                 for j in range(n // order + 1))
+    assert truncated == pytest.approx(direct, rel=1e-15)
+    # the first term left out is below 2e-13 for every order
+    assert truncated == pytest.approx(np.exp(-1j * theta * eps**order), abs=1e-12)
 
 
 def test_regularized_series_trivial():
@@ -214,3 +223,49 @@ def test_resum_composition_matches_direct_product():
     out = resum_coulomb_series(psi, phi, eps, 3, L)
     direct = L ** (-1j * eps * phi) * out.d_value
     assert out.d_tilde_value == pytest.approx(direct, rel=1e-12)
+
+
+def test_resum_past_171_constants():
+    # each power is the last one times x/k, so k! never overflows on its own
+    psi = [1.0] + [0.0] * 180
+    out = resum_coulomb_series(psi, 0.1, 0.1, 180, 2.0)
+    assert np.max(out.residuals) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "psi, phi, eps, L, named",
+    [
+        ([1.0, 1e308, 1e308], 10.0, 0.1, np.e, "a_m overflows"),
+        ([1.0, 1e300], 0.5, 1e10, 2.0, "the sum d overflows"),
+        ([1.0, 0.5, 0.2], 1e308, 0.1, np.e, "(i phi ln L)^k/k! overflows"),
+        # a_m finite, but the products that recover psi pass the float range
+        ([1.0, 1e306] + [0.0] * 10, 5.0, 0.1, np.e, "a regularized coefficient overflows"),
+        # eps phi ln L overflows where phi ln L does not
+        ([1.0], 1e298, 1e10, 1e10, "U0^-1 d overflows"),
+    ],
+)
+def test_resum_refuses_each_overflow_by_name(psi, phi, eps, L, named):
+    # pytest turns a RuntimeWarning into an error, so these raise without one
+    with pytest.raises(ValueError) as info:
+        resum_coulomb_series(psi, phi, eps, len(psi) - 1, L)
+    assert str(info.value).startswith(named)
+
+
+@pytest.mark.parametrize(
+    "log_coeff, eps, order",
+    [
+        (1e300, 1e-5, 1),  # theta = 1e300 ln 10 / 1e-5 is finite, theta^2 / 2 is not
+        (1.0, 1e-200, 2),  # eps^2 underflows to 0, so theta is not finite
+    ],
+)
+def test_regularized_series_refuses_an_overflowing_inverse_power(log_coeff, eps, order):
+    factor = DeviationFactor(log_coeffs=(log_coeff,), eps=eps, eps_order=order)
+    with pytest.raises(ValueError, match=r"^\(-i theta\)\^k/k! overflows at eps="):
+        regularized_series([0.0, 0.0], factor, eps, 10.0)
+
+
+def test_regularized_series_past_eps_overflow():
+    # eps^2 overflows, so theta and every inverse term past the first are 0
+    factor = DeviationFactor(log_coeffs=(1.0,), eps=1e200, eps_order=2)
+    out = regularized_series([], factor, 1e200, 10.0)
+    assert out.coefficients.tolist() == [1.0]

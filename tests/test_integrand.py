@@ -111,6 +111,24 @@ def test_trees_at_the_depth_limit_parse_evaluate_and_print(source):
     assert np.isfinite(evaluate(tree, ctx(p=(1, 0, 0, 0))))
 
 
+def test_trees_too_deep_to_recurse_are_a_one_line_value_error():
+    # built in code, not parsed, so not held to the parser's 100 levels
+    tree = Num(1.0)
+    for _ in range(2000):
+        tree = BinOp("+", tree, Num(1.0))
+    calls = [
+        (lambda: evaluate(tree, ctx()), "expression too deep to evaluate"),
+        (lambda: pretty_print(tree), "expression too deep to print"),
+        # the screen evaluates each denominator before it prints it
+        (lambda: integrand.scan_denominators(BinOp("/", Num(1.0), tree), ctx()),
+         "expression too deep to evaluate"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("tail", [" ", "\t\n", "\u2003", " \u3000\x0b\x0c\r"])
 def test_trailing_whitespace_is_accepted(tail):
     assert parse_integrand("1/(P2+1)" + tail) == parse_integrand("1/(P2+1)")

@@ -23,13 +23,16 @@ regularize with every ``--model`` kind on synthetic log, power-log and
 poly-log samples, model dicts with +-0.0 entries, ``check`` at seeds 1-3 with
 1, 300 and 2000 trials, a tampered ``check`` that fails, and these, which are
 refused: a ``spectra`` grid count and a ``resum`` order below 0, ``integrate``
-at cutoffs 1e77 and 1e78, whose quadrature weights overflow at the second,
+at cutoffs 1e77 and 1e78, whose quadrature weights overflow at the second, an
+``integrate`` ``L_grid`` and a ``spectra`` ``q_grid`` with an unknown key,
 ``check --seed -1``, ``fit`` and ``regularize`` on the README integrate config
 without a samples file, and ``fit`` on a samples file with a header only.
-Last, three steps at an overflow's edge: ``spectra`` at q = (1e155, 0, 0),
+Last, six steps at an overflow's edge: ``spectra`` at q = (1e155, 0, 0),
 where m^2 + |q|^2 overflows but E does not, ``integrate`` of ``1`` at cutoffs
-1e76 and 1e77, whose integral overflows at the second, and ``resum`` at
-phi = 1e308, L = e, where (i phi ln L)^2 overflows.
+1e76 and 1e77, whose integral overflows at the second, ``resum`` at
+phi = 1e308, L = e, where (i phi ln L)^2 overflows, ``resum`` with 181
+constants, where 171! alone would overflow but no (i phi ln L)^k/k! does, and
+``resum`` where a sum a_m overflows and where the truncated sum d does.
 """
 
 from __future__ import annotations
@@ -103,6 +106,11 @@ REFUSED = {
     "negative-order-resum": ("resum", {**RESUM, "order": -1}),
     "huge-cutoff-integrate":
         ("integrate", {**README_INTEGRATE, "L_grid": {"start": 1e77, "ratio": 10.0, "count": 2}}),
+    "unknown-L_grid-key-integrate":
+        ("integrate", {**README_INTEGRATE,
+                       "L_grid": {"start": 10, "ratio": 10, "count": 2, "cout": 5}}),
+    "unknown-q_grid-key-spectra":
+        ("spectra", {"m": 1, "q_grid": {"min": -1, "max": 1, "count": 2, "mx": 3}}),
 }
 # at an overflow's edge: solved, or refused (exit 2) by name
 OVERFLOW_EDGES = {
@@ -112,6 +120,11 @@ OVERFLOW_EDGES = {
                        "L_grid": {"start": 1e76, "ratio": 10.0, "count": 2}}),
     "overflowing-power-resum":
         ("resum", {"psi": [1.0, 0.5, 0.2], "phi": 1e308, "L_values": [2.718281828459045]}),
+    "181-constants-resum": ("resum", {"psi": [1.0] + [0.0] * 180, "phi": 0.1, "L_values": [2.0]}),
+    "overflowing-a_m-resum":
+        ("resum", {"psi": [1.0, 1e308, 1e308], "phi": 10, "L_values": [2.718281828459045]}),
+    "overflowing-d-resum":
+        ("resum", {"psi": [1.0, 1e300], "phi": 0.5, "epsilon": 1e10, "L_values": [2.0]}),
 }
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
