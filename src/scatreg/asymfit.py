@@ -211,6 +211,21 @@ def _median(values):
     return np.mean(np.sort(values)[(n - 1) // 2 : n // 2 + 1])
 
 
+def _stderr(residuals, design, dof, kind):
+    """sqrt(diag(sigma^2 (D^T D)^-1)), sigma^2 = r.r / dof, by the plain product where
+    it is finite, else on r scaled by its largest entry; refused if still not finite."""
+    inverse = np.linalg.inv(design.T @ design)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stderr = np.sqrt(np.maximum(np.diag(float(residuals @ residuals) / dof * inverse), 0.0))
+        if not np.isfinite(stderr).all():
+            scale = float(np.max(np.abs(residuals)))
+            unit = residuals / scale
+            stderr = scale * np.sqrt(np.maximum(np.diag(float(unit @ unit) / dof * inverse), 0.0))
+    if not np.isfinite(stderr).all():
+        raise ValueError(f"the {kind} fit's standard errors overflow")
+    return stderr
+
+
 def fit(samples, kind, tail_fraction=0.5, degree=2):
     """Fit one divergence model to cutoff samples over a tail window.
 
@@ -243,10 +258,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     if rank < ncoef:
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")
     residuals = values.imag - design @ coeffs
-    dof = max(len(grid) - ncoef, 1)
-    sigma2 = float(residuals @ residuals) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    stderr = _stderr(residuals, design, max(len(grid) - ncoef, 1), kind)
     scaled = np.abs(residuals * grid)
     half = max(len(scaled) // 2, 1)
     floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)

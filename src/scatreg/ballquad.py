@@ -16,8 +16,9 @@ runs follows from the integrand alone:
 * Any other integrand is integrated on the 4-D tensor rule in
   (r, chi, theta, phi) with all three angular orders.
 
-The radial axis is split at a = 4 max(|m|, |q|), graded on [0, a] and
-logarithmic on [a, L]; the error estimate is |I(n) - I(n/2)|, orders halved.
+One builder, ``_rule``, makes both: they differ only on the sphere.  The
+radial axis is split at a = 4 max(|m|, |q|), graded on [0, a] and logarithmic
+on [a, L]; the error estimate is |I(n) - I(n/2)|, every order halved.
 Before either rule runs, the singularity screen scans each denominator on a
 coarse grid that the rules' point map places in the ball.
 
@@ -29,7 +30,6 @@ reduced are fixed, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -89,6 +89,9 @@ class QuadratureSpec:
 
 
 def _kinematics(q, m):
+    """q as a 4-vector, m as a float, and |q|: np.linalg.norm's bits wherever
+    q.q is finite, and ``math.hypot``, which scales by the largest component,
+    where q.q overflows."""
     q = np.asarray(q, dtype=float)
     if q.shape == (3,):
         q = np.concatenate([[0.0], q])
@@ -96,7 +99,9 @@ def _kinematics(q, m):
         raise ValueError(f"q must have 3 or 4 components, got shape {q.shape}")
     if not (np.all(np.isfinite(q)) and math.isfinite(m)):
         raise ValueError("kinematic point must be finite")
-    return q, float(m)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(q))
+    return q, float(m), math.hypot(*q) if math.isinf(norm) else norm
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,9 +151,9 @@ def _point_map(r, chi, theta=None, phi=None):
     return points
 
 
-def _rotated(q4):
+def _rotated(norm):
     """q rotated onto the p0 axis, where an O(4)-invariant integrand sees only |q|."""
-    return np.array([np.linalg.norm(q4), 0.0, 0.0, 0.0])
+    return np.array([norm, 0.0, 0.0, 0.0])
 
 
 def _flat(points, shape, run=slice(None)):
@@ -170,27 +175,23 @@ def _weights(radius, wr, r, *angular):
     return weights
 
 
-def _tensor_rule(q4, radius, spec, split=0.0):
-    """The 4-D product rule in (r, chi, theta, phi): axis weights, point map, q."""
-    r, wr = _radial(radius, spec.radial_order, split)
-    chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
-    theta, wth = _gauss(spec.angular_orders[1], 0.0, np.pi)
-    phi, wphi = _gauss(spec.angular_orders[2], 0.0, 2 * np.pi)
+def _rule(radius, orders, split, invariant):
+    """Axis weights and point map of the product rule of the (radial, chi,
+    theta, phi) ``orders``, which may be 1.  Both rules share the radial axis,
+    split at ``split``, and the chi axis.  An ``invariant`` integrand, seen at
+    q rotated onto p0, depends on the direction of P only through chi, the
+    angle between P and q, so it gets the (r, chi) rule: theta and phi
+    integrate to the area 4 pi of the unit 2-sphere.  Any other integrand
+    gets the theta and phi axes too."""
+    radial, chi_order, theta_order, phi_order = orders
+    r, wr = _radial(radius, radial, split)
+    chi, wchi = _gauss(chi_order, 0.0, np.pi)
+    if invariant:
+        return _weights(radius, wr, r, 4 * np.pi * wchi * np.sin(chi) ** 2), _point_map(r, chi)
+    theta, wth = _gauss(theta_order, 0.0, np.pi)
+    phi, wphi = _gauss(phi_order, 0.0, 2 * np.pi)
     weights = _weights(radius, wr, r, wchi * np.sin(chi) ** 2, wth * np.sin(theta), wphi)
-    return weights, _point_map(r, chi, theta, phi), q4
-
-
-def _reduced_rule(q4, radius, spec, split=0.0):
-    """The 2-D product rule in (r, chi) for O(4)-invariant integrands.
-
-    q is rotated onto the p0 axis, so the integrand depends on the direction
-    of P only through chi, the angle between P and q; theta and phi integrate
-    to the area 4 pi of the unit 2-sphere.  Only ``angular_orders[0]`` is used.
-    """
-    r, wr = _radial(radius, spec.radial_order, split)
-    chi, wchi = _gauss(spec.angular_orders[0], 0.0, np.pi)
-    weights = _weights(radius, wr, r, 4 * np.pi * wchi * np.sin(chi) ** 2)
-    return weights, _point_map(r, chi), _rotated(q4)
+    return weights, _point_map(r, chi, theta, phi)
 
 
 def _scan_grid(radius, full=True):
@@ -212,19 +213,19 @@ def screen_singularities(expr, q, m, radius):
     value depends only on (r, chi): the (r, chi) slice stands for the grid.
     q and m are read as :func:`integrate_ball` reads them.  Flags are set as
     :class:`scatreg.integrand.SingularityReport` says."""
-    q, m = _kinematics(q, m)
+    q, m, norm = _kinematics(q, m)
     full = not o4_invariant(expr)
-    q = q if full else _rotated(q)
+    q = q if full else _rotated(norm)
     ctx = _scan_grid(radius, full) | {f"q{i}": q[i] for i in range(4)}
     return scan_denominators(expr, ctx | {"m": m, "L": float(radius)})
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rule_sum(exprs, rule, m, radius):
-    """Weighted sums of each expr over one rule, in chunks of ``_CHUNK``
+def _rule_sum(exprs, rule, q4, m, radius):
+    """Weighted sums of each expr over one rule at q4, in chunks of ``_CHUNK``
     consecutive points of the flattened grid.  Each chunk is built from the
     rows of the last axis that it touches, so no array spans the whole grid."""
-    weights, points, q4 = rule
+    weights, points = rule
     fixed = {f"q{i}": q4[i] for i in range(4)} | {"m": m, "L": radius}
     shape = tuple(w.size for w in weights)
     width, size = shape[-1], math.prod(shape)
@@ -247,14 +248,6 @@ def _rule_sum(exprs, rule, m, radius):
     return totals
 
 
-# the orders a product rule reads; unlike a QuadratureSpec's they may be 1
-_Orders = collections.namedtuple("_Orders", "radial_order angular_orders")
-
-
-def _halved(spec):
-    return _Orders(spec.radial_order // 2, tuple(n // 2 for n in spec.angular_orders))
-
-
 def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     """Integral of f_re + i f_im over the 4-ball ``region``, a
     :class:`BallRegion`, with an error estimate.
@@ -269,7 +262,7 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
     singular integrands are refused with the screen report attached, and a
     cutoff whose rule weights or integral overflow with a ValueError.
     """
-    q4, m = _kinematics(q, m)
+    q4, m, norm = _kinematics(q, m)
     exprs = (f_re, f_im)
     for expr in exprs:
         if expr is None:
@@ -278,10 +271,12 @@ def integrate_ball(f_re, f_im, q, m, region, spec=QuadratureSpec()):
         if report.flagged:
             raise SingularIntegrandError(report)
     invariant = all(expr is None or o4_invariant(expr) for expr in exprs)
-    rule = _reduced_rule if invariant else _tensor_rule
-    radius, split = region.radius, 4 * max(abs(m), float(np.linalg.norm(q4)))
-    re, im = _rule_sum(exprs, rule(q4, radius, spec, split), m, radius)
-    re_h, im_h = _rule_sum(exprs, rule(q4, radius, _halved(spec), split), m, radius)
+    q4 = _rotated(norm) if invariant else q4
+    radius, split = region.radius, 4 * max(abs(m), norm)
+    orders = (spec.radial_order, *spec.angular_orders)
+    re, im = _rule_sum(exprs, _rule(radius, orders, split, invariant), q4, m, radius)
+    halved = _rule(radius, [n // 2 for n in orders], split, invariant)
+    re_h, im_h = _rule_sum(exprs, halved, q4, m, radius)
     return complex(re, im), abs(complex(re - re_h, im - im_h))
 
 
@@ -290,7 +285,7 @@ def sample_over_cutoffs(f_re, f_im, q, m, grid, spec=QuadratureSpec()):
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.diff(grid) > 0):
         raise ValueError("cutoff grid must be strictly ascending")
-    q4, m = _kinematics(q, m)
+    q4, m, _ = _kinematics(q, m)
     values = np.empty(grid.size, dtype=complex)
     errors = np.empty(grid.size)
     for i, radius in enumerate(grid):

@@ -70,9 +70,13 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    """``payload`` as JSON; a non-finite number is refused before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path.name}: non-finite value, which JSON cannot hold") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_json_rows(path, columns):
@@ -208,7 +212,10 @@ def _read_samples(config):
     if data.shape[1] < 3:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
     err = data[:, 3] if data.shape[1] > 3 else None
-    return CutoffSamples(grid=data[:, 0], values=data[:, 1] + 1j * data[:, 2], errors=err)
+    # an inf entry makes NaN here, which CutoffSamples refuses by name
+    with np.errstate(invalid="ignore"):
+        values = data[:, 1] + 1j * data[:, 2]
+    return CutoffSamples(grid=data[:, 0], values=values, errors=err)
 
 
 def _fit(config, samples):

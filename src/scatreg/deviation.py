@@ -111,7 +111,11 @@ def factor_from_model(model, eps):
     are left out: they are finite and stay in the convergent remainder.
     """
     eps = float(eps)
-    slots = {term: model.zero + eps**model.order * c for term, c in model.divergent_terms()}
+    try:
+        power = eps**model.order
+    except OverflowError:
+        raise ValueError(f"eps^order overflows at eps={eps!r}, order={model.order}") from None
+    slots = {term: model.zero + power * c for term, c in model.divergent_terms()}
     quad, linear = slots.pop((2, 0), 0.0), slots.pop((1, 0), 0.0)
     return DeviationFactor(quad, linear, tuple(slots.values()), eps=eps, eps_order=model.order)
 
@@ -121,9 +125,17 @@ def regularize_coefficient(samples, model):
 
     The model's constant term is kept: only the basis terms that grow with L
     are removed, so the result converges as L increases when the model
-    matches the samples' divergence.
+    matches the samples' divergence.  A divergent part or regularized value
+    that overflows is refused by name, at its first cutoff.
     """
-    return replace(samples, values=samples.values - 1j * model.divergent_part(samples.grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        divergent = model.divergent_part(samples.grid)
+        values = samples.values - 1j * divergent
+    for name, part in (("the divergent part", divergent), ("the regularized value", values)):
+        if not np.isfinite(part).all():
+            first = samples.grid[~np.isfinite(part)][0].item()
+            raise ValueError(f"{name} overflows at L={first!r}")
+    return replace(samples, values=values)
 
 
 def _finite(values, name, where):

@@ -312,3 +312,42 @@ def test_shared_terms_match_the_per_kind_formulas_bit_for_bit(model, cutoffs, ep
         expected.quad_coeff, expected.linear_coeff, *expected.log_coeffs
     )
     assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+
+def reference_stderr(residuals, design, dof):
+    """The standard errors as the plain product forms them."""
+    cov = float(residuals @ residuals) / dof * np.linalg.inv(design.T @ design)
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+@pytest.mark.parametrize("kind", ["log", "powerlog", "polylog"])
+def test_standard_errors_keep_the_plain_products_bits(kind):
+    samples = make_samples(GRID, 0.5 * GRID**2 + 3 * np.log(GRID) ** 2 + 2 + 1 / GRID)
+    report = fit(samples, kind)
+    terms = asymfit._polylog_terms(2) if kind == "polylog" else asymfit._MODELS[kind].terms
+    design = asymfit._basis(terms, report.grid)
+    want = reference_stderr(report.residuals, design, len(report.grid) - len(terms))
+    assert bits(*report.stderr) == bits(*want)
+
+
+def narrow_samples(amplitude):
+    # three cutoffs 1e-6 apart in ln L: (D^T D)^-1 is of order 1e12
+    grid = np.e * (1 + np.arange(3) * 1e-6)
+    return make_samples(grid, amplitude * np.array([-1.0, 1.0, -1.0]))
+
+
+def test_standard_errors_scale_past_an_overflowing_square():
+    # r.r overflows at 1e302, yet sigma sqrt(diag) is representable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = fit(narrow_samples(1e302), "log", tail_fraction=1.0).stderr
+    unit = fit(narrow_samples(1.0), "log", tail_fraction=1.0).stderr
+    assert np.all(np.isfinite(big))
+    assert big == pytest.approx(1e302 * unit, rel=1e-12)
+
+
+def test_standard_errors_that_overflow_are_refused_by_name():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the log fit's standard errors overflow$"):
+            fit(narrow_samples(1e303), "log", tail_fraction=1.0)

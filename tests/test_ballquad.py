@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,33 @@ def test_invariant_screen_scans_the_rotated_slice(source, radius, m, q):
     assert ballquad._scan_grid(radius, full=False)["p0"].size == 240
 
 
+@pytest.mark.parametrize(
+    "q", [(0.5, 1.0, -2.0, 0.3), (1e-200, 1e-200, 0, 0), (0, 1e155, 1e155, 0), (1e200, 0, 0)]
+)
+def test_the_norm_of_q_is_taken_without_overflow(q):
+    # np.linalg.norm's bits wherever q.q is finite (an underflow included), and
+    # math.hypot's where it overflows, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = ballquad._kinematics(q, 1.0)[2]
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(np.asarray(q, dtype=float)))
+    assert norm == (plain if math.isfinite(plain) else math.hypot(*q))
+    assert math.isfinite(norm)
+
+
+def test_both_rules_agree_where_q_squared_overflows():
+    # Q2 overflows on either rule, so each integrand is 1/inf = 0 throughout:
+    # the (r, chi) rule sees q rotated to (|q|, 0, 0, 0), not to (inf, 0, 0, 0)
+    spec = QuadratureSpec(radial_order=8, angular_orders=(8, 8, 8))
+    for source in ("1/((P2+m^2)*(P2+2*PQ+Q2+m^2))", "(1+0*p1)/((P2+m^2)*(P2+2*PQ+Q2+m^2))"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_ball(None, parse_integrand(source), (1e200, 0, 0), 1.0,
+                                 BallRegion(10.0), spec)
+        assert got == (0j, 0.0)
+
+
 @pytest.mark.parametrize("source", ["1/(p1+q3+9)", "1/(P2+PQ+9)"])
 def test_screen_reads_q_as_integrate_ball_does(source):
     # a 3-component q is (0, q1, q2, q3), for a coordinate integrand too
@@ -369,8 +397,11 @@ def test_chunks_from_axis_indices_match_the_materialized_grid(rule, radial, angu
     spec = QuadratureSpec(radial_order=radial, angular_orders=angular)
     exprs = tuple(parse_integrand(source) for source in sources)
     q4, m = np.array([0.5, 1.0, -2.0, 0.3]), 1.3
+    invariant = rule == "_reduced_rule"
+    q = ballquad._rotated(ballquad._kinematics(q4, m)[2]) if invariant else q4
     for radius in (1.0, 1e5):
-        got = ballquad._rule_sum(exprs, getattr(ballquad, rule)(q4, radius, spec), m, radius)
+        built = ballquad._rule(radius, (radial, *angular), 0.0, invariant)
+        got = ballquad._rule_sum(exprs, built, q, m, radius)
         want = reference_rule_sum(exprs, reference(q4, radius, spec), m, radius)
         assert got == want
         assert 0.0 not in got

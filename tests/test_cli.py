@@ -203,6 +203,14 @@ def test_json_rows_refuse_non_finite_values(tmp_path, bad):
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_non_finite_values_before_opening_the_file(tmp_path, bad):
+    payload = {"stderr": [1.0, bad], "model": {"kind": "log"}}
+    with pytest.raises(ValueError, match=r"^fit\.json: non-finite value, which JSON cannot hold$"):
+        cli._write_json(tmp_path / "fit.json", payload)
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_spectra_with_non_finite_vectors_exits_2(tmp_path, monkeypatch):
     # no config reaches this: dirac refuses non-finite momenta, masses and
     # energies first; json would write NaN where a row template writes nan
@@ -728,6 +736,24 @@ def integrate_config(**overrides):
          [], (2, "integrate: unknown L_grid keys: cout\n")),
         ("spectra", {"m": 1, "q_grid": {"min": -1, "max": 1, "count": 2, "mx": 3}}, [],
          (2, "spectra: unknown q_grid keys: mx\n")),
+        # |q| whose square overflows: q rotated onto p0 is (|q|, 0, 0, 0), so an
+        # integrand free of q is unchanged, and the bubble is 1/inf = 0 on the
+        # (r, chi) rule, as on the 4-D rule
+        ("integrate", integrate_config(integrand_im="1/(P2+m^2)^2", m=1.0, q=[0, 1e155, 1e155, 0]),
+         [], (0, "")),
+        ("integrate", integrate_config(integrand_im="1/((P2+m^2)*(P2+2*PQ+Q2+m^2))", m=1.0,
+                                       q=[1e200, 0, 0]), [], (0, "")),
+        # r.r overflows, but the standard errors are representable
+        ("fit", None, ["--samples", "huge_log.csv", "--model", "log"], (0, "")),
+        # where they are not, or the model or coupling overflows, refused by name
+        ("fit", {"tail_fraction": 1.0}, ["--samples", "narrow.csv", "--model", "log"],
+         (2, "fit: the log fit's standard errors overflow\n")),
+        ("regularize", {"model": {"kind": "log", "phi": 1e308, "psi": 0}}, ["--samples", "log.csv"],
+         (2, "regularize: the divergent part overflows at L=10.0\n")),
+        ("regularize", None, ["--samples", "log.csv", "--model", "log", "--epsilon", "1e155"],
+         (2, "regularize: eps^order overflows at eps=1e+155, order=2\n")),
+        # an inf entry, refused by the samples alone
+        ("fit", None, ["--samples", "inf.csv"], (2, "fit: cutoff samples must be finite\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -745,6 +771,14 @@ def test_malformed_invocations_exit_with_documented_code(
     (tmp_path / "text.csv").write_text("L,re,im\na,b,c\n")
     (tmp_path / "header.csv").write_text("L,re,im\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "inf.csv").write_text("L,re,im\n10,0,1\n100,0,inf\n")
+    huge = np.geomspace(10, 1e4, 9)
+    (tmp_path / "huge_log.csv").write_text("L,re,im\n" + "".join(
+        f"{l!r},0.0,{v!r}\n" for l, v in zip(huge.tolist(), (1e300 * np.log(huge)).tolist())))
+    # three cutoffs 1e-6 apart in ln L, where (D^T D)^-1 is of order 1e12
+    narrow = (np.e * (1 + np.arange(3) * 1e-6)).tolist()
+    (tmp_path / "narrow.csv").write_text("L,re,im\n" + "".join(
+        f"{l!r},0.0,{v!r}\n" for l, v in zip(narrow, [-1e303, 1e303, -1e303])))
     # a warning recorded here is one a command-line run prints on stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -33,6 +33,13 @@ where m^2 + |q|^2 overflows but E does not, ``integrate`` of ``1`` at cutoffs
 phi = 1e308, L = e, where (i phi ln L)^2 overflows, ``resum`` with 181
 constants, where 171! alone would overflow but no (i phi ln L)^k/k! does, and
 ``resum`` where a sum a_m overflows and where the truncated sum d does.
+Then seven steps where a square, a model or a samples entry overflows:
+``integrate`` at |q| = 1.4e155, where q.q overflows, of an integrand free of
+q, and of the bubble at |q| = 1e200, where Q2 does too; ``fit --model log`` on
+samples i 1e300 ln L, whose residuals' squares overflow, and on three cutoffs
+1e-6 apart in ln L at +-1e303, whose standard errors do; ``fit`` on a samples
+file with an ``inf`` entry; ``regularize`` with the model phi = 1e308, whose
+divergent part overflows; and ``regularize --epsilon 1e155``, where eps^2 does.
 """
 
 from __future__ import annotations
@@ -126,6 +133,32 @@ OVERFLOW_EDGES = {
     "overflowing-d-resum":
         ("resum", {"psi": [1.0, 1e300], "phi": 0.5, "epsilon": 1e10, "L_values": [2.0]}),
 }
+# integrate configs whose q.q overflows: an integrand free of q, and the bubble
+HUGE_MOMENTA = {
+    "huge-momentum-integrate":
+        {"integrand_im": "1/(P2+m^2)^2", "m": 1.0, "q": [0.0, 1e155, 1e155, 0.0],
+         "L_grid": {"start": 10.0, "ratio": 10.0, "count": 2}},
+    "huge-momentum-bubble-integrate":
+        {"integrand_im": "1/((P2+m^2)*(P2+2*PQ+Q2+m^2))", "m": 1.0, "q": [1e200, 0.0, 0.0],
+         "L_grid": {"start": 10.0, "ratio": 10.0, "count": 2}},
+}
+
+
+def _overflowing_samples():
+    """Log samples i 1e300 ln L, three cutoffs 1e-6 apart in ln L at +-1e303,
+    a file with an inf entry, and the plain log samples with a huge model."""
+    huge = np.geomspace(10, 1e4, 9)
+    narrow = np.e * (1 + np.arange(3) * 1e-6)
+    return {
+        "huge.csv": _csv(huge, 1e300 * np.log(huge)),
+        "narrow.csv": _csv(narrow, np.array([-1e303, 1e303, -1e303])),
+        "inf.csv": "L,re,im\n10,0,1\n100,0,inf\n",
+        "log.csv": _synthetic_samples()["log.csv"],
+        "tail.json": json.dumps({"tail_fraction": 1.0}),
+        "model.json": json.dumps({"model": {"kind": "log", "phi": 1e308, "psi": 0}}),
+    }
+
+
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
 WORKLOAD_CONFIGS = {
@@ -248,6 +281,20 @@ def scenarios():
     for name, (command, config) in OVERFLOW_EDGES.items():
         yield (name, {"c.json": json.dumps(config)},
                [[command, "--config", "c.json", "--out", "out"]])
+    for name, config in HUGE_MOMENTA.items():
+        yield (name, {"c.json": json.dumps(config)},
+               [["integrate", "--config", "c.json", "--out", "out"]])
+    for name, argv in {
+        "huge-residuals-fit": ["fit", "--model", "log", "--samples", "huge.csv"],
+        "overflowing-stderr-fit":
+            ["fit", "--config", "tail.json", "--model", "log", "--samples", "narrow.csv"],
+        "inf-entry-fit": ["fit", "--samples", "inf.csv"],
+        "overflowing-model-regularize":
+            ["regularize", "--config", "model.json", "--samples", "log.csv"],
+        "overflowing-coupling-regularize":
+            ["regularize", "--model", "log", "--epsilon", "1e155", "--samples", "log.csv"],
+    }.items():
+        yield name, _overflowing_samples(), [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
