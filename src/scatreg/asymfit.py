@@ -259,10 +259,16 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")
     residuals = values.imag - design @ coeffs
     stderr = _stderr(residuals, design, max(len(grid) - ncoef, 1), kind)
-    scaled = np.abs(residuals * grid)
-    half = max(len(scaled) // 2, 1)
+    half = max(len(grid) // 2, 1)
     floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)
-    decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), floor))
+    with np.errstate(over="ignore"):
+        scaled = np.abs(residuals * grid)
+        # where |r L| overflows, the same test divided through by s = max |r|
+        unit, s = scaled, 1.0
+        if not np.isfinite(scaled).all():
+            s = np.max(np.abs(residuals))
+            unit = np.abs(residuals / s) * grid
+        decay_ok = bool(np.max(unit) <= max(10.0 * _median(unit[:half]), floor / s))
     return FitReport(
         model=PolyLogModel(tuple(coeffs)) if kind == "polylog" else _MODELS[kind](*coeffs),
         stderr=stderr,

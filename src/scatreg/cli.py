@@ -139,24 +139,15 @@ def _settings(args):
     In regularize an explicit model dict beats ``--model``.
     """
     config = _read_json(args.config) if args.config else {}
-    # every flag dest but those two, which override no top-level key
-    known = set(_KEYS[args.command]).union(vars(args)) - {
-        "command", "config", "threads", "quad_orders"
-    }
-    unknown = sorted(set(config) - known)
+    # every flag's dest is the key it overrides, but --config's and --threads'
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "threads")}
+    unknown = sorted(set(config) - set(_KEYS[args.command]) - set(flags))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    flags = {
-        k: v for k, v in vars(args).items()
-        if v is not None and k not in ("command", "config", "threads")
-    }
-    quadrature = flags.pop("quad_orders", {})
-    if quadrature:
-        config["quadrature"] = {**_get(config, "quadrature", dict, {}), **quadrature}
     if args.command == "regularize":
         if isinstance(_get(config, "model", (dict, str), None), dict):
-            flags.pop("model", None)
-    config.update(flags)
+            flags.pop("model")
+    config.update((k, v) for k, v in flags.items() if v is not None)
     return config
 
 
@@ -326,11 +317,8 @@ def cmd_regularize(config):
 
     eps = _get(config, "epsilon", float, 0.1)
     model = _get(config, "model", (dict, str), "auto")
-    fit_report = _get(config, "fit_report", str, None)
     if isinstance(model, dict):
         model = asymfit.model_from_dict(model)
-    elif fit_report is not None:
-        model = asymfit.model_from_dict(_get(_read_json(fit_report), "model", dict))
     samples = _read_samples(config)
     if isinstance(model, str):
         model = _fit(config, samples).model
@@ -467,10 +455,8 @@ def cmd_resum(config):
     psi = _get(config, "psi", [float])
     phi = _get(config, "phi", float)
     eps = _get(config, "epsilon", float, 0.1)
-    # an empty psi is refused by resum_coulomb_series
-    nmax = _get(config, "order", int, max(len(psi) - 1, 0))
-    if nmax < 0:
-        raise ValueError(f"order must be at least 0, got {nmax}")
+    # every order up to len(psi) - 1; an empty psi is refused by resum_coulomb_series
+    nmax = max(len(psi) - 1, 0)
     l_values = _get(config, "L_values", [float], [1.0, np.e, 10.0, 100.0])
     if not l_values:
         raise ValueError("L_values must not be empty")
@@ -484,25 +470,14 @@ def cmd_resum(config):
     return 0 if worst <= 1e-12 else EXIT_CHECK_FAILED
 
 
-def _quad_orders(text):
-    try:
-        r, a1, a2, a3 = (int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expects four integers r,a1,a2,a3") from None
-    return {"radial_order": r, "angular_orders": [a1, a2, a3]}
-
-
 # (flag, the subcommands that take it, add_argument keywords).  A flag's dest
-# is the config key it overrides; "quad_orders" overrides keys of the
-# "quadrature" table.
+# is the config key it overrides.
 _FLAGS = (
     ("--samples", ("fit", "regularize"),
      dict(dest="samples_file", metavar="CSV",
           help="CSV file of cutoff samples (L,re,im[,err])")),
     ("--model", ("fit", "regularize"),
      dict(choices=["log", "powerlog", "polylog", "auto"])),
-    ("--quad-orders", ("integrate",),
-     dict(type=_quad_orders, metavar="R,A1,A2,A3", help="quadrature orders")),
     ("--threads", ("integrate",),
      dict(type=int, default=1,
           help="advisory worker count; results are identical for any value")),
@@ -517,9 +492,9 @@ _KEYS = {
     "spectra": ("m", "q", "q_grid"),
     "integrate": ("integrand_re", "integrand_im", "L_grid", "q", "m", "quadrature"),
     "fit": ("tail_fraction", "degree"),
-    "regularize": ("tail_fraction", "degree", "fit_report"),
+    "regularize": ("tail_fraction", "degree"),
     "check": ("trials", "tamper"),
-    "resum": ("psi", "phi", "order", "L_values"),
+    "resum": ("psi", "phi", "L_values"),
 }
 
 

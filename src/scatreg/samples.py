@@ -16,7 +16,8 @@ __all__ = ["CutoffSamples"]
 
 @dataclass(frozen=True)
 class CutoffSamples:
-    """Complex integral values on an ascending grid of cutoff radii."""
+    """Complex integral values on an ascending grid of positive cutoff radii,
+    with finite, non-negative error estimates."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -36,6 +37,10 @@ class CutoffSamples:
             raise ValueError("cutoff grid must be strictly ascending")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
             raise ValueError("cutoff samples must be finite")
+        if not np.all(grid > 0):
+            raise ValueError("cutoffs must be positive")
+        if not np.all(np.isfinite(errors) & (errors >= 0)):
+            raise ValueError("error estimates must be finite and non-negative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "errors", errors)

@@ -351,3 +351,17 @@ def test_standard_errors_that_overflow_are_refused_by_name():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^the log fit's standard errors overflow$"):
             fit(narrow_samples(1e303), "log", tail_fraction=1.0)
+
+
+def decay_overflow_samples(scale):
+    # at scale 1 the residuals, of order 1e305, times L up to 1e4 overflow
+    grid = np.geomspace(10, 1e4, 9)
+    return make_samples(grid, scale * (1e300 * np.log(grid) + 1e305 * (-1.0) ** np.arange(9)))
+
+
+def test_decay_verdict_does_not_depend_on_a_common_factor():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge, small = decay_overflow_samples(1.0), decay_overflow_samples(1e-10)
+        assert fit(huge, "log").decay_ok is fit(small, "log").decay_ok is False
+        assert classify(huge).model.kind == classify(small).model.kind == "powerlog"

@@ -56,6 +56,12 @@ def test_cutoff_samples_validation():
         CutoffSamples(grid=[2.0, 1.0], values=[0, 0])
     with pytest.raises(ValueError):
         CutoffSamples(grid=[1.0, 2.0], values=[0, np.nan])
+    for grid in ([-5.0, -1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="^cutoffs must be positive$"):
+            CutoffSamples(grid=grid, values=[0, 0])
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="^error estimates must be finite and non-negative$"):
+            CutoffSamples(grid=[1.0, 2.0], values=[0, 0], errors=[0.0, bad])
 
 
 def test_zero_integrand():

@@ -419,6 +419,27 @@ def test_regularize_pipeline(tmp_path):
     assert verdict["last_difference"] <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["log", "powerlog", "polylog", "auto"])
+def test_regularize_refits_the_model_that_fit_reports(tmp_path, kind):
+    # the same --model and samples give regularize the model of fit.json, bit for bit
+    from scatreg.asymfit import model_from_dict
+
+    grid = np.geomspace(10, 1e4, 25)
+    logl = np.log(grid)
+    values = 1.5 * logl**2 + 2 * logl - 3
+    (tmp_path / "samples.csv").write_text(
+        "L,re,im\n" + "".join(f"{l!r},0.0,{v!r}\n" for l, v in zip(grid.tolist(), values.tolist()))
+    )
+    flags = ["--samples", str(tmp_path / "samples.csv"), "--model", kind]
+    assert main(["fit", *flags, "--out", str(tmp_path / "fit")]) == 0
+    assert main(["regularize", *flags, "--out", str(tmp_path / "reg")]) == 0
+    report = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    factor = deviation.factor_from_model(model_from_dict(report["model"]), 0.1)
+    cli._write_json(tmp_path / "expected.json", factor.to_dict())
+    expected = (tmp_path / "expected.json").read_bytes()
+    assert (tmp_path / "reg" / "deviation_factor.json").read_bytes() == expected
+
+
 def test_check_default_passes(tmp_path, capsys):
     code, _ = run(tmp_path, "check", {"trials": 25})
     assert code == 0
@@ -635,6 +656,7 @@ def integrate_config(**overrides):
 @pytest.mark.parametrize(
     "command, config, extra, expected",
     [
+        # fit_report is not a config key: refused as unknown
         ("regularize", {"fit_report": "missing.json"}, ["--samples", "log.csv"], 2),
         ("regularize", {"model": {"kind": "log", "psi": 1.0}}, ["--samples", "log.csv"], 2),
         ("integrate", integrate_config(quadrature={"angular_orders": [8, 8]}), [], 2),
@@ -650,6 +672,8 @@ def integrate_config(**overrides):
         ("fit", {"degree": "x"}, ["--samples", "log.csv"], 2),
         ("regularize", {"epsilon": "x"}, ["--samples", "log.csv", "--model", "log"], 2),
         ("regularize", None, ["--samples", "log.csv", "--epsilon", "1e200"], 2),
+        # order is not a config key: refused as unknown, as the row with
+        # order -1 below says in its message
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "order": 2}, [], 2),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "L_values": [0]}, [], 2),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "epsilon": 0}, [], 2),
@@ -703,7 +727,7 @@ def integrate_config(**overrides):
         ("spectra", {"m": 1, "q_grid": {"min": -5, "max": 5, "count": -2}}, [],
          (2, "spectra: q_grid count must be at least 0, got -2\n")),
         ("resum", {"psi": [1.0, 0.5], "phi": 2.0, "order": -1}, [],
-         (2, "resum: order must be at least 0, got -1\n")),
+         (2, "resum: unknown config keys: order\n")),
         # a samples file without rows, which numpy would warn about
         ("fit", None, ["--samples", "header.csv"],
          (2, "fit: samples file header.csv has no rows\n")),
@@ -754,6 +778,29 @@ def integrate_config(**overrides):
          (2, "regularize: eps^order overflows at eps=1e+155, order=2\n")),
         # an inf entry, refused by the samples alone
         ("fit", None, ["--samples", "inf.csv"], (2, "fit: cutoff samples must be finite\n")),
+        # a malformed model dict, named by its entry
+        ("regularize", {"model": {"kind": "log", "phi": "1.5", "psi": 0.0}},
+         ["--samples", "log.csv"], (2, "regularize: model entry 'phi' must be a number, not '1.5'\n")),
+        ("regularize", {"model": {"kind": "polylog", "table": [0.0, 3.0], "order": -1}},
+         ["--samples", "log.csv"],
+         (2, "regularize: model entry 'table' must be a non-empty list, 'order' an int >= 1\n")),
+        # |r L| overflows: the decay test is taken on r / max |r|, so the
+        # powerlog fit is chosen, as at 1e-10 times the samples; fit.json
+        # cannot hold its max |r L|
+        ("fit", None, ["--samples", "decay.csv", "--model", "log"],
+         (2, "fit: fit.json: non-finite value, which JSON cannot hold\n")),
+        ("fit", None, ["--samples", "decay.csv", "--model", "auto"],
+         (2, "fit: fit.json: non-finite value, which JSON cannot hold\n")),
+        ("regularize", None, ["--samples", "decay.csv", "--model", "auto"], (0, "")),
+        # cutoffs at or below 0, and error estimates that are not finite and >= 0
+        ("fit", {"tail_fraction": 1.0}, ["--samples", "non_positive.csv", "--model", "log"],
+         (2, "fit: cutoffs must be positive\n")),
+        ("regularize", None, ["--samples", "non_positive.csv", "--model", "log"],
+         (2, "regularize: cutoffs must be positive\n")),
+        ("fit", None, ["--samples", "nan_err.csv"],
+         (2, "fit: error estimates must be finite and non-negative\n")),
+        ("regularize", None, ["--samples", "negative_err.csv"],
+         (2, "regularize: error estimates must be finite and non-negative\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -779,6 +826,14 @@ def test_malformed_invocations_exit_with_documented_code(
     narrow = (np.e * (1 + np.arange(3) * 1e-6)).tolist()
     (tmp_path / "narrow.csv").write_text("L,re,im\n" + "".join(
         f"{l!r},0.0,{v!r}\n" for l, v in zip(narrow, [-1e303, 1e303, -1e303])))
+    decay = 1e300 * np.log(huge) + 1e305 * (-1.0) ** np.arange(9)
+    (tmp_path / "decay.csv").write_text("L,re,im\n" + "".join(
+        f"{l!r},0.0,{v!r}\n" for l, v in zip(huge.tolist(), decay.tolist())))
+    (tmp_path / "non_positive.csv").write_text(
+        "L,re,im\n" + "".join(f"{l},0,{l + 1}\n" for l in (-5, -1, 0, 1, 2, 4, 8, 16, 32)))
+    for name, bad in (("nan_err.csv", "nan"), ("negative_err.csv", "-1")):
+        (tmp_path / name).write_text(
+            "L,re,im,err\n10,0,1,0\n20,0,2,{}\n40,0,3,0\n".format(bad))
     # a warning recorded here is one a command-line run prints on stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -793,24 +848,6 @@ def test_malformed_invocations_exit_with_documented_code(
 
 
 @pytest.mark.parametrize(
-    "model",
-    [{"kind": "log", "phi": "1.5", "psi": 0.0},
-     {"kind": "polylog", "table": [0.0, 3.0], "order": -1}],
-    ids=["string-coefficient", "negative-order"],
-)
-def test_fit_report_with_a_malformed_model_exits_2(tmp_path, capsys, model):
-    grid = np.geomspace(10, 1e4, 17)
-    samples = tmp_path / "log.csv"
-    samples.write_text("\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]))
-    report = tmp_path / "fit.json"
-    report.write_text(json.dumps({"model": model}))
-    code, out = run(tmp_path, "regularize", {"fit_report": str(report)},
-                    ["--samples", str(samples)])
-    assert code == 2 and not out.exists()
-    assert capsys.readouterr().err.startswith("regularize: model entr")
-
-
-@pytest.mark.parametrize(
     "command, overrides, message",
     [
         ("fit", {"model": 5}, "config key 'model' has the wrong type: 5"),
@@ -818,14 +855,14 @@ def test_fit_report_with_a_malformed_model_exits_2(tmp_path, capsys, model):
         ("fit", {"degree": "2"}, "config key 'degree' has the wrong type: '2'"),
         ("regularize", {"epsilon": "0.1"}, "config key 'epsilon' has the wrong type: '0.1'"),
         ("regularize", {"model": 5}, "config key 'model' has the wrong type: 5"),
-        ("regularize", {"fit_report": 5}, "config key 'fit_report' has the wrong type: 5"),
+        ("regularize", {"fit_report": "fit.json"}, "unknown config keys: fit_report"),
         ("regularize", {"tail_fraction": "0.5"},
          "config key 'tail_fraction' has the wrong type: '0.5'"),
         ("regularize", {"degree": "2"}, "config key 'degree' has the wrong type: '2'"),
         ("regularize", {"model": {"kind": "log", "psi": 1.0}},
          "model entry 'phi' must be a number, not None"),
-        ("regularize", {"fit_report": "missing.json"}, "No such file or directory"),
-        ("regularize", {"fit_report": "report.json"}, "model entry 'psi' must be a number"),
+        ("regularize", {"model": "cubic"}, "unknown model kind 'cubic'"),
+        ("regularize", {"model": {"kind": "log", "phi": 1.0}}, "model entry 'psi' must be a number"),
     ],
 )
 def test_fit_keys_are_checked_before_sampling(tmp_path, monkeypatch, capsys, command,
@@ -836,7 +873,6 @@ def test_fit_keys_are_checked_before_sampling(tmp_path, monkeypatch, capsys, com
     (tmp_path / "log.csv").write_text(
         "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"
     )
-    (tmp_path / "report.json").write_text(json.dumps({"model": {"kind": "log", "phi": 1.0}}))
     code, out = run(tmp_path, command, overrides, ["--samples", "log.csv"])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and not out.exists()
@@ -897,7 +933,8 @@ def test_a_cutoff_below_the_overflow_still_integrates(tmp_path):
 def test_orders_above_the_cap_exit_2_at_once(tmp_path, capsys):
     # leggauss(4096) alone would take seconds and hundreds of MB
     start = time.perf_counter()
-    code, out = run(tmp_path, "integrate", integrate_config(), ["--quad-orders", "4096,8,8,8"])
+    config = integrate_config(quadrature={"radial_order": 4096, "angular_orders": [8, 8, 8]})
+    code, out = run(tmp_path, "integrate", config)
     assert code == 2 and time.perf_counter() - start < 1.0
     assert "1024" in capsys.readouterr().err
     assert not (out / "samples.csv").exists()
@@ -977,7 +1014,7 @@ def test_unknown_quadrature_keys_exit_2_naming_them(tmp_path, capsys, command, q
         ("spectra", {"q": [0, 0, 0], "m": 1.0, "q_gird": {}}, "q_gird"),
         # a key another subcommand reads is unknown here too
         ("integrate", integrate_config(tail_fraction=0.9), "tail_fraction"),
-        # flags that override no top-level key
+        # threads, a flag that overrides no config key, and a name no subcommand reads
         ("integrate", integrate_config(quad_orders="8,8,8,8", threads=2),
          "quad_orders, threads"),
         ("fit", {"tail_fractoin": 0.9, "modle": "powerlog"}, "modle, tail_fractoin"),
@@ -1180,6 +1217,8 @@ def test_package_refuses_unknown_names():
         ["regularize", "--seed", "3"],
         ["fit", "--samples", "log.csv", "--quad-orders", "8,8,8,8"],
         ["regularize", "--samples", "log.csv", "--quad-orders", "8,8,8,8"],
+        # the quadrature table is the one way to set the orders
+        ["integrate", "--quad-orders", "8,8,8,8"],
     ],
 )
 def test_flags_of_other_subcommands_are_refused(argv):
@@ -1261,7 +1300,6 @@ CONFIGS = {
         **FIT,
         "model": st.sampled_from(["log", "auto"]) | MODEL_DICT,
         "epsilon": st.floats(-2, 2),
-        "fit_report": st.sampled_from(["fit.json", "list.json", "missing.json"]),
     },
     "check": dict(
         seed=st.integers(0, 9), trials=st.integers(0, 3), tamper=st.floats(0, 1e-3)
@@ -1270,15 +1308,13 @@ CONFIGS = {
         psi=st.lists(st.floats(-2, 2), min_size=3, max_size=4).map(lambda psi: [1.0, *psi]),
         phi=st.floats(-5, 5),
         epsilon=st.floats(-2, 2),
-        order=st.integers(0, 3),
         L_values=st.lists(st.floats(0.5, 1e3), max_size=3),
     ),
 }
 FLAGS = st.lists(
     st.tuples(
-        st.sampled_from(["--seed", "--threads", "--quad-orders", "--model", "--epsilon",
-                         "--samples"]),
-        st.sampled_from(["1", "x", "8,8,8,8", "log", "0.5", "log.csv"]),
+        st.sampled_from(["--seed", "--threads", "--model", "--epsilon", "--samples"]),
+        st.sampled_from(["1", "x", "log", "0.5", "log.csv"]),
     ).map(list),
     max_size=1,
 )
@@ -1302,8 +1338,6 @@ def fuzz_dir(tmp_path_factory):
     (root / "one_row.csv").write_text("L,re,im,err\n10,0,1,0\n")
     (root / "text.csv").write_text("L,re,im\na,b,c\n")
     (root / "descending.csv").write_text("L,re,im\n20,0,1\n10,0,2\n")
-    (root / "fit.json").write_text(json.dumps({"model": {"kind": "log", "phi": 1, "psi": 0}}))
-    (root / "list.json").write_text("[1, 2]")
     return root
 
 

@@ -267,8 +267,8 @@ def test_screen_no_divisions():
 
 
 def meshgrid_scan_points(radius):
-    """The scan grid built on a full meshgrid, as ``integrand._scan_points``
-    did before it took the trig on the axis nodes: the reference."""
+    """The scan grid of ``ballquad._scan_grid`` built on a full meshgrid, as
+    it was before the trig was taken on the axis nodes: the reference."""
     r = radius * np.linspace(0.0, 1.0, 24) ** 2
     chi = np.linspace(0.0, np.pi, 10)
     theta = np.linspace(0.0, np.pi, 10)

@@ -20,14 +20,16 @@ the singularity screen flags or passes, integrate configs whose integrand does
 not parse (an unexpected character after a Unicode space, trailing input, a
 non-integer exponent, an unknown identifier, a missing ``)``), fit and
 regularize with every ``--model`` kind on synthetic log, power-log and
-poly-log samples, model dicts with +-0.0 entries, ``check`` at seeds 1-3 with
-1, 300 and 2000 trials, a tampered ``check`` that fails, and these, which are
-refused: a ``spectra`` grid count and a ``resum`` order below 0, ``integrate``
-at cutoffs 1e77 and 1e78, whose quadrature weights overflow at the second, an
+poly-log samples, inline model dicts with +-0.0 entries, ``check`` at seeds
+1-3 with 1, 300 and 2000 trials, a tampered ``check`` that fails, and these,
+which are refused: a ``spectra`` grid count below 0, ``integrate`` at cutoffs
+1e77 and 1e78, whose quadrature weights overflow at the second, an
 ``integrate`` ``L_grid`` and a ``spectra`` ``q_grid`` with an unknown key,
 ``check --seed -1``, ``fit`` and ``regularize`` on the README integrate config
-without a samples file, and ``fit`` on a samples file with a header only.
-Last, six steps at an overflow's edge: ``spectra`` at q = (1e155, 0, 0),
+without a samples file, ``fit`` on a samples file with a header only, and the
+inputs that are gone: ``integrate --quad-orders 8,8,8,8``, a ``regularize``
+config with a ``fit_report`` and a ``resum`` config with an ``order``.
+Then six steps at an overflow's edge: ``spectra`` at q = (1e155, 0, 0),
 where m^2 + |q|^2 overflows but E does not, ``integrate`` of ``1`` at cutoffs
 1e76 and 1e77, whose integral overflows at the second, ``resum`` at
 phi = 1e308, L = e, where (i phi ln L)^2 overflows, ``resum`` with 181
@@ -40,6 +42,11 @@ samples i 1e300 ln L, whose residuals' squares overflow, and on three cutoffs
 1e-6 apart in ln L at +-1e303, whose standard errors do; ``fit`` on a samples
 file with an ``inf`` entry; ``regularize`` with the model phi = 1e308, whose
 divergent part overflows; and ``regularize --epsilon 1e155``, where eps^2 does.
+Last, six steps on samples that ``CutoffSamples`` or the decay test once let
+through: ``fit --model auto`` and ``regularize --model auto`` on samples
+i (1e300 ln L +- 1e305), whose |residual L| overflows, ``fit`` and
+``regularize`` on a file with cutoffs -5, -1 and 0, ``fit`` on a file whose
+``err`` column holds a ``nan``, and ``regularize`` on one that holds a ``-1``.
 """
 
 from __future__ import annotations
@@ -56,11 +63,11 @@ import numpy as np
 EPSILON = "0.1"
 
 
-def _csv(grid, imag, real=None):
+def _csv(grid, imag, real=None, err=None):
     real = np.zeros_like(grid) if real is None else real
-    columns = (grid.tolist(), real.tolist(), imag.tolist())
-    rows = "".join(f"{l!r},{r!r},{i!r}\n" for l, r, i in zip(*columns))
-    return "L,re,im\n" + rows
+    columns = [grid, real, imag] + ([] if err is None else [err])
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+    return ("L,re,im\n" if err is None else "L,re,im,err\n") + rows
 
 
 def _synthetic_samples():
@@ -110,7 +117,6 @@ RESUM = {"psi": [1.0, 0.5, 0.25], "phi": 2.0, "epsilon": 0.1}
 REFUSED = {
     "negative-count-spectra":
         ("spectra", {"m": 0.5, "q_grid": {"min": -5.0, "max": 5.0, "count": -2}}),
-    "negative-order-resum": ("resum", {**RESUM, "order": -1}),
     "huge-cutoff-integrate":
         ("integrate", {**README_INTEGRATE, "L_grid": {"start": 1e77, "ratio": 10.0, "count": 2}}),
     "unknown-L_grid-key-integrate":
@@ -157,6 +163,23 @@ def _overflowing_samples():
         "tail.json": json.dumps({"tail_fraction": 1.0}),
         "model.json": json.dumps({"model": {"kind": "log", "phi": 1e308, "psi": 0}}),
     }
+
+
+def _unchecked_samples():
+    """Samples i (1e300 ln L +- 1e305), whose |residual L| overflows; cutoffs
+    -5, -1, 0, 1, ..., 32; and log samples with a nan and a -1 ``err``."""
+    grid = np.geomspace(10, 1e4, 9)
+    cutoffs = np.array([-5.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    log_grid = np.geomspace(10, 1e4, 17)
+    err = np.zeros_like(log_grid)
+    files = {
+        "decay.csv": _csv(grid, 1e300 * np.log(grid) + 1e305 * (-1.0) ** np.arange(9)),
+        "non_positive.csv": _csv(cutoffs, cutoffs + 1),
+    }
+    for name, bad in (("nan_err.csv", np.nan), ("negative_err.csv", -1.0)):
+        err[3] = bad
+        files[name] = _csv(log_grid, 3 * np.log(log_grid) + 2, err=err)
+    return files
 
 
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
@@ -235,6 +258,19 @@ def scenarios():
     ]
     yield ("header-only-samples", {"header.csv": "L,re,im\n"},
            [["fit", "--samples", "header.csv", "--out", "out"]])
+    # the inputs that are gone: the orders flag, a fit report and a resum order
+    report = {"fit_report": "fit.json", "epsilon": 0.5}
+    for name, files, argv in (
+        ("quad-orders-integrate", {"integrate.json": json.dumps(README_INTEGRATE)},
+         ["integrate", "--config", "integrate.json", "--quad-orders", "8,8,8,8"]),
+        ("fit_report-regularize",
+         {"log.csv": _synthetic_samples()["log.csv"], "c.json": json.dumps(report),
+          "fit.json": json.dumps({"model": {"kind": "log", "phi": 3.0, "psi": 2.0}})},
+         ["regularize", "--config", "c.json", "--samples", "log.csv"]),
+        ("order-resum", {"c.json": json.dumps({**RESUM, "order": 1})},
+         ["resum", "--config", "c.json"]),
+    ):
+        yield name, files, [[*argv, "--out", "out"]]
     for name, config in WORKLOAD_CONFIGS.items():
         yield name, {"integrate.json": json.dumps(config)}, pipeline
     malformed = {f"malformed-{name}": {**README_INTEGRATE, "integrand_im": source}
@@ -261,14 +297,10 @@ def scenarios():
             files = {
                 "zero.csv": _zero_samples(),
                 "inline.json": json.dumps({"model": model, "epsilon": eps}),
-                "report.json": json.dumps({"model": model}),
-                "by_report.json": json.dumps({"fit_report": "report.json", "epsilon": eps}),
             }
             yield f"signed-zero-model-{i}-eps-{eps}", files, [
                 ["regularize", "--config", "inline.json", "--samples", "zero.csv",
                  "--out", "inline"],
-                ["regularize", "--config", "by_report.json", "--samples", "zero.csv",
-                 "--out", "by_report"],
             ]
     for seed in (1, 2, 3):
         for trials in (1, 300, 2000):
@@ -295,6 +327,15 @@ def scenarios():
             ["regularize", "--model", "log", "--epsilon", "1e155", "--samples", "log.csv"],
     }.items():
         yield name, _overflowing_samples(), [[*argv, "--out", "out"]]
+    for name, argv in {
+        "decay-overflow-fit": ["fit", "--model", "auto", "--samples", "decay.csv"],
+        "decay-overflow-regularize": ["regularize", "--model", "auto", "--samples", "decay.csv"],
+        "non-positive-cutoff-fit": ["fit", "--samples", "non_positive.csv"],
+        "non-positive-cutoff-regularize": ["regularize", "--samples", "non_positive.csv"],
+        "nan-err-fit": ["fit", "--samples", "nan_err.csv"],
+        "negative-err-regularize": ["regularize", "--samples", "negative_err.csv"],
+    }.items():
+        yield name, _unchecked_samples(), [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
