@@ -76,7 +76,7 @@ class _Model:
 
     @property
     def names(self):
-        return tuple(f.name for f in fields(self) if f.name != "kind")
+        return tuple(f.name for f in fields(self))
 
     @property
     def coefficients(self):
@@ -97,14 +97,14 @@ class _Model:
 
     @classmethod
     def _from_dict(cls, payload):
-        return cls(*[_number(f.name, payload.get(f.name)) for f in fields(cls) if f.name != "kind"])
+        return cls(*[_number(f.name, payload.get(f.name)) for f in fields(cls)])
 
 
 @dataclass(frozen=True)
 class LogModel(_Model):
     phi: float
     psi: float
-    kind: str = "log"
+    kind = "log"
     terms = ((0, 1), (0, 0))
 
 
@@ -114,7 +114,7 @@ class PowerLogModel(_Model):
     psi: float
     nu: float
     mu: float
-    kind: str = "powerlog"
+    kind = "powerlog"
     terms = ((2, 0), (1, 0), (0, 1), (0, 0))
 
 
@@ -129,7 +129,7 @@ class PolyLogModel(_Model):
 
     table: tuple
     order: int = 2
-    kind: str = "polylog"
+    kind = "polylog"
     zero = 0.0
 
     @property
@@ -185,13 +185,17 @@ class FitReport:
 
 
 def model_from_dict(payload):
-    """The model of a ``FitReport.to_dict()["model"]`` dict; other keys are
-    ignored.  Raises ``ValueError`` on an unknown kind, a coefficient that is
-    missing or not a JSON number, or a poly-log's empty table or order < 1."""
+    """The model of a ``FitReport.to_dict()["model"]`` dict.  Raises
+    ``ValueError`` on an unknown kind, a key other than ``kind`` and the
+    kind's fields, a coefficient that is missing or not a JSON number, or a
+    poly-log's empty table or order < 1."""
     kind = payload.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r} (one of {_KINDS})")
-    return _MODELS[kind]._from_dict(payload)
+    model = _MODELS[kind]
+    if unknown := sorted(set(payload) - {"kind", *(f.name for f in fields(model))}):
+        raise ValueError(f"unknown model keys: {', '.join(unknown)}")
+    return model._from_dict(payload)
 
 
 def _tail_length(n, tail_fraction):
@@ -211,16 +215,12 @@ def _median(values):
     return np.mean(np.sort(values)[(n - 1) // 2 : n // 2 + 1])
 
 
-def _stderr(residuals, design, dof, kind):
-    """sqrt(diag(sigma^2 (D^T D)^-1)), sigma^2 = r.r / dof, by the plain product where
-    it is finite, else on r scaled by its largest entry; refused if still not finite."""
+def _stderr(unit, k, design, dof, kind):
+    """sqrt(diag(sigma^2 (D^T D)^-1)), sigma^2 = r.r / dof, taken on the residuals
+    ``unit`` = r / 2^k and scaled back by 2^k; refused if not finite."""
     inverse = np.linalg.inv(design.T @ design)
     with np.errstate(over="ignore", invalid="ignore"):
-        stderr = np.sqrt(np.maximum(np.diag(float(residuals @ residuals) / dof * inverse), 0.0))
-        if not np.isfinite(stderr).all():
-            scale = float(np.max(np.abs(residuals)))
-            unit = residuals / scale
-            stderr = scale * np.sqrt(np.maximum(np.diag(float(unit @ unit) / dof * inverse), 0.0))
+        stderr = np.ldexp(np.sqrt(np.maximum(np.diag(float(unit @ unit) / dof * inverse), 0.0)), k)
     if not np.isfinite(stderr).all():
         raise ValueError(f"the {kind} fit's standard errors overflow")
     return stderr
@@ -258,23 +258,24 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     if rank < ncoef:
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")
     residuals = values.imag - design @ coeffs
-    stderr = _stderr(residuals, design, max(len(grid) - ncoef, 1), kind)
+    # r / 2^k, k the exponent of max |r|, has its largest entry in [0.5, 1): scaled
+    # back by 2^k, what is taken on it has the plain formula's bits wherever they
+    # are normal floats, and stays finite where r.r or |r L| overflows
+    k = np.frexp(np.max(np.abs(residuals)))[1]
+    unit = np.ldexp(residuals, -k)
+    stderr = _stderr(unit, k, design, max(len(grid) - ncoef, 1), kind)
     half = max(len(grid) // 2, 1)
     floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)
+    scaled = np.abs(unit) * grid
     with np.errstate(over="ignore"):
-        scaled = np.abs(residuals * grid)
-        # where |r L| overflows, the same test divided through by s = max |r|
-        unit, s = scaled, 1.0
-        if not np.isfinite(scaled).all():
-            s = np.max(np.abs(residuals))
-            unit = np.abs(residuals / s) * grid
-        decay_ok = bool(np.max(unit) <= max(10.0 * _median(unit[:half]), floor / s))
+        decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), np.ldexp(floor, -k)))
+        max_scaled_residual = float(np.ldexp(np.max(scaled), k))
     return FitReport(
         model=PolyLogModel(tuple(coeffs)) if kind == "polylog" else _MODELS[kind](*coeffs),
         stderr=stderr,
         residuals=residuals,
         grid=grid,
-        max_scaled_residual=float(np.max(scaled)),
+        max_scaled_residual=max_scaled_residual,
         decay_ok=decay_ok,
     )
 

@@ -200,12 +200,11 @@ def _read_samples(config):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if not data.size:
         raise ValueError(f"samples file {path} has no rows")
-    if data.shape[1] < 3:
+    if data.shape[1] not in (3, 4):
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
     err = data[:, 3] if data.shape[1] > 3 else None
-    # an inf entry makes NaN here, which CutoffSamples refuses by name
-    with np.errstate(invalid="ignore"):
-        values = data[:, 1] + 1j * data[:, 2]
+    # re and im read as one complex column: re + 1j * im would turn -0.0 into +0.0
+    values = np.ascontiguousarray(data[:, 1:3]).view(complex)[:, 0]
     return CutoffSamples(grid=data[:, 0], values=values, errors=err)
 
 

@@ -49,15 +49,13 @@ class DeviationFactor:
 
     Coefficients are real and carry their coupling powers already multiplied
     in; ``eps_order`` records which power of the coupling the whole exponent
-    sits at (needed only for order-by-order series expansion) and ``eps`` the
-    coupling value used to build it.
+    sits at (needed only for order-by-order series expansion).
     """
 
     quad_coeff: float = 0.0
     linear_coeff: float = 0.0
     log_coeffs: tuple = ()
     gauge: float = 0.0
-    eps: float | None = None
     eps_order: int | None = None
 
     def __post_init__(self):
@@ -117,7 +115,7 @@ def factor_from_model(model, eps):
         raise ValueError(f"eps^order overflows at eps={eps!r}, order={model.order}") from None
     slots = {term: model.zero + power * c for term, c in model.divergent_terms()}
     quad, linear = slots.pop((2, 0), 0.0), slots.pop((1, 0), 0.0)
-    return DeviationFactor(quad, linear, tuple(slots.values()), eps=eps, eps_order=model.order)
+    return DeviationFactor(quad, linear, tuple(slots.values()), eps_order=model.order)
 
 
 def regularize_coefficient(samples, model):
@@ -166,9 +164,9 @@ def regularized_series(a_coeffs, factor, eps, L):
     ``a_coeffs`` holds a_1..a_N evaluated at this L.  Per-order regularized
     coefficients are computed by expanding exp(-i theta(L) eps^k), whose terms
     (-i theta)^j/j! sit at the orders jk, against the series when the factor
-    records its coupling order k; a gauge phase only rescales the whole series
-    and is kept out of the per-order expansion.  A sum d, value or coefficient
-    that overflows is refused by name.
+    records its coupling order k and eps is not 0; a gauge phase only rescales
+    the whole series and is kept out of the per-order expansion.  A sum d,
+    value or coefficient that overflows is refused by name.
     """
     a_coeffs = np.asarray(a_coeffs, dtype=complex)
     n = len(a_coeffs)
@@ -179,8 +177,8 @@ def regularized_series(a_coeffs, factor, eps, L):
         d = _finite(1.0 + np.sum(a_coeffs * eps ** np.arange(1, n + 1)), "the sum d", where)
         exponent = factor.exponent(L)
         value = _finite(np.exp(-1j * exponent) * d, "U0^-1 d", where)
-        if (k := factor.eps_order) is not None and factor.eps not in (None, 0.0):
-            theta = (exponent - factor.gauge) / np.float64(factor.eps) ** k
+        if (k := factor.eps_order) is not None and eps != 0.0:
+            theta = (exponent - factor.gauge) / np.float64(eps) ** k
             inv = np.zeros(n + 1, dtype=complex)
             inv[::k] = _exp_terms(-1j * theta, n // k, "(-i theta)^k/k!", where)
             coefficients = np.convolve(inv, np.concatenate([[1.0], a_coeffs]))[: n + 1]
@@ -194,8 +192,6 @@ class ClassAResult:
     """Finite-shift ratio diagnostics U0(L + L0) / U0(L) on a grid."""
 
     verdict: bool
-    shift: float
-    grid: np.ndarray
     ratios: np.ndarray
 
 
@@ -212,9 +208,7 @@ def class_a_check(factor, shift, grid):
     if not (math.isfinite(shift) and shift > 0):
         raise ValueError("shift must be finite and positive")
     ratios = np.exp(1j * factor.exponent_shift(grid, shift))
-    return ClassAResult(
-        verdict=factor.pure_log, shift=float(shift), grid=grid, ratios=ratios
-    )
+    return ClassAResult(verdict=factor.pure_log, ratios=ratios)
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,7 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError(f"phi ln L is not finite at {where}")
     powers = _exp_terms(1j * phase, nmax, "(i phi ln L)^k/k!", where)
     a = _finite(np.convolve(psi[: nmax + 1], powers)[: nmax + 1], "a_m", where)
-    factor = DeviationFactor(log_coeffs=(eps * phi,), eps=eps, eps_order=1)
+    factor = DeviationFactor(log_coeffs=(eps * phi,), eps_order=1)
     reg = regularized_series(a[1:], factor, eps, L)
     return ResummationResult(
         a_coeffs=a[1:],

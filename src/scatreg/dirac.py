@@ -18,7 +18,6 @@ __all__ = [
     "CommutationError",
     "SubspaceLeakageError",
     "EigenSystem",
-    "SpectralSubspaces",
     "ScatteringDiagonal",
     "build_hamiltonian",
     "build_doubled",
@@ -65,15 +64,6 @@ class EigenSystem:
 
 
 @dataclass(frozen=True)
-class SpectralSubspaces:
-    """Orthonormal 2-frames spanning the negative (M1) and positive (M2)
-    eigenspaces of H(q)."""
-
-    negative: np.ndarray
-    positive: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScatteringDiagonal:
     """Common eigenvectors (columns) of H and S with the unit-modulus diagonal
     elements of S on them; stacked along a leading axis for stacked momenta."""
@@ -115,26 +105,17 @@ def _fro(x):
     return np.sqrt(_norm2(x.real) + _norm2(x.imag))
 
 
-def _rescaled(q, m):
-    """H is jointly linear in (q, m): the scale max(|q_i|, m) of each momentum
-    and (q, m) divided by it, so no intermediate quantity goes subnormal."""
-    scale = np.maximum(np.abs(q).max(axis=-1), m)
-    safe = np.where(scale > 0, scale, 1.0)
-    return scale, q / safe[..., None], m / safe
-
-
 def energy(q, m):
-    """E = sqrt(m^2 + |q|^2) per momentum, taken on the rescaled momentum
-    where m^2 + |q|^2 leaves the normal float range; a momentum or mass whose
-    E itself overflows is a ValueError."""
+    """E = sqrt(m^2 + |q|^2) per momentum, taken on (q, m) / 2^k, k the exponent
+    of max(|q_i|, m), and scaled back by 2^k: a power of two scales exactly, so
+    E has the plain formula's bits wherever m^2 + |q|^2 is a normal float, and
+    is finite past its overflow; a momentum or mass whose E itself overflows
+    is a ValueError."""
     q, m = _check_point(q, m)
+    k = np.frexp(np.maximum(np.abs(q).max(axis=-1), m))[1]
+    qs, ms = np.ldexp(q, -np.expand_dims(k, -1)), np.ldexp(m, -k)
     with np.errstate(over="ignore"):
-        e2 = m * m + _norm2(q)
-        e = np.sqrt(e2)
-        odd = ~((e2 >= np.finfo(float).tiny) & (e2 < np.inf))
-        if np.any(odd):
-            scale, qs, ms = _rescaled(q, m)
-            e = np.where(odd, scale * np.sqrt(ms * ms + _norm2(qs)), e)[()]
+        e = np.ldexp(np.sqrt(ms * ms + _norm2(qs)), k)
     if not np.all(np.isfinite(e)):
         i = np.argmin(np.isfinite(e))  # the first that overflows
         q, m = q.reshape(-1, 3)[i], np.broadcast_to(m, np.shape(e)).ravel()[i]
@@ -184,10 +165,11 @@ def eigenvectors_closed_form(q, m):
 
 
 def spectral_subspaces(q, m):
-    """Orthonormal frames for the invariant spans M1 (negative eigenvalues)
-    and M2 (positive): the first and last two closed-form eigenvector columns."""
+    """Orthonormal 2-frames (negative, positive) for the invariant spans M1
+    (negative eigenvalues) and M2 (positive eigenvalues) of H(q): the first
+    and last two closed-form eigenvector columns."""
     vectors = _basis(*_check_point(q, m), 4)
-    return SpectralSubspaces(negative=vectors[..., :2], positive=vectors[..., 2:])
+    return vectors[..., :2], vectors[..., 2:]
 
 
 def _basis(q, m, size):
@@ -203,8 +185,11 @@ def _basis(q, m, size):
     orthogonal identically, and the two pairs belong to the distinct
     eigenvalues -E and +E of the Hermitian H.
     """
-    # rescaled to O(1): the eigenvectors do not depend on the scale
-    _, q, m = _rescaled(q, m)
+    # H is jointly linear in (q, m): divided by max(|q_i|, m) no intermediate
+    # quantity goes subnormal, and the eigenvectors do not depend on the scale
+    scale = np.maximum(np.abs(q).max(axis=-1), m)
+    safe = np.where(scale > 0, scale, 1.0)
+    q, m = q / safe[..., None], m / safe
     qq = _norm2(q)
     e = np.sqrt(m * m + qq)
     # at-rest rows divide by ~0 here; they are replaced below

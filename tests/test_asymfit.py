@@ -261,19 +261,18 @@ def reference_model_dict(model):
 def reference_factor(model, eps, order=2):
     eps = float(eps)
     if model.kind == "log":
-        return DeviationFactor(log_coeffs=(eps**order * model.phi,), eps=eps, eps_order=order)
+        return DeviationFactor(log_coeffs=(eps**order * model.phi,), eps_order=order)
     if model.kind == "powerlog":
         return DeviationFactor(
             quad_coeff=eps**order * model.phi,
             linear_coeff=eps**order * model.psi,
             log_coeffs=(eps**order * model.nu,),
-            eps=eps,
             eps_order=order,
         )
     coeffs = np.zeros(model.degree)
     for p in range(1, model.degree + 1):
         coeffs[p - 1] += eps**model.order * model.table[p]
-    return DeviationFactor(log_coeffs=tuple(coeffs), eps=eps, eps_order=model.order)
+    return DeviationFactor(log_coeffs=tuple(coeffs), eps_order=model.order)
 
 
 COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
@@ -305,9 +304,7 @@ def test_shared_terms_match_the_per_kind_formulas_bit_for_bit(model, cutoffs, ep
     )
     assert asymfit.model_from_dict(payload) == model
     got, expected = factor_from_model(model, eps), reference_factor(model, eps)
-    assert (got.eps, got.eps_order, len(got.log_coeffs)) == (
-        expected.eps, expected.eps_order, len(expected.log_coeffs)
-    )
+    assert (got.eps_order, len(got.log_coeffs)) == (expected.eps_order, len(expected.log_coeffs))
     assert bits(got.quad_coeff, got.linear_coeff, *got.log_coeffs) == bits(
         expected.quad_coeff, expected.linear_coeff, *expected.log_coeffs
     )
@@ -365,3 +362,37 @@ def test_decay_verdict_does_not_depend_on_a_common_factor():
         huge, small = decay_overflow_samples(1.0), decay_overflow_samples(1e-10)
         assert fit(huge, "log").decay_ok is fit(small, "log").decay_ok is False
         assert classify(huge).model.kind == classify(small).model.kind == "powerlog"
+
+
+@pytest.mark.parametrize("kind", ["log", "powerlog"])
+@pytest.mark.parametrize("scale", [1e-100, 1e-10, 1.0, 1e10, 1e100])
+def test_scaled_residual_statistics_keep_the_plain_formulas_bits(kind, scale):
+    # r / 2^k scaled back by 2^k is exact: stderr, the decay verdict and
+    # max |r L| read as the plain formulas on r wherever those are normal
+    rng = np.random.default_rng(31)
+    terms = asymfit._MODELS[kind].terms
+    verdicts = set()
+    for _ in range(20):
+        grid = np.sort(rng.uniform(10, 1e4, 12))
+        noise = rng.standard_normal(12) * 10.0 ** rng.uniform(-8, 0) / grid ** rng.integers(0, 2)
+        imag = scale * (3 * np.log(grid) + 2 + noise)
+        report = fit(make_samples(grid, imag), kind)
+        r, L = report.residuals, report.grid
+        design = asymfit._basis(terms, L)
+        assert bits(*report.stderr) == bits(*reference_stderr(r, design, len(L) - len(terms)))
+        scaled = np.abs(r * L)
+        floor = 1e-9 * max(np.max(np.abs(imag[-len(L):])), 1.0)
+        want = bool(np.max(scaled) <= max(10.0 * np.median(scaled[: len(L) // 2]), floor))
+        assert report.decay_ok is want
+        assert bits(report.max_scaled_residual) == bits(np.max(scaled))
+        verdicts.add(want)
+    # below 1 the absolute floor 1e-9 passes most fits; from 1 up both verdicts occur
+    assert verdicts == {True, False} or scale < 1.0
+
+
+def test_a_models_kind_is_its_class():
+    with pytest.raises(TypeError):
+        asymfit.LogModel(1.0, 2.0, "polylog")
+    assert asymfit.LogModel(1.0, 2.0).to_dict() == {"kind": "log", "phi": 1.0, "psi": 2.0}
+    with pytest.raises(ValueError, match="^unknown model keys: nu$"):
+        asymfit.model_from_dict({"kind": "log", "phi": 1, "psi": 2, "nu": 5})

@@ -440,6 +440,19 @@ def test_regularize_refits_the_model_that_fit_reports(tmp_path, kind):
     assert (tmp_path / "reg" / "deviation_factor.json").read_bytes() == expected
 
 
+def test_regularize_keeps_a_negative_zero_real_part(tmp_path):
+    # re + 1j * im would read the file's -0.0 real parts as +0.0
+    grid = [1.0, 2.0, 4.0, 8.0, 16.0]
+    (tmp_path / "zero.csv").write_text(
+        "L,re,im\n" + "".join(f"{l!r},-0.0,{float(np.log(l))!r}\n" for l in grid))
+    model = {"kind": "log", "phi": 1.0, "psi": 0.0}
+    code, out = run(tmp_path, "regularize", {"model": model},
+                    ["--samples", str(tmp_path / "zero.csv")])
+    assert code == 0
+    rows = (out / "regularized.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["-0"] * len(grid)
+
+
 def test_check_default_passes(tmp_path, capsys):
     code, _ = run(tmp_path, "check", {"trials": 25})
     assert code == 0
@@ -801,6 +814,16 @@ def integrate_config(**overrides):
          (2, "fit: error estimates must be finite and non-negative\n")),
         ("regularize", None, ["--samples", "negative_err.csv"],
          (2, "regularize: error estimates must be finite and non-negative\n")),
+        # a model dict's keys are kind and the kind's fields, no others
+        ("regularize", {"model": {"kind": "log", "phi": 1, "psi": 2, "nu": 5}},
+         ["--samples", "log.csv"], (2, "regularize: unknown model keys: nu\n")),
+        ("regularize", {"model": {"kind": "polylog", "table": [1.0], "phi": 1, "degree": 0}},
+         ["--samples", "log.csv"], (2, "regularize: unknown model keys: degree, phi\n")),
+        # a samples file has the columns L,re,im[,err] and no more
+        ("fit", None, ["--samples", "extra.csv", "--model", "log"],
+         (2, "fit: samples file extra.csv needs columns L,re,im[,err]\n")),
+        ("regularize", None, ["--samples", "extra.csv", "--model", "log"],
+         (2, "regularize: samples file extra.csv needs columns L,re,im[,err]\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -819,6 +842,8 @@ def test_malformed_invocations_exit_with_documented_code(
     (tmp_path / "header.csv").write_text("L,re,im\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "inf.csv").write_text("L,re,im\n10,0,1\n100,0,inf\n")
+    (tmp_path / "extra.csv").write_text(
+        "L,re,im,err,extra\n" + "".join(f"{l},0.0,{3*np.log(l)+2},0,1\n" for l in grid))
     huge = np.geomspace(10, 1e4, 9)
     (tmp_path / "huge_log.csv").write_text("L,re,im\n" + "".join(
         f"{l!r},0.0,{v!r}\n" for l, v in zip(huge.tolist(), (1e300 * np.log(huge)).tolist())))

@@ -112,7 +112,7 @@ def test_regularize_powerlog_converges():
 def test_inverse_factor_expansion_sits_at_stride_order(order):
     # with a_1..a_N = 0 the per-order coefficients are those of exp(-i theta eps^k)
     theta, eps, n = 0.7, 0.1, 9
-    factor = DeviationFactor(log_coeffs=(theta * eps**order,), eps=eps, eps_order=order)
+    factor = DeviationFactor(log_coeffs=(theta * eps**order,), eps_order=order)
     out = regularized_series(np.zeros(n), factor, eps, np.e)  # ln L = 1
     expected = np.zeros(n + 1, dtype=complex)
     expected[::order] = [(-1j * theta) ** j / math.factorial(j) for j in range(n // order + 1)]
@@ -259,13 +259,13 @@ def test_resum_refuses_each_overflow_by_name(psi, phi, eps, L, named):
     ],
 )
 def test_regularized_series_refuses_an_overflowing_inverse_power(log_coeff, eps, order):
-    factor = DeviationFactor(log_coeffs=(log_coeff,), eps=eps, eps_order=order)
+    factor = DeviationFactor(log_coeffs=(log_coeff,), eps_order=order)
     with pytest.raises(ValueError, match=r"^\(-i theta\)\^k/k! overflows at eps="):
         regularized_series([0.0, 0.0], factor, eps, 10.0)
 
 
 def test_regularized_series_past_eps_overflow():
     # eps^2 overflows, so theta and every inverse term past the first are 0
-    factor = DeviationFactor(log_coeffs=(1.0,), eps=1e200, eps_order=2)
+    factor = DeviationFactor(log_coeffs=(1.0,), eps_order=2)
     out = regularized_series([], factor, 1e200, 10.0)
     assert out.coefficients.tolist() == [1.0]

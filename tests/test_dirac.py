@@ -101,10 +101,10 @@ def test_closed_form_matches_generic_eigensolver(q, m):
 @example(q=(1e-208, -3e-208, 2e-208), m=1e-213)
 @settings(max_examples=100, deadline=None)
 def test_subspaces_complete_and_orthogonal(q, m):
-    sub = dirac.spectral_subspaces(q, m)
-    for frame in (sub.negative, sub.positive):
+    negative, positive = dirac.spectral_subspaces(q, m)
+    for frame in (negative, positive):
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(2)) <= 1e-12
-    p1, p2 = (frame @ frame.conj().T for frame in (sub.negative, sub.positive))
+    p1, p2 = (frame @ frame.conj().T for frame in (negative, positive))
     assert np.linalg.norm(p1 + p2 - np.eye(4)) <= 1e-12
     assert np.linalg.norm(p1 @ p2) <= 1e-12
     # H-invariance of each subspace
@@ -153,6 +153,17 @@ def test_eigensystem_values_are_the_eigenvalues_bit_for_bit():
     rng = np.random.default_rng(2000)
     for q, m in ((grid, 0.5), (rng.uniform(-10, 10, (2000, 3)), rng.uniform(0, 10, 2000))):
         assert np.array_equal(dirac.eigenvectors_closed_form(q, m).values, dirac.eigenvalues(q, m))
+
+
+def test_energy_keeps_the_plain_formulas_bits():
+    # (q, m) / 2^k, scaled back by 2^k, is exact: where m^2 + |q|^2 is a normal
+    # float, E is sqrt(m^2 + |q|^2) bit for bit, at every scale and mix of scales
+    rng = np.random.default_rng(31)
+    values = rng.choice([-1.0, 1.0], (20000, 4)) * 10.0 ** rng.uniform(-150, 150, (20000, 4))
+    q, m = np.ascontiguousarray(values[:, :3]), np.abs(values[:, 3])
+    assert np.array_equal(dirac.energy(q, m), np.sqrt(m * m + dirac._norm2(q)))
+    for row, mass in zip(q[:50], m[:50]):
+        assert dirac.energy(row, mass) == np.sqrt(mass * mass + row @ row)
 
 
 @pytest.mark.parametrize("q, m", [
@@ -224,10 +235,10 @@ def test_clusters_whose_anti_hermitian_eigenvalues_coincide(rows, seed):
     same eigenvalues +-sin t on both."""
     q, m, theta = (np.array(column) for column in zip(*rows))
     n = len(q)
-    sub = dirac.spectral_subspaces(q, m)
+    negative, positive = dirac.spectral_subspaces(q, m)
     basis = np.zeros((n, 8, 8), dtype=complex)  # M1 of diag(H, H), then M2
-    basis[:, :4, 0:2] = basis[:, 4:, 2:4] = sub.negative
-    basis[:, :4, 4:6] = basis[:, 4:, 6:8] = sub.positive
+    basis[:, :4, 0:2] = basis[:, 4:, 2:4] = negative
+    basis[:, :4, 4:6] = basis[:, 4:, 6:8] = positive
     phases = np.exp(1j * np.array([theta, -theta, np.pi - theta, theta - np.pi]).T)
     rng = np.random.default_rng(seed)
     core = np.zeros((n, 8, 8), dtype=complex)
@@ -294,8 +305,8 @@ def test_simultaneous_diagonalize_identity():
 def test_simultaneous_diagonalize_prescribed_phases():
     q, m = (0.3, -1.2, 0.8), 0.5
     phases = np.array([0.3, 1.1, -2.0, 2.5])
-    sub = dirac.spectral_subspaces(q, m)
-    basis = np.hstack([sub.negative, sub.positive])
+    negative, positive = dirac.spectral_subspaces(q, m)
+    basis = np.hstack([negative, positive])
     s = basis @ np.diag(np.exp(1j * phases)) @ basis.conj().T
     diag = dirac.simultaneous_diagonalize(q, m, s)
     got = np.sort(np.angle(diag.diagonal))
@@ -350,8 +361,8 @@ def test_leakage_is_rejected():
     # a unitary commuting with H only because both subspace blocks are equal
     # after swapping frames: construct S that maps M1 onto M2
     q, m = (2.0, 1.0, -1.0), 0.0  # massless: +/-E only, swap keeps unitarity
-    sub = dirac.spectral_subspaces(q, m)
-    basis = np.hstack([sub.negative, sub.positive])
+    negative, positive = dirac.spectral_subspaces(q, m)
+    basis = np.hstack([negative, positive])
     swap = np.zeros((4, 4))
     swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
     s = basis @ swap @ basis.conj().T

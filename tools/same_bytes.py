@@ -47,6 +47,10 @@ through: ``fit --model auto`` and ``regularize --model auto`` on samples
 i (1e300 ln L +- 1e305), whose |residual L| overflows, ``fit`` and
 ``regularize`` on a file with cutoffs -5, -1 and 0, ``fit`` on a file whose
 ``err`` column holds a ``nan``, and ``regularize`` on one that holds a ``-1``.
+Then four steps on what a samples file or a model dict may hold: ``fit`` on a
+file with a fifth column, which is refused, ``regularize`` with the model dict
+{kind: log, phi: 1, psi: 2, nu: 5}, whose unknown key is refused, and ``fit``
+and ``regularize`` on log samples whose real parts are all -0.0.
 """
 
 from __future__ import annotations
@@ -336,6 +340,23 @@ def scenarios():
         "negative-err-regularize": ["regularize", "--samples", "negative_err.csv"],
     }.items():
         yield name, _unchecked_samples(), [[*argv, "--out", "out"]]
+    grid = np.geomspace(10, 1e4, 17)
+    imag = 3 * np.log(grid) + 2 + 0.5 / grid
+    rows = _csv(grid, imag, err=np.zeros_like(grid)).splitlines()[1:]
+    layouts = {
+        "extra.csv": "L,re,im,err,extra\n" + "".join(f"{row},1.0\n" for row in rows),
+        "negative_zero.csv": _csv(grid, imag, real=np.full_like(grid, -0.0)),
+        "nu.json": json.dumps({"model": {"kind": "log", "phi": 1, "psi": 2, "nu": 5}}),
+    }
+    for name, argv in {
+        "extra-column-fit": ["fit", "--model", "log", "--samples", "extra.csv"],
+        "unknown-model-key-regularize":
+            ["regularize", "--config", "nu.json", "--samples", "negative_zero.csv"],
+        "negative-zero-real-part-fit": ["fit", "--model", "log", "--samples", "negative_zero.csv"],
+        "negative-zero-real-part-regularize":
+            ["regularize", "--model", "log", "--samples", "negative_zero.csv"],
+    }.items():
+        yield name, layouts, [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
