@@ -11,7 +11,9 @@ noise, which is policed rather than silently absorbed.  Fits are ordinary
 linear least squares of Im(values) on the model basis over a tail window of
 the grid, and the unquantified O(1/L) remainder becomes a concrete check:
 sup over the tail of |residual * L| must not exceed 10x the median of
-|residual * L| over the first half of the tail.
+|residual * L| over the first half of the tail, or the floor 1e-9 of the
+largest |Im| on the tail, whichever is larger.  The floor is relative, so the
+verdict does not depend on the samples' units.
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     unit = np.ldexp(residuals, -k)
     stderr = _stderr(unit, k, design, max(len(grid) - ncoef, 1), kind)
     half = max(len(grid) // 2, 1)
-    floor = 1e-9 * max(np.max(np.abs(values.imag)), 1.0)
+    floor = 1e-9 * np.max(np.abs(values.imag))
     scaled = np.abs(unit) * grid
     with np.errstate(over="ignore"):
         decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), np.ldexp(floor, -k)))

@@ -31,18 +31,6 @@ __all__ = [
 ]
 
 
-def _exponent(quad_coeff, linear_coeff, log_coeffs, gauge, L):
-    """quad L^2 + linear L + sum_p log_coeffs[p-1] ln^p L + gauge; the
-    coefficients broadcast against L, ``log_coeffs`` runs over p first."""
-    logl = np.log(L)
-    # a row whose quad_coeff is zero squares 1.0, since 0 * L**2 is NaN once L**2
-    # overflows; times 1.0 it keeps its sign, so every finite result keeps its bits
-    out = quad_coeff * np.where(quad_coeff != 0, L, 1.0) ** 2 + linear_coeff * L + gauge
-    for p, c in enumerate(log_coeffs, start=1):
-        out = out + c * logl**p
-    return out
-
-
 @dataclass(frozen=True)
 class DeviationFactor:
     """exp(i [quad L^2 + linear L + sum_p log_coeffs[p-1] ln^p L + gauge]).
@@ -67,7 +55,14 @@ class DeviationFactor:
         L = np.asarray(L, dtype=float)
         if not np.all((L > 0) & (L < np.inf)):
             raise ValueError("the cutoff must be positive and finite")
-        return _exponent(self.quad_coeff, self.linear_coeff, self.log_coeffs, self.gauge, L)
+        logl = np.log(L)
+        # a zero quad_coeff squares 1.0, since 0 * L**2 is NaN once L**2 overflows;
+        # times 1.0 it keeps its sign, so every finite result keeps its bits
+        out = self.quad_coeff * (L if self.quad_coeff else 1.0) ** 2
+        out = out + self.linear_coeff * L + self.gauge
+        for p, c in enumerate(self.log_coeffs, start=1):
+            out = out + c * logl**p
+        return out
 
     def exponent_shift(self, L, shift):
         """exponent(L + shift) - exponent(L), computed without cancellation."""

@@ -364,30 +364,47 @@ def test_decay_verdict_does_not_depend_on_a_common_factor():
         assert classify(huge).model.kind == classify(small).model.kind == "powerlog"
 
 
+def noisy_log_samples():
+    """20 seeded grids of 12 cutoffs, each with the imaginary parts
+    3 ln L + 2 plus noise of a random size, flat or decaying as 1/L."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        grid = np.sort(rng.uniform(10, 1e4, 12))
+        noise = rng.standard_normal(12) * 10.0 ** rng.uniform(-8, 0) / grid ** rng.integers(0, 2)
+        yield grid, 3 * np.log(grid) + 2 + noise
+
+
 @pytest.mark.parametrize("kind", ["log", "powerlog"])
 @pytest.mark.parametrize("scale", [1e-100, 1e-10, 1.0, 1e10, 1e100])
 def test_scaled_residual_statistics_keep_the_plain_formulas_bits(kind, scale):
     # r / 2^k scaled back by 2^k is exact: stderr, the decay verdict and
     # max |r L| read as the plain formulas on r wherever those are normal
-    rng = np.random.default_rng(31)
     terms = asymfit._MODELS[kind].terms
     verdicts = set()
-    for _ in range(20):
-        grid = np.sort(rng.uniform(10, 1e4, 12))
-        noise = rng.standard_normal(12) * 10.0 ** rng.uniform(-8, 0) / grid ** rng.integers(0, 2)
-        imag = scale * (3 * np.log(grid) + 2 + noise)
+    for grid, unscaled in noisy_log_samples():
+        imag = scale * unscaled
         report = fit(make_samples(grid, imag), kind)
         r, L = report.residuals, report.grid
         design = asymfit._basis(terms, L)
         assert bits(*report.stderr) == bits(*reference_stderr(r, design, len(L) - len(terms)))
         scaled = np.abs(r * L)
-        floor = 1e-9 * max(np.max(np.abs(imag[-len(L):])), 1.0)
+        floor = 1e-9 * np.max(np.abs(imag[-len(L):]))
         want = bool(np.max(scaled) <= max(10.0 * np.median(scaled[: len(L) // 2]), floor))
         assert report.decay_ok is want
         assert bits(report.max_scaled_residual) == bits(np.max(scaled))
         verdicts.add(want)
-    # below 1 the absolute floor 1e-9 passes most fits; from 1 up both verdicts occur
-    assert verdicts == {True, False} or scale < 1.0
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kind", ["log", "powerlog"])
+def test_decay_verdict_does_not_depend_on_the_samples_units(kind):
+    # the floor is 1e-9 of the largest |Im| on the tail, so it scales with the samples
+    verdicts = [
+        {fit(make_samples(grid, scale * imag), kind).decay_ok for scale in (1e-12, 1.0, 1e12)}
+        for grid, imag in noisy_log_samples()
+    ]
+    assert all(len(v) == 1 for v in verdicts)
+    assert set().union(*verdicts) == {True, False}
 
 
 def test_a_models_kind_is_its_class():

@@ -13,7 +13,6 @@ from scatreg.deviation import (
     regularize_coefficient,
     regularized_series,
     resum_coulomb_series,
-    _exponent,
 )
 
 
@@ -62,17 +61,16 @@ def test_exponent_without_l2_term_past_l2_overflow():
     assert abs(factor(1e200)) == pytest.approx(1.0, abs=1e-15)
 
 
-
 def test_exponent_skips_l2_per_row():
-    # the zero row must not square its L = 1e200: 0 * inf would be NaN, with a warning
-    theta = _exponent(
-        np.array([0.0, -0.0, 0.5]), 0.0, (0.25,), 0.0, np.array([1e200, 1e200, 10.0])
-    )
+    # a zero quad_coeff must not square L = 1e200: 0 * inf would be NaN, with a warning
     ln_l = np.log(1e200)
-    assert theta.tolist() == [0.25 * ln_l, 0.25 * ln_l, 50.0 + 0.25 * np.log(10.0)]
-    with pytest.warns(RuntimeWarning, match="overflow"):  # only the nonzero row overflows
-        theta = _exponent(np.array([0.0, 1e-300]), 0.0, (0.25,), 0.0, np.full(2, 1e200))
-    assert theta.tolist() == [0.25 * ln_l, np.inf]
+    for quad in (0.0, -0.0):
+        assert DeviationFactor(quad, log_coeffs=(0.25,)).exponent(1e200) == 0.25 * ln_l
+    theta = DeviationFactor(0.5, log_coeffs=(0.25,)).exponent(10.0)
+    assert theta == 50.0 + 0.25 * np.log(10.0)
+    with pytest.warns(RuntimeWarning, match="overflow") as caught:
+        theta = DeviationFactor(1e-300, log_coeffs=(0.25,)).exponent(1e200)
+    assert theta == np.inf and len(caught) == 1
 
 
 @given(

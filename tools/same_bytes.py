@@ -42,7 +42,7 @@ samples i 1e300 ln L, whose residuals' squares overflow, and on three cutoffs
 1e-6 apart in ln L at +-1e303, whose standard errors do; ``fit`` on a samples
 file with an ``inf`` entry; ``regularize`` with the model phi = 1e308, whose
 divergent part overflows; and ``regularize --epsilon 1e155``, where eps^2 does.
-Last, six steps on samples that ``CutoffSamples`` or the decay test once let
+Then six steps on samples that ``CutoffSamples`` or the decay test once let
 through: ``fit --model auto`` and ``regularize --model auto`` on samples
 i (1e300 ln L +- 1e305), whose |residual L| overflows, ``fit`` and
 ``regularize`` on a file with cutoffs -5, -1 and 0, ``fit`` on a file whose
@@ -51,6 +51,10 @@ Then four steps on what a samples file or a model dict may hold: ``fit`` on a
 file with a fifth column, which is refused, ``regularize`` with the model dict
 {kind: log, phi: 1, psi: 2, nu: 5}, whose unknown key is refused, and ``fit``
 and ``regularize`` on log samples whose real parts are all -0.0.
+Last, two steps on the samples' header and units: ``fit`` on a log samples
+file without its header line, which is refused, and ``fit --model auto`` on
+log samples with a seeded 1e-4/L noise, scaled by 1e-10, whose decay test
+reads as on the unscaled samples.
 """
 
 from __future__ import annotations
@@ -357,6 +361,16 @@ def scenarios():
             ["regularize", "--model", "log", "--samples", "negative_zero.csv"],
     }.items():
         yield name, layouts, [[*argv, "--out", "out"]]
+    noise = 1e-4 * np.random.default_rng(6).standard_normal(17) / grid
+    units = {
+        "headerless.csv": "".join(f"{row}\n" for row in rows),
+        "scaled.csv": _csv(grid, 1e-10 * (3 * np.log(grid) + 2 + noise)),
+    }
+    for name, argv in {
+        "headerless-samples-fit": ["fit", "--model", "log", "--samples", "headerless.csv"],
+        "scaled-noisy-samples-fit": ["fit", "--model", "auto", "--samples", "scaled.csv"],
+    }.items():
+        yield name, units, [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
