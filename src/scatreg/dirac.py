@@ -141,14 +141,17 @@ def build_hamiltonian(q, m):
     return np.array(columns, dtype=complex).T
 
 
+def _doubled(x):
+    """diag(x, x) for each trailing 4x4 matrix of a stack."""
+    out = np.zeros(x.shape[:-2] + (8, 8), dtype=complex)
+    out[..., :4, :4] = out[..., 4:, 4:] = x
+    return out
+
+
 def build_doubled(q, m):
     """Block-diagonal 8x8 matrix diag(H(q), H(q)) for the doubled system,
     stacked (n, 8, 8) for stacked momenta."""
-    h = build_hamiltonian(q, m)
-    out = np.zeros(h.shape[:-2] + (8, 8), dtype=complex)
-    out[..., :4, :4] = h
-    out[..., 4:, 4:] = h
-    return out
+    return _doubled(build_hamiltonian(q, m))
 
 
 def eigenvalues(q, m):
@@ -220,9 +223,7 @@ def _basis(q, m, size):
     vecs = np.where((sm == 0.0)[..., None, None], _AT_REST, vecs)
     if size == 4:
         return vecs
-    basis = np.zeros(vecs.shape[:-2] + (8, 8), dtype=complex)
-    basis[..., :4, [0, 1, 4, 5]] = basis[..., 4:, [2, 3, 6, 7]] = vecs
-    return basis
+    return np.take(_doubled(vecs), [0, 1, 4, 5, 2, 3, 6, 7], axis=-1)
 
 
 def _adjoint(x):

@@ -64,6 +64,11 @@ def test_cutoff_samples_validation():
             CutoffSamples(grid=[1.0, 2.0], values=[0, 0], errors=[0.0, bad])
 
 
+def test_cutoff_samples_need_one_value_per_cutoff():
+    with pytest.raises(ValueError, match="congruent$"):
+        CutoffSamples(grid=[1.0, 2.0], values=[1j])
+
+
 def test_zero_integrand():
     value, err = integrate_ball(None, None, (0, 0, 0), 0.0, BallRegion(2.0))
     assert value == 0 and err == 0
@@ -125,6 +130,11 @@ def test_sample_over_cutoffs_log_differences():
     diffs = np.diff(samples.values.imag)
     assert diffs == pytest.approx(np.diff(closed_form(grid)), rel=1e-8)
     assert np.all(np.abs(diffs - 2 * np.pi**2 * np.log(2)) < 0.2)
+
+
+def test_sample_over_cutoffs_needs_an_ascending_grid():
+    with pytest.raises(ValueError, match="^cutoff grid must be strictly ascending$"):
+        sample_over_cutoffs(parse_integrand("1"), None, (0, 0, 0), 0.0, [20.0, 10.0])
 
 
 def test_cutoff_monotone_for_nonnegative_integrand():

@@ -490,7 +490,7 @@ def nan_joint_diagonalize(q, m, s, joint=dirac.joint_diagonalize):
 
 @pytest.mark.parametrize(
     "module,name,patch,failure",
-    [(dirac, "joint_diagonalize", nan_joint_diagonalize, "|d_k| deviates from 1")],
+    [(dirac, "joint_diagonalize", nan_joint_diagonalize, "reconstruction defect")],
     ids=["joint_diagonalize"],
 )
 def test_check_fails_on_nan_verdicts(tmp_path, capsys, monkeypatch, module, name, patch, failure):
@@ -785,6 +785,19 @@ def integrate_config(**overrides):
          (2, "fit: samples file headerless.csv needs columns L,re,im[,err]\n")),
         ("regularize", None, ["--samples", "headerless.csv", "--model", "log"],
          (2, "regularize: samples file headerless.csv needs columns L,re,im[,err]\n")),
+        # the header is decided before the rows, so one headerless row is no header
+        ("fit", None, ["--samples", "headerless_one_row.csv", "--model", "log"],
+         (2, "fit: samples file headerless_one_row.csv needs columns L,re,im[,err]\n")),
+        ("regularize", None, ["--samples", "headerless_one_row.csv", "--model", "log"],
+         (2, "regularize: samples file headerless_one_row.csv needs columns L,re,im[,err]\n")),
+        # a config that is not a JSON object, an L_grid that does not grow, and
+        # an integrate config without an integrand
+        ("integrate", None, ["--config", "list.json"],
+         (2, "integrate: list.json must hold a JSON object\n")),
+        ("integrate", integrate_config(L_grid={"start": 10, "ratio": 1.0, "count": 2}), [],
+         (2, "integrate: L_grid needs start > 0, ratio > 1, count >= 1\n")),
+        ("integrate", {"L_grid": ONE_CUTOFF}, [],
+         (2, "integrate: config needs 'integrand_re' and/or 'integrand_im'\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -807,6 +820,8 @@ def test_malformed_invocations_exit_with_documented_code(
         "L,re,im,err,extra\n" + "".join(f"{l},0.0,{3*np.log(l)+2},0,1\n" for l in grid))
     (tmp_path / "headerless.csv").write_text(
         "".join(f"{l},0.0,{3*np.log(l)+2}\n" for l in np.geomspace(10, 1e4, 9)))
+    (tmp_path / "headerless_one_row.csv").write_text("10,0,1\n")
+    (tmp_path / "list.json").write_text("[1, 2]")
     huge = np.geomspace(10, 1e4, 9)
     (tmp_path / "huge_log.csv").write_text("L,re,im\n" + "".join(
         f"{l!r},0.0,{v!r}\n" for l, v in zip(huge.tolist(), (1e300 * np.log(huge)).tolist())))

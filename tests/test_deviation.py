@@ -54,6 +54,13 @@ def test_factor_evaluation_trivia():
     assert DeviationFactor(linear_coeff=0.01)(100.0) == pytest.approx(np.exp(1j))
 
 
+def test_factor_refuses_bad_coefficients_and_cutoffs():
+    with pytest.raises(ValueError, match="must be finite reals"):
+        DeviationFactor(linear_coeff=float("nan"))
+    with pytest.raises(ValueError, match="^the cutoff must be positive and finite$"):
+        DeviationFactor().exponent(0.0)
+
+
 def test_exponent_without_l2_term_past_l2_overflow():
     # L**2 overflows at L = 1e200, and 0 * inf would be NaN
     factor = DeviationFactor(log_coeffs=(0.25,), gauge=0.5)
@@ -163,6 +170,13 @@ def test_class_a_identity_true():
     assert np.allclose(result.ratios, 1.0)
 
 
+def test_class_a_check_refuses_a_bad_grid_or_shift():
+    with pytest.raises(ValueError, match="strictly ascending"):
+        class_a_check(DeviationFactor(), 1.0, [10.0, 5.0])
+    with pytest.raises(ValueError, match="^shift must be finite and positive$"):
+        class_a_check(DeviationFactor(), 0.0, [5.0, 10.0])
+
+
 def test_gauge_multiply():
     # a constant gauge phase never changes the class verdict
     grid = np.geomspace(10, 1e4, 8)
@@ -181,6 +195,11 @@ def test_resum_requires_unit_leading_constant():
 def test_resum_requires_nonzero_coupling():
     with pytest.raises(ValueError):
         resum_coulomb_series([1.0, 0.5], 2.0, 0.0, 1, 10.0)
+
+
+def test_resum_order_needs_its_constants():
+    with pytest.raises(ValueError, match="^order 3 exceeds"):
+        resum_coulomb_series([1.0, 0.5], 2.0, 0.1, 3, 10.0)
 
 
 def test_resum_phi_zero_is_identity():

@@ -289,6 +289,11 @@ def test_commutes_rejects_nonunitary():
         dirac.commutes(h, 2.0 * np.eye(4))
 
 
+def test_commutes_needs_matrices_of_one_shape():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dirac.commutes(np.eye(4), np.eye(8))
+
+
 def test_generic_unitary_does_not_commute():
     q, m = (1.0, 2.0, 2.0), 1.0
     h = dirac.build_hamiltonian(q, m)

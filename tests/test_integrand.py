@@ -165,6 +165,11 @@ def test_division_by_zero_reports_subexpression():
         evaluate(parse_integrand("1/P2"), ctx())
 
 
+def test_overflowing_quotient_is_refused():
+    with pytest.raises(EvaluationError, match="non-finite quotient"):
+        evaluate(parse_integrand("1e300/p0"), {"p0": np.array([1e-10])})
+
+
 def test_vectorized_evaluation():
     bindings = ctx()
     bindings["p0"] = np.array([1.0, 2.0, 3.0])

@@ -51,10 +51,11 @@ Then four steps on what a samples file or a model dict may hold: ``fit`` on a
 file with a fifth column, which is refused, ``regularize`` with the model dict
 {kind: log, phi: 1, psi: 2, nu: 5}, whose unknown key is refused, and ``fit``
 and ``regularize`` on log samples whose real parts are all -0.0.
-Last, two steps on the samples' header and units: ``fit`` on a log samples
-file without its header line, which is refused, and ``fit --model auto`` on
+Last, four steps on the samples' header and units: ``fit`` on a log samples
+file without its header line, which is refused, ``fit --model auto`` on
 log samples with a seeded 1e-4/L noise, scaled by 1e-10, whose decay test
-reads as on the unscaled samples.
+reads as on the unscaled samples, and ``fit`` and ``regularize`` on a
+headerless file of one row, which is refused for its header.
 """
 
 from __future__ import annotations
@@ -365,10 +366,13 @@ def scenarios():
     units = {
         "headerless.csv": "".join(f"{row}\n" for row in rows),
         "scaled.csv": _csv(grid, 1e-10 * (3 * np.log(grid) + 2 + noise)),
+        "one_row.csv": "10,0,1\n",
     }
     for name, argv in {
         "headerless-samples-fit": ["fit", "--model", "log", "--samples", "headerless.csv"],
         "scaled-noisy-samples-fit": ["fit", "--model", "auto", "--samples", "scaled.csv"],
+        "headerless-one-row-fit": ["fit", "--samples", "one_row.csv"],
+        "headerless-one-row-regularize": ["regularize", "--samples", "one_row.csv"],
     }.items():
         yield name, units, [[*argv, "--out", "out"]]
 
