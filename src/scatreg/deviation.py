@@ -101,14 +101,21 @@ def factor_from_model(model, eps):
     Each divergent term c L^a ln^b L puts eps^order c into the L^2, L or
     ln^b L slot, where ``order`` is the model's own coupling order; every
     model lists its ln terms by ascending power from 1.  Constant model terms
-    are left out: they are finite and stay in the convergent remainder.
+    are left out: they are finite and stay in the convergent remainder.  A
+    coupling that is not finite, or whose eps^order or eps^order c overflows,
+    is refused by name.
     """
     eps = float(eps)
+    if not math.isfinite(eps):
+        raise ValueError(f"the coupling must be finite, got eps={eps!r}")
     try:
         power = eps**model.order
+        with np.errstate(over="raise"):
+            slots = {term: model.zero + power * c for term, c in model.divergent_terms()}
     except OverflowError:
         raise ValueError(f"eps^order overflows at eps={eps!r}, order={model.order}") from None
-    slots = {term: model.zero + power * c for term, c in model.divergent_terms()}
+    except FloatingPointError:
+        raise ValueError(f"eps^order c overflows at eps={eps!r}, order={model.order}") from None
     quad, linear = slots.pop((2, 0), 0.0), slots.pop((1, 0), 0.0)
     return DeviationFactor(quad, linear, tuple(slots.values()), eps_order=model.order)
 
@@ -222,7 +229,8 @@ class ResummationResult:
 def resum_coulomb_series(psi, phi, eps, nmax, L):
     """Build a_m = sum_k psi_{m-k} (i phi ln L)^k / k! and verify that the
     order-by-order expansion of L^{-i eps phi} d(q, L) returns psi_m exactly.
-    A power, a_m or sum d that overflows is refused by name."""
+    A coupling that is not finite, or a power, a_m or sum d that overflows, is
+    refused by name."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi.size == 0 or psi[0] != 1.0:
         raise ValueError("the constant list must start with psi_0 = 1")
@@ -232,6 +240,8 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError(f"order {nmax} exceeds the {psi.size - 1} supplied constants")
     if not 0 < L < math.inf:
         raise ValueError("the cutoff must be positive and finite")
+    if not math.isfinite(eps):
+        raise ValueError(f"the coupling must be finite, got eps={eps!r}")
     if eps == 0:
         raise ValueError("the coupling must be nonzero to recover per-order terms")
     where, phase = f"phi={phi!r}, L={L!r}", phi * math.log(L)

@@ -61,6 +61,17 @@ def test_factor_refuses_bad_coefficients_and_cutoffs():
         DeviationFactor().exponent(0.0)
 
 
+def test_a_non_finite_or_overflowing_coupling_is_refused_by_name():
+    # without a numpy warning, which the test settings turn into an error
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^the coupling must be finite, got eps={eps!r}$"):
+            factor_from_model(LogModel(3.0, 2.0), eps)
+        with pytest.raises(ValueError, match=f"^the coupling must be finite, got eps={eps!r}$"):
+            resum_coulomb_series([1.0, 0.5], 2.0, eps, 1, 10.0)
+    with pytest.raises(ValueError, match=r"^eps\^order c overflows at eps=100.0, order=2$"):
+        factor_from_model(LogModel(1e307, 0.0), 100.0)
+
+
 def test_exponent_without_l2_term_past_l2_overflow():
     # L**2 overflows at L = 1e200, and 0 * inf would be NaN
     factor = DeviationFactor(log_coeffs=(0.25,), gauge=0.5)

@@ -21,8 +21,8 @@ not parse (an unexpected character after a Unicode space, trailing input, a
 non-integer exponent, an unknown identifier, a missing ``)``), fit and
 regularize with every ``--model`` kind on synthetic log, power-log and
 poly-log samples, inline model dicts with +-0.0 entries, ``check`` at seeds
-1-3 with 1, 300 and 2000 trials, a tampered ``check`` that fails, and these,
-which are refused: a ``spectra`` grid count below 0, ``integrate`` at cutoffs
+1-3 with 1, 300 and 2000 trials, and these, which are refused: a ``check``
+config with the key ``tamper``, which is gone, a ``spectra`` grid count below 0, ``integrate`` at cutoffs
 1e77 and 1e78, whose quadrature weights overflow at the second, an
 ``integrate`` ``L_grid`` and a ``spectra`` ``q_grid`` with an unknown key,
 ``check --seed -1``, ``fit`` and ``regularize`` on the README integrate config
@@ -56,6 +56,9 @@ file without its header line, which is refused, ``fit --model auto`` on
 log samples with a seeded 1e-4/L noise, scaled by 1e-10, whose decay test
 reads as on the unscaled samples, and ``fit`` and ``regularize`` on a
 headerless file of one row, which is refused for its header.
+Then four refused steps: ``regularize --epsilon nan``, ``regularize`` with the
+model phi = 1e307 at ``--epsilon 100``, where eps^order c overflows,
+``resum --epsilon nan``, and ``spectra`` with both ``q`` and ``q_grid``.
 """
 
 from __future__ import annotations
@@ -317,7 +320,7 @@ def scenarios():
                    {"check.json": json.dumps({"trials": trials})},
                    [["check", "--config", "check.json", "--seed", str(seed),
                      "--out", "out"]])
-    yield ("check-tampered", {"check.json": json.dumps({"trials": 5, "tamper": 1e-3})},
+    yield ("check-tamper-key", {"check.json": json.dumps({"trials": 5, "tamper": 1e-3})},
            [["check", "--config", "check.json", "--out", "out"]])
     for name, (command, config) in OVERFLOW_EDGES.items():
         yield (name, {"c.json": json.dumps(config)},
@@ -375,6 +378,21 @@ def scenarios():
         "headerless-one-row-regularize": ["regularize", "--samples", "one_row.csv"],
     }.items():
         yield name, units, [[*argv, "--out", "out"]]
+    refused = {
+        "log.csv": _synthetic_samples()["log.csv"],
+        "model.json": json.dumps({"model": {"kind": "log", "phi": 1e307, "psi": 0}}),
+        "resum.json": json.dumps(RESUM),
+        "spectra.json": json.dumps({"m": 1, "q": [0, 0, 0], "q_grid": "junk"}),
+    }
+    for name, argv in {
+        "regularize-epsilon-nan":
+            ["regularize", "--model", "log", "--epsilon", "nan", "--samples", "log.csv"],
+        "regularize-coupling-overflow":
+            ["regularize", "--config", "model.json", "--epsilon", "100", "--samples", "log.csv"],
+        "resum-epsilon-nan": ["resum", "--config", "resum.json", "--epsilon", "nan"],
+        "spectra-q-and-q_grid": ["spectra", "--config", "spectra.json"],
+    }.items():
+        yield name, refused, [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
