@@ -18,7 +18,7 @@ verdict does not depend on the samples' units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,24 +65,65 @@ def _basis(terms, L):
     return np.column_stack([L**a * logl**b for a, b in terms])
 
 
-class _Model:
-    """Each model lists its terms once, one (a, b) pair per coefficient
-    meaning L^a ln^b L, with (0, 0) the finite constant; the basis, the
-    divergent part, the coefficient names and the model dict follow."""
+# each named kind's coefficients in term order, with the (a, b) of the L^a ln^b L
+# that each multiplies, (0, 0) the finite constant; a poly-log's are ln^0 L up
+# to ln^degree L, named ln^b
+_TERMS = {
+    "log": {"phi": (0, 1), "psi": (0, 0)},
+    "powerlog": {"phi": (2, 0), "psi": (1, 0), "nu": (0, 1), "mu": (0, 0)},
+}
+_KINDS = (*_TERMS, "polylog")
 
-    order = 2  # the power of the coupling that the fitted coefficient multiplies
-    # each sum over terms starts here: -0.0 is the identity of float addition,
-    # so a log or power-log sum is its terms' bit for bit; a poly-log sum has
-    # always started from +0.0, which turns a -0.0 sum into +0.0
-    zero = -0.0
+
+def _polylog_terms(degree):
+    return {f"ln^{b}": (0, b) for b in range(degree + 1)}
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A divergence model: its kind, its coefficients in term order (the
+    ``table``), and ``order``, the power of the coupling that the fitted
+    coefficients multiply.  The basis, the divergent part, the coefficient
+    names and the model dict follow from the kind's terms."""
+
+    kind: str
+    table: tuple
+    order: int = 2
+
+    def __getattr__(self, name):
+        # a named kind's coefficient; copy and pickle look attributes up
+        # before ``kind`` is set, so it is read from the instance dict
+        names = tuple(_TERMS.get(self.__dict__.get("kind"), ()))
+        if name not in names:
+            raise AttributeError(name)
+        return self.table[names.index(name)]
+
+    def _named_terms(self):
+        return _TERMS.get(self.kind) or _polylog_terms(len(self.table) - 1)
 
     @property
     def names(self):
-        return tuple(f.name for f in fields(self))
+        return tuple(self._named_terms())
+
+    @property
+    def terms(self):
+        return tuple(self._named_terms().values())
+
+    @property
+    def degree(self):
+        """The highest power of ln L among the terms."""
+        return max(b for _, b in self.terms)
+
+    @property
+    def zero(self):
+        # each sum over terms starts here: -0.0 is the identity of float addition,
+        # so a log or power-log sum is its terms' bit for bit; a poly-log sum has
+        # always started from +0.0, which turns a -0.0 sum into +0.0
+        return -0.0 if self.kind in _TERMS else 0.0
 
     @property
     def coefficients(self):
-        return np.array([getattr(self, name) for name in self.names], dtype=float)
+        return np.asarray(self.table, dtype=float)
 
     def divergent_terms(self):
         """((a, b), c) for each term but the constant, in term order."""
@@ -95,74 +136,23 @@ class _Model:
 
     def to_dict(self):
         """The model's entry in ``fit.json``; :func:`model_from_dict` reads it."""
-        return {"kind": self.kind, **dict(zip(self.names, self.coefficients.tolist()))}
-
-    @classmethod
-    def _from_dict(cls, payload):
-        return cls(*[_number(f.name, payload.get(f.name)) for f in fields(cls)])
-
-
-@dataclass(frozen=True)
-class LogModel(_Model):
-    phi: float
-    psi: float
-    kind = "log"
-    terms = ((0, 1), (0, 0))
-
-
-@dataclass(frozen=True)
-class PowerLogModel(_Model):
-    phi: float
-    psi: float
-    nu: float
-    mu: float
-    kind = "powerlog"
-    terms = ((2, 0), (1, 0), (0, 1), (0, 0))
-
-
-def _polylog_terms(degree):
-    return tuple((0, p) for p in range(degree + 1))
-
-
-@dataclass(frozen=True)
-class PolyLogModel(_Model):
-    """Coefficients phi_p of ln^p L, p = 0..degree, for the series order
-    ``order`` (the power of the coupling this coefficient multiplies)."""
-
-    table: tuple
-    order: int = 2
-    kind = "polylog"
-    zero = 0.0
-
-    @property
-    def degree(self):
-        return len(self.table) - 1
-
-    @property
-    def terms(self):
-        return _polylog_terms(self.degree)
-
-    @property
-    def names(self):
-        return tuple(f"ln^{b}" for _, b in self.terms)
-
-    @property
-    def coefficients(self):
-        return np.asarray(self.table, dtype=float)
-
-    def to_dict(self):
+        if self.kind in _TERMS:
+            return {"kind": self.kind, **dict(zip(self.names, self.coefficients.tolist()))}
         return {"kind": self.kind, "table": self.coefficients.tolist(), "order": self.order}
 
-    @classmethod
-    def _from_dict(cls, payload):
-        table, order = payload.get("table"), payload.get("order", 2)
-        if not (isinstance(table, list) and table and type(order) is int and order >= 1):
-            raise ValueError("model entry 'table' must be a non-empty list, 'order' an int >= 1")
-        return cls(tuple(_number("table", c) for c in table), order)
+
+def LogModel(phi, psi):
+    return _Model("log", (phi, psi))
 
 
-_MODELS = {model.kind: model for model in (LogModel, PowerLogModel, PolyLogModel)}
-_KINDS = tuple(_MODELS)
+def PowerLogModel(phi, psi, nu, mu):
+    return _Model("powerlog", (phi, psi, nu, mu))
+
+
+def PolyLogModel(table, order=2):
+    """Coefficients phi_p of ln^p L, p = 0..degree, for the series order
+    ``order`` (the power of the coupling this coefficient multiplies)."""
+    return _Model("polylog", tuple(table), order)
 
 
 @dataclass(frozen=True)
@@ -194,10 +184,15 @@ def model_from_dict(payload):
     kind = payload.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r} (one of {_KINDS})")
-    model = _MODELS[kind]
-    if unknown := sorted(set(payload) - {"kind", *(f.name for f in fields(model))}):
+    keys = _TERMS.get(kind, ("table", "order"))
+    if unknown := sorted(set(payload) - {"kind", *keys}):
         raise ValueError(f"unknown model keys: {', '.join(unknown)}")
-    return model._from_dict(payload)
+    if kind in _TERMS:
+        return _Model(kind, tuple(_number(name, payload.get(name)) for name in keys))
+    table, order = payload.get("table"), payload.get("order", 2)
+    if not (isinstance(table, list) and table and type(order) is int and order >= 1):
+        raise ValueError("model entry 'table' must be a non-empty list, 'order' an int >= 1")
+    return _Model(kind, tuple(_number("table", c) for c in table), order)
 
 
 def _tail_length(n, tail_fraction):
@@ -240,7 +235,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
         raise ValueError(f"polylog degree must be at least 0, got {degree}")
     n = len(samples.grid)
     start = n - _tail_length(n, tail_fraction)
-    ncoef = degree + 1 if kind == "polylog" else len(_MODELS[kind].terms)
+    ncoef = len(_TERMS.get(kind, range(degree + 1)))
     grid = samples.grid[start:]
     values = samples.values[start:]
     if len(grid) <= ncoef:
@@ -255,7 +250,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
             "samples have non-negligible real parts on the tail; the divergence "
             "models are purely imaginary"
         )
-    design = _basis(_polylog_terms(degree) if kind == "polylog" else _MODELS[kind].terms, grid)
+    design = _basis((_TERMS.get(kind) or _polylog_terms(degree)).values(), grid)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values.imag, rcond=None)
     if rank < ncoef:
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")
@@ -273,7 +268,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
         decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), np.ldexp(floor, -k)))
         max_scaled_residual = float(np.ldexp(np.max(scaled), k))
     return FitReport(
-        model=PolyLogModel(tuple(coeffs)) if kind == "polylog" else _MODELS[kind](*coeffs),
+        model=_Model(kind, tuple(coeffs)),
         stderr=stderr,
         residuals=residuals,
         grid=grid,

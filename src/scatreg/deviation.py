@@ -229,8 +229,8 @@ class ResummationResult:
 def resum_coulomb_series(psi, phi, eps, nmax, L):
     """Build a_m = sum_k psi_{m-k} (i phi ln L)^k / k! and verify that the
     order-by-order expansion of L^{-i eps phi} d(q, L) returns psi_m exactly.
-    A coupling that is not finite, or a power, a_m or sum d that overflows, is
-    refused by name."""
+    A coupling that is not finite, or an eps phi, power, a_m or sum d that
+    overflows, is refused by name."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi.size == 0 or psi[0] != 1.0:
         raise ValueError("the constant list must start with psi_0 = 1")
@@ -249,6 +249,8 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError(f"phi ln L is not finite at {where}")
     powers = _exp_terms(1j * phase, nmax, "(i phi ln L)^k/k!", where)
     a = _finite(np.convolve(psi[: nmax + 1], powers)[: nmax + 1], "a_m", where)
+    if not math.isfinite(eps * phi):
+        raise ValueError(f"eps phi overflows at eps={eps!r}, phi={phi!r}")
     factor = DeviationFactor(log_coeffs=(eps * phi,), eps_order=1)
     reg = regularized_series(a[1:], factor, eps, L)
     return ResummationResult(

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -321,7 +323,7 @@ def reference_stderr(residuals, design, dof):
 def test_standard_errors_keep_the_plain_products_bits(kind):
     samples = make_samples(GRID, 0.5 * GRID**2 + 3 * np.log(GRID) ** 2 + 2 + 1 / GRID)
     report = fit(samples, kind)
-    terms = asymfit._polylog_terms(2) if kind == "polylog" else asymfit._MODELS[kind].terms
+    terms = report.model.terms
     design = asymfit._basis(terms, report.grid)
     want = reference_stderr(report.residuals, design, len(report.grid) - len(terms))
     assert bits(*report.stderr) == bits(*want)
@@ -379,12 +381,11 @@ def noisy_log_samples():
 def test_scaled_residual_statistics_keep_the_plain_formulas_bits(kind, scale):
     # r / 2^k scaled back by 2^k is exact: stderr, the decay verdict and
     # max |r L| read as the plain formulas on r wherever those are normal
-    terms = asymfit._MODELS[kind].terms
     verdicts = set()
     for grid, unscaled in noisy_log_samples():
         imag = scale * unscaled
         report = fit(make_samples(grid, imag), kind)
-        r, L = report.residuals, report.grid
+        r, L, terms = report.residuals, report.grid, report.model.terms
         design = asymfit._basis(terms, L)
         assert bits(*report.stderr) == bits(*reference_stderr(r, design, len(L) - len(terms)))
         scaled = np.abs(r * L)
@@ -413,3 +414,30 @@ def test_a_models_kind_is_its_class():
     assert asymfit.LogModel(1.0, 2.0).to_dict() == {"kind": "log", "phi": 1.0, "psi": 2.0}
     with pytest.raises(ValueError, match="^unknown model keys: nu$"):
         asymfit.model_from_dict({"kind": "log", "phi": 1, "psi": 2, "nu": 5})
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        asymfit.LogModel(-0.0, 2.0),
+        asymfit.PowerLogModel(0.5, -0.0, 3.0, -1.0),
+        asymfit.PolyLogModel((-0.0, 1.5, -2.0), order=3),
+    ],
+    ids=lambda model: model.kind,
+)
+def test_models_are_values(model):
+    # equal and equally hashed through the model dict, a deep copy and a
+    # pickle round trip, with every coefficient's bits, -0.0 included
+    for twin in (
+        asymfit.model_from_dict(model.to_dict()),
+        copy.deepcopy(model),
+        pickle.loads(pickle.dumps(model)),
+    ):
+        assert twin == model and hash(twin) == hash(model)
+        assert (twin.kind, twin.order, twin.names) == (model.kind, model.order, model.names)
+        assert bits(*twin.coefficients) == bits(*model.coefficients)
+        if model.kind != "polylog":
+            assert bits(twin.phi, twin.psi) == bits(model.phi, model.psi)
+    assert len({model, copy.deepcopy(model)}) == 1
+    # the same coefficients under another kind, or order, are another model
+    assert model != asymfit.PolyLogModel(model.table, order=model.order + 1)

@@ -814,6 +814,9 @@ def integrate_config(**overrides):
         # spectra takes exactly one of its two momentum keys
         ("spectra", {"m": 1, "q": [0, 0, 0], "q_grid": "junk"}, [],
          (2, "spectra: config needs exactly one of 'q' and 'q_grid'\n")),
+        # an eps phi that overflows is refused by name
+        ("resum", {"psi": [1, 0.5], "phi": 1e10, "L_values": [2.0]}, ["--epsilon", "1e300"],
+         (2, "resum: eps phi overflows at eps=1e+300, phi=10000000000.0\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -985,6 +988,29 @@ def test_cli_import_loads_no_quadrature_module():
     probe = probe_process("import json, sys, scatreg.cli; print(json.dumps(list(sys.modules)))")
     assert probe.returncode == 0, probe.stderr
     assert not set(QUADRATURE_MODULES) & set(json.loads(probe.stdout))
+
+
+# prints the BLAS thread setting after the import, and the process's thread
+# count where /proc lists it
+BLAS_PROBE = (
+    "import os, scatreg.cli; task = '/proc/self/task'; "
+    "print(os.environ['OPENBLAS_NUM_THREADS'], "
+    "len(os.listdir(task)) if os.path.isdir(task) else 'unlisted')"
+)
+
+
+def test_cli_import_pins_blas_to_one_thread_unless_exported(monkeypatch):
+    # the CLI's matrices are too small for BLAS threads to get work
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    probe = probe_process(BLAS_PROBE)
+    assert probe.returncode == 0, probe.stderr
+    setting, threads = probe.stdout.split()
+    assert setting == "1"
+    assert threads in ("1", "unlisted")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    probe = probe_process(BLAS_PROBE)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split()[0] == "2"
 
 
 @pytest.mark.parametrize(

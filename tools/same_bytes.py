@@ -51,7 +51,7 @@ Then four steps on what a samples file or a model dict may hold: ``fit`` on a
 file with a fifth column, which is refused, ``regularize`` with the model dict
 {kind: log, phi: 1, psi: 2, nu: 5}, whose unknown key is refused, and ``fit``
 and ``regularize`` on log samples whose real parts are all -0.0.
-Last, four steps on the samples' header and units: ``fit`` on a log samples
+Then four steps on the samples' header and units: ``fit`` on a log samples
 file without its header line, which is refused, ``fit --model auto`` on
 log samples with a seeded 1e-4/L noise, scaled by 1e-10, whose decay test
 reads as on the unscaled samples, and ``fit`` and ``regularize`` on a
@@ -59,6 +59,12 @@ headerless file of one row, which is refused for its header.
 Then four refused steps: ``regularize --epsilon nan``, ``regularize`` with the
 model phi = 1e307 at ``--epsilon 100``, where eps^order c overflows,
 ``resum --epsilon nan``, and ``spectra`` with both ``q`` and ``q_grid``.
+Last, seven refused steps: ``regularize`` with the model dicts {kind: polylog,
+table: [1], phi: 1}, which has a named key, {kind: log, phi: 1, psi: 2,
+table: [1]}, {kind: polylog, order: 2}, which has no table, {kind: polylog,
+table: [1], order: 0} and the same with order true, and {kind: log,
+phi: "1.5", psi: 0}, whose coefficient is a string; and ``resum --epsilon
+1e300`` at phi = 1e10, where eps phi overflows.
 """
 
 from __future__ import annotations
@@ -393,6 +399,22 @@ def scenarios():
         "spectra-q-and-q_grid": ["spectra", "--config", "spectra.json"],
     }.items():
         yield name, refused, [[*argv, "--out", "out"]]
+    bad_models = {
+        "polylog-named-key": {"kind": "polylog", "table": [1.0], "phi": 1.0},
+        "log-table": {"kind": "log", "phi": 1.0, "psi": 2.0, "table": [1.0]},
+        "polylog-no-table": {"kind": "polylog", "order": 2},
+        "polylog-order-0": {"kind": "polylog", "table": [1.0], "order": 0},
+        "polylog-order-true": {"kind": "polylog", "table": [1.0], "order": True},
+        "log-string-coefficient": {"kind": "log", "phi": "1.5", "psi": 0.0},
+    }
+    for name, model in bad_models.items():
+        files = {"log.csv": _synthetic_samples()["log.csv"],
+                 "model.json": json.dumps({"model": model})}
+        yield (f"{name}-regularize", files,
+               [["regularize", "--config", "model.json", "--samples", "log.csv", "--out", "out"]])
+    yield ("resum-eps-phi-overflow",
+           {"resum.json": json.dumps({"psi": [1, 0.5], "phi": 1e10, "L_values": [2.0]})},
+           [["resum", "--config", "resum.json", "--epsilon", "1e300", "--out", "out"]])
 
 
 def _tree(directory):
