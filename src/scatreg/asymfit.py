@@ -79,6 +79,11 @@ def _polylog_terms(degree):
     return {f"ln^{b}": (0, b) for b in range(degree + 1)}
 
 
+def _kind_terms(kind, degree):
+    """Each coefficient's name -> its (a, b), in term order."""
+    return _polylog_terms(degree) if kind == "polylog" else _TERMS[kind]
+
+
 @dataclass(frozen=True)
 class _Model:
     """A divergence model: its kind, its coefficients in term order (the
@@ -98,16 +103,13 @@ class _Model:
             raise AttributeError(name)
         return self.table[names.index(name)]
 
-    def _named_terms(self):
-        return _TERMS.get(self.kind) or _polylog_terms(len(self.table) - 1)
-
     @property
     def names(self):
-        return tuple(self._named_terms())
+        return tuple(_kind_terms(self.kind, len(self.table) - 1))
 
     @property
     def terms(self):
-        return tuple(self._named_terms().values())
+        return tuple(_kind_terms(self.kind, len(self.table) - 1).values())
 
     @property
     def degree(self):
@@ -119,7 +121,7 @@ class _Model:
         # each sum over terms starts here: -0.0 is the identity of float addition,
         # so a log or power-log sum is its terms' bit for bit; a poly-log sum has
         # always started from +0.0, which turns a -0.0 sum into +0.0
-        return -0.0 if self.kind in _TERMS else 0.0
+        return 0.0 if self.kind == "polylog" else -0.0
 
     @property
     def coefficients(self):
@@ -136,9 +138,9 @@ class _Model:
 
     def to_dict(self):
         """The model's entry in ``fit.json``; :func:`model_from_dict` reads it."""
-        if self.kind in _TERMS:
-            return {"kind": self.kind, **dict(zip(self.names, self.coefficients.tolist()))}
-        return {"kind": self.kind, "table": self.coefficients.tolist(), "order": self.order}
+        if self.kind == "polylog":
+            return {"kind": self.kind, "table": self.coefficients.tolist(), "order": self.order}
+        return {"kind": self.kind, **dict(zip(self.names, self.coefficients.tolist()))}
 
 
 def LogModel(phi, psi):
@@ -184,10 +186,10 @@ def model_from_dict(payload):
     kind = payload.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r} (one of {_KINDS})")
-    keys = _TERMS.get(kind, ("table", "order"))
+    keys = ("table", "order") if kind == "polylog" else _TERMS[kind]
     if unknown := sorted(set(payload) - {"kind", *keys}):
         raise ValueError(f"unknown model keys: {', '.join(unknown)}")
-    if kind in _TERMS:
+    if kind != "polylog":
         return _Model(kind, tuple(_number(name, payload.get(name)) for name in keys))
     table, order = payload.get("table"), payload.get("order", 2)
     if not (isinstance(table, list) and table and type(order) is int and order >= 1):
@@ -235,7 +237,8 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
         raise ValueError(f"polylog degree must be at least 0, got {degree}")
     n = len(samples.grid)
     start = n - _tail_length(n, tail_fraction)
-    ncoef = len(_TERMS.get(kind, range(degree + 1)))
+    # a poly-log's terms are built only once the tail is known to hold them
+    ncoef = degree + 1 if kind == "polylog" else len(_TERMS[kind])
     grid = samples.grid[start:]
     values = samples.values[start:]
     if len(grid) <= ncoef:
@@ -250,7 +253,7 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
             "samples have non-negligible real parts on the tail; the divergence "
             "models are purely imaginary"
         )
-    design = _basis((_TERMS.get(kind) or _polylog_terms(degree)).values(), grid)
+    design = _basis(_kind_terms(kind, degree).values(), grid)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values.imag, rcond=None)
     if rank < ncoef:
         raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")

@@ -19,15 +19,9 @@ if __name__ == "__main__":
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
-
-if "numpy" not in sys.modules:
-    # stacks of 4x4 or 8x8 blocks and least-squares systems with one row per
-    # tail cutoff are too small for BLAS threads; an exported value still wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -249,9 +249,9 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
         raise ValueError(f"phi ln L is not finite at {where}")
     powers = _exp_terms(1j * phase, nmax, "(i phi ln L)^k/k!", where)
     a = _finite(np.convolve(psi[: nmax + 1], powers)[: nmax + 1], "a_m", where)
-    if not math.isfinite(eps * phi):
+    if not math.isfinite(coeff := float(eps) * float(phi)):
         raise ValueError(f"eps phi overflows at eps={eps!r}, phi={phi!r}")
-    factor = DeviationFactor(log_coeffs=(eps * phi,), eps_order=1)
+    factor = DeviationFactor(log_coeffs=(coeff,), eps_order=1)
     reg = regularized_series(a[1:], factor, eps, L)
     return ResummationResult(
         a_coeffs=a[1:],

@@ -990,29 +990,6 @@ def test_cli_import_loads_no_quadrature_module():
     assert not set(QUADRATURE_MODULES) & set(json.loads(probe.stdout))
 
 
-# prints the BLAS thread setting after the import, and the process's thread
-# count where /proc lists it
-BLAS_PROBE = (
-    "import os, scatreg.cli; task = '/proc/self/task'; "
-    "print(os.environ['OPENBLAS_NUM_THREADS'], "
-    "len(os.listdir(task)) if os.path.isdir(task) else 'unlisted')"
-)
-
-
-def test_cli_import_pins_blas_to_one_thread_unless_exported(monkeypatch):
-    # the CLI's matrices are too small for BLAS threads to get work
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    probe = probe_process(BLAS_PROBE)
-    assert probe.returncode == 0, probe.stderr
-    setting, threads = probe.stdout.split()
-    assert setting == "1"
-    assert threads in ("1", "unlisted")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    probe = probe_process(BLAS_PROBE)
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split()[0] == "2"
-
-
 @pytest.mark.parametrize(
     "command, config, code",
     [

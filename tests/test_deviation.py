@@ -70,6 +70,9 @@ def test_a_non_finite_or_overflowing_coupling_is_refused_by_name():
             resum_coulomb_series([1.0, 0.5], 2.0, eps, 1, 10.0)
     with pytest.raises(ValueError, match=r"^eps\^order c overflows at eps=100.0, order=2$"):
         factor_from_model(LogModel(1e307, 0.0), 100.0)
+    # a numpy phi too: its product with eps is taken as a plain float
+    with pytest.raises(ValueError, match=r"^eps phi overflows at eps=1e\+300, phi=np"):
+        resum_coulomb_series([1.0, 0.5], np.float64(1e10), 1e300, 1, 2.0)
 
 
 def test_exponent_without_l2_term_past_l2_overflow():
