@@ -117,13 +117,6 @@ class _Model:
         return max(b for _, b in self.terms)
 
     @property
-    def zero(self):
-        # each sum over terms starts here: -0.0 is the identity of float addition,
-        # so a log or power-log sum is its terms' bit for bit; a poly-log sum has
-        # always started from +0.0, which turns a -0.0 sum into +0.0
-        return 0.0 if self.kind == "polylog" else -0.0
-
-    @property
     def coefficients(self):
         return np.asarray(self.table, dtype=float)
 
@@ -132,9 +125,10 @@ class _Model:
         return [(t, c) for t, c in zip(self.terms, self.coefficients) if t != (0, 0)]
 
     def divergent_part(self, L):
-        """The terms subtracted under regularization (constant excluded)."""
+        """The terms subtracted under regularization (constant excluded); the sum
+        starts from -0.0, the identity of float addition, so it keeps its terms' bits."""
         logl = np.log(L)
-        return sum((c * (L**a * logl**b) for (a, b), c in self.divergent_terms()), self.zero)
+        return sum((c * (L**a * logl**b) for (a, b), c in self.divergent_terms()), -0.0)
 
     def to_dict(self):
         """The model's entry in ``fit.json``; :func:`model_from_dict` reads it."""
@@ -163,17 +157,14 @@ class FitReport:
     stderr: np.ndarray
     residuals: np.ndarray  # Im(value) - fit, over the window
     grid: np.ndarray  # window L values
-    max_scaled_residual: float  # sup |residual * L|
     decay_ok: bool  # remainder behaves like O(1/L) on the tail
 
     def to_dict(self):
         return {
             "model": self.model.to_dict(),
-            "window": [float(self.grid[0]), float(self.grid[-1])],
             "stderr": [float(s) for s in self.stderr],
             "residuals": [float(r) for r in self.residuals],
             "grid": [float(x) for x in self.grid],
-            "max_scaled_residual": float(self.max_scaled_residual),
             "decay_ok": bool(self.decay_ok),
         }
 
@@ -269,13 +260,11 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
     scaled = np.abs(unit) * grid
     with np.errstate(over="ignore"):
         decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), np.ldexp(floor, -k)))
-        max_scaled_residual = float(np.ldexp(np.max(scaled), k))
     return FitReport(
         model=_Model(kind, tuple(coeffs)),
         stderr=stderr,
         residuals=residuals,
         grid=grid,
-        max_scaled_residual=max_scaled_residual,
         decay_ok=decay_ok,
     )
 

@@ -194,16 +194,17 @@ def _read_samples(config):
     path = _get(config, "samples_file", str, "")
     if not path:
         raise ValueError("needs --samples CSV (or the key 'samples_file'), which integrate writes")
-    with warnings.catch_warnings():
-        # numpy warns on a file without rows, which is refused below instead
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     with open(path) as fh:
-        header = fh.readline().strip()
-    # the header names each column, so it is decided first: a file without one
-    # is refused whatever its rows, and an empty file's header is ""
-    columns = {"": 0, "L,re,im": 3, "L,re,im,err": 4}.get(header)
-    if columns is not None and not data.size:
+        # the header names each column, so it is decided before any row is parsed:
+        # a file without one is refused whatever its rows; an empty file's is ""
+        columns = {"": 0, "L,re,im": 3, "L,re,im,err": 4}.get(fh.readline().strip())
+        if columns is None:
+            raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
+        with warnings.catch_warnings():
+            # numpy warns on a file without rows, which is refused below instead
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not data.size:
         raise ValueError(f"samples file {path} has no rows")
     if data.shape[1] != columns:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")

@@ -98,12 +98,12 @@ class DeviationFactor:
 def factor_from_model(model, eps):
     """Deviation factor absorbing a fitted model's divergent terms.
 
-    Each divergent term c L^a ln^b L puts eps^order c into the L^2, L or
-    ln^b L slot, where ``order`` is the model's own coupling order; every
-    model lists its ln terms by ascending power from 1.  Constant model terms
-    are left out: they are finite and stay in the convergent remainder.  A
-    coupling that is not finite, or whose eps^order or eps^order c overflows,
-    is refused by name.
+    Each divergent term c L^a ln^b L puts eps^order c, bit for bit (so a
+    -0.0 keeps its sign), into the L^2, L or ln^b L slot, where ``order`` is
+    the model's own coupling order; every model lists its ln terms by
+    ascending power from 1.  Constant model terms are left out: they are
+    finite and stay in the convergent remainder.  A coupling that is not
+    finite, or whose eps^order or eps^order c overflows, is refused by name.
     """
     eps = float(eps)
     if not math.isfinite(eps):
@@ -111,7 +111,7 @@ def factor_from_model(model, eps):
     try:
         power = eps**model.order
         with np.errstate(over="raise"):
-            slots = {term: model.zero + power * c for term, c in model.divergent_terms()}
+            slots = {term: power * c for term, c in model.divergent_terms()}
     except OverflowError:
         raise ValueError(f"eps^order overflows at eps={eps!r}, order={model.order}") from None
     except FloatingPointError:

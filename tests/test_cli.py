@@ -440,6 +440,24 @@ def test_regularize_refits_the_model_that_fit_reports(tmp_path, kind):
     assert (tmp_path / "reg" / "deviation_factor.json").read_bytes() == expected
 
 
+def test_regularize_takes_the_model_of_fit_json_where_r_l_overflows(tmp_path):
+    # on i (1e300 ln L +- 1e305) |r L| overflows, yet fit writes its finite model,
+    # and regularize gives it inline the factor of --model log, byte for byte
+    grid = np.geomspace(10, 1e4, 9)
+    values = 1e300 * np.log(grid) + 1e305 * (-1.0) ** np.arange(9)
+    samples = tmp_path / "decay.csv"
+    samples.write_text("L,re,im\n" + "".join(
+        f"{l!r},0.0,{v!r}\n" for l, v in zip(grid.tolist(), values.tolist())))
+    flags = ["--samples", str(samples)]
+    assert main(["fit", *flags, "--model", "log", "--out", str(tmp_path / "fit")]) == 0
+    model = json.loads((tmp_path / "fit" / "fit.json").read_text())["model"]
+    code, inline = run(tmp_path, "regularize", {"model": model}, flags)
+    assert code == 0
+    assert main(["regularize", *flags, "--model", "log", "--out", str(tmp_path / "reg")]) == 0
+    factor = (tmp_path / "reg" / "deviation_factor.json").read_bytes()
+    assert (inline / "deviation_factor.json").read_bytes() == factor
+
+
 def test_regularize_keeps_a_negative_zero_real_part(tmp_path):
     # re + 1j * im would read the file's -0.0 real parts as +0.0
     grid = [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -757,12 +775,10 @@ def integrate_config(**overrides):
          ["--samples", "log.csv"],
          (2, "regularize: model entry 'table' must be a non-empty list, 'order' an int >= 1\n")),
         # |r L| overflows: the decay test is taken on r / max |r|, so the
-        # powerlog fit is chosen, as at 1e-10 times the samples; fit.json
-        # cannot hold its max |r L|
-        ("fit", None, ["--samples", "decay.csv", "--model", "log"],
-         (2, "fit: fit.json: non-finite value, which JSON cannot hold\n")),
-        ("fit", None, ["--samples", "decay.csv", "--model", "auto"],
-         (2, "fit: fit.json: non-finite value, which JSON cannot hold\n")),
+        # powerlog fit is chosen, as at 1e-10 times the samples, and fit.json
+        # holds only finite values
+        ("fit", None, ["--samples", "decay.csv", "--model", "log"], (0, "")),
+        ("fit", None, ["--samples", "decay.csv", "--model", "auto"], (0, "")),
         ("regularize", None, ["--samples", "decay.csv", "--model", "auto"], (0, "")),
         # cutoffs at or below 0, and error estimates that are not finite and >= 0
         ("fit", {"tail_fraction": 1.0}, ["--samples", "non_positive.csv", "--model", "log"],
@@ -817,6 +833,10 @@ def integrate_config(**overrides):
         # an eps phi that overflows is refused by name
         ("resum", {"psi": [1, 0.5], "phi": 1e10, "L_values": [2.0]}, ["--epsilon", "1e300"],
          (2, "resum: eps phi overflows at eps=1e+300, phi=10000000000.0\n")),
+        # a samples file's header is decided before any row is parsed, so a
+        # headerless file's non-numeric row is no parse error
+        ("fit", None, ["--samples", "headerless_non_numeric.csv"],
+         (2, "fit: samples file headerless_non_numeric.csv needs columns L,re,im[,err]\n")),
     ],
 )
 def test_malformed_invocations_exit_with_documented_code(
@@ -840,6 +860,7 @@ def test_malformed_invocations_exit_with_documented_code(
     (tmp_path / "headerless.csv").write_text(
         "".join(f"{l},0.0,{3*np.log(l)+2}\n" for l in np.geomspace(10, 1e4, 9)))
     (tmp_path / "headerless_one_row.csv").write_text("10,0,1\n")
+    (tmp_path / "headerless_non_numeric.csv").write_text("1,0,2\nfoo,0,1\n")
     (tmp_path / "list.json").write_text("[1, 2]")
     huge = np.geomspace(10, 1e4, 9)
     (tmp_path / "huge_log.csv").write_text("L,re,im\n" + "".join(

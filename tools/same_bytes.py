@@ -59,12 +59,17 @@ headerless file of one row, which is refused for its header.
 Then four refused steps: ``regularize --epsilon nan``, ``regularize`` with the
 model phi = 1e307 at ``--epsilon 100``, where eps^order c overflows,
 ``resum --epsilon nan``, and ``spectra`` with both ``q`` and ``q_grid``.
-Last, seven refused steps: ``regularize`` with the model dicts {kind: polylog,
+Then seven refused steps: ``regularize`` with the model dicts {kind: polylog,
 table: [1], phi: 1}, which has a named key, {kind: log, phi: 1, psi: 2,
 table: [1]}, {kind: polylog, order: 2}, which has no table, {kind: polylog,
 table: [1], order: 0} and the same with order true, and {kind: log,
 phi: "1.5", psi: 0}, whose coefficient is a string; and ``resum --epsilon
 1e300`` at phi = 1e10, where eps phi overflows.
+Last, three steps: ``fit`` on a headerless samples file whose second row is
+not numeric, which is refused for its header; ``fit --model powerlog`` on the
+samples i (1e300 ln L +- 1e305); and ``regularize`` on log samples whose real
+parts are all -0.0, with the poly-log model dict {kind: polylog, table: [2,
+-0.0, -0.0]}, whose every divergent coefficient is -0.0.
 """
 
 from __future__ import annotations
@@ -415,6 +420,20 @@ def scenarios():
     yield ("resum-eps-phi-overflow",
            {"resum.json": json.dumps({"psi": [1, 0.5], "phi": 1e10, "L_values": [2.0]})},
            [["resum", "--config", "resum.json", "--epsilon", "1e300", "--out", "out"]])
+    zero_model = {"kind": "polylog", "table": [2.0, -0.0, -0.0]}
+    last = {
+        **_unchecked_samples(),
+        "non_numeric.csv": "1,0,2\nfoo,0,1\n",
+        "negative_zero.csv": layouts["negative_zero.csv"],
+        "zero_model.json": json.dumps({"model": zero_model}),
+    }
+    for name, argv in {
+        "headerless-non-numeric-fit": ["fit", "--samples", "non_numeric.csv"],
+        "decay-overflow-powerlog-fit": ["fit", "--model", "powerlog", "--samples", "decay.csv"],
+        "signed-zero-divergent-polylog-regularize":
+            ["regularize", "--config", "zero_model.json", "--samples", "negative_zero.csv"],
+    }.items():
+        yield name, last, [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
