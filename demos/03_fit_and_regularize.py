@@ -40,7 +40,7 @@ reg = regularize_coefficient(samples, report.model)
 print("\nregularized coefficient a~(L) = a(L) - i phi ln L:")
 for radius, value in zip(grid, reg.values):
     print(f"  L = {radius:6.1f}   a~ = {value.imag:+.6f}")
-diffs = np.abs(np.diff(reg.values.imag))
+diffs = np.abs(np.diff(np.imag(reg.values)))
 print("successive differences:", np.array2string(diffs, precision=2))
 
 factor = factor_from_model(report.model, eps=0.1)

@@ -14,13 +14,15 @@ sup over the tail of |residual * L| must not exceed 10x the median of
 |residual * L| over the first half of the tail, or the floor 1e-9 of the
 largest |Im| on the tail, whichever is larger.  The floor is relative, so the
 verdict does not depend on the samples' units.
+
+The fits run on Python floats, by Householder QR (see :func:`_solve`): the
+module imports no numpy, so neither do the stages that fit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "ModelMismatchError",
@@ -60,9 +62,16 @@ def _number(key, value):
     return float(value)
 
 
-def _basis(terms, L):
-    logl = np.log(L)
-    return np.column_stack([L**a * logl**b for a, b in terms])
+def _term(L, logl, a, b):
+    """L^a ln^b L as products of floats, which overflow to inf where ``**``
+    would raise."""
+    return math.prod([L] * a, start=1.0) * math.prod([logl] * b, start=1.0)
+
+
+def _basis(terms, grid):
+    """One column per (a, b) term: L^a ln^b L at each cutoff of ``grid``."""
+    logs = [math.log(L) for L in grid]
+    return [[_term(L, logl, a, b) for L, logl in zip(grid, logs)] for a, b in terms]
 
 
 # each named kind's coefficients in term order, with the (a, b) of the L^a ln^b L
@@ -118,23 +127,26 @@ class _Model:
 
     @property
     def coefficients(self):
-        return np.asarray(self.table, dtype=float)
+        return tuple(map(float, self.table))
 
     def divergent_terms(self):
         """((a, b), c) for each term but the constant, in term order."""
         return [(t, c) for t, c in zip(self.terms, self.coefficients) if t != (0, 0)]
 
     def divergent_part(self, L):
-        """The terms subtracted under regularization (constant excluded); the sum
-        starts from -0.0, the identity of float addition, so it keeps its terms' bits."""
-        logl = np.log(L)
-        return sum((c * (L**a * logl**b) for (a, b), c in self.divergent_terms()), -0.0)
+        """The terms subtracted under regularization (constant excluded) at the
+        cutoff L; the sum starts from -0.0, the identity of float addition, so
+        it keeps its terms' bits."""
+        logl, total = math.log(L), -0.0
+        for (a, b), c in self.divergent_terms():
+            total += c * _term(L, logl, a, b)
+        return total
 
     def to_dict(self):
         """The model's entry in ``fit.json``; :func:`model_from_dict` reads it."""
         if self.kind == "polylog":
-            return {"kind": self.kind, "table": self.coefficients.tolist(), "order": self.order}
-        return {"kind": self.kind, **dict(zip(self.names, self.coefficients.tolist()))}
+            return {"kind": self.kind, "table": list(self.coefficients), "order": self.order}
+        return {"kind": self.kind, **dict(zip(self.names, self.coefficients))}
 
 
 def LogModel(phi, psi):
@@ -154,9 +166,9 @@ def PolyLogModel(table, order=2):
 @dataclass(frozen=True)
 class FitReport:
     model: object
-    stderr: np.ndarray
-    residuals: np.ndarray  # Im(value) - fit, over the window
-    grid: np.ndarray  # window L values
+    stderr: tuple
+    residuals: tuple  # Im(value) - fit, over the window
+    grid: tuple  # window L values
     decay_ok: bool  # remainder behaves like O(1/L) on the tail
 
     def to_dict(self):
@@ -192,28 +204,154 @@ def _tail_length(n, tail_fraction):
     """Number of samples in the tail window: the last ``tail_fraction`` of n."""
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must lie in (0, 1]")
-    return int(np.ceil(tail_fraction * n))
+    return math.ceil(tail_fraction * n)
 
 
 def _median(values):
-    """``np.median`` of a 1-d float array, bit for bit, without the import of
-    ``numpy.ma`` that ``np.median`` costs a fresh process: like it, the mean
-    of the middle value, or of the middle two, of the sorted array.  A NaN is
-    not special-cased; in :func:`fit` it also reaches the max, which fails
-    the decay check either way."""
-    n = len(values)
-    return np.mean(np.sort(values)[(n - 1) // 2 : n // 2 + 1])
+    """The mean of the middle value, or of the middle two, of the sorted
+    values.  A NaN is not special-cased; in :func:`fit` it also reaches the
+    max, which fails the decay check either way."""
+    n, ordered = len(values), sorted(values)
+    middle = ordered[(n - 1) // 2 : n // 2 + 1]
+    return middle[0] if n % 2 else (middle[0] + middle[1]) / 2
 
 
-def _stderr(unit, k, design, dof, kind):
-    """sqrt(diag(sigma^2 (D^T D)^-1)), sigma^2 = r.r / dof, taken on the residuals
-    ``unit`` = r / 2^k and scaled back by 2^k; refused if not finite."""
-    inverse = np.linalg.inv(design.T @ design)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stderr = np.ldexp(np.sqrt(np.maximum(np.diag(float(unit @ unit) / dof * inverse), 0.0)), k)
-    if not np.isfinite(stderr).all():
-        raise ValueError(f"the {kind} fit's standard errors overflow")
-    return stderr
+def _ldexp(x, e):
+    """x 2^e, or inf of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _exponent(values):
+    """k with max |value| / 2^k in [0.5, 1), or 0 if every value is 0."""
+    return math.frexp(max(map(abs, values)))[1]
+
+
+def _dot(x, y):
+    return math.fsum(p * q for p, q in zip(x, y))
+
+
+def _householder(columns, rhs):
+    """The Householder QR of ``columns`` (lists of equal length m >= their
+    number n), applied to ``rhs`` as well: R's rows and the first n entries of
+    Q^T rhs.  ``columns`` and ``rhs`` are overwritten."""
+    n = len(columns)
+    r = [[0.0] * n for _ in range(n)]
+    for j, column in enumerate(columns):
+        x = column[j:]
+        # the reflector v maps x onto alpha e_1; alpha takes the sign opposite
+        # to x_0, so x_0 - alpha does not cancel
+        alpha = -math.copysign(math.hypot(*x), x[0])
+        v = [x[0] - alpha, *x[1:]]
+        vv = _dot(v, v)
+        for target in (*columns[j + 1 :], rhs):
+            if vv:
+                s = 2.0 * _dot(v, target[j:]) / vv
+                target[j:] = [t - s * p for t, p in zip(target[j:], v)]
+        r[j][j] = alpha
+        for k in range(j + 1, n):
+            r[j][k] = columns[k][j]
+    return r, rhs[:n]
+
+
+def _inverse(r):
+    """The rows of R^-1 for the upper-triangular, invertible R of rows ``r``."""
+    n = len(r)
+    z = [[0.0] * n for _ in range(n)]
+    for c in range(n):
+        z[c][c] = 1.0 / r[c][c]
+        for j in range(c - 1, -1, -1):
+            z[j][c] = -_dot(r[j][j + 1 : c + 1], [z[k][c] for k in range(j + 1, c + 1)]) / r[j][j]
+    return z
+
+
+def _singular_values(columns):
+    """The singular values of the square matrix of ``columns``, by one-sided
+    Jacobi rotations: each sweep rotates every pair of columns orthogonal,
+    until no pair is off by more than round-off, and the values are the
+    columns' norms.  Small values keep their relative accuracy."""
+    columns = [list(c) for c in columns]
+    for _ in range(64):
+        rotated = False
+        for p, x in enumerate(columns):
+            for q in range(p + 1, len(columns)):
+                y = columns[q]
+                xx, yy, xy = _dot(x, x), _dot(y, y), _dot(x, y)
+                if abs(xy) <= 2.0**-53 * math.sqrt(xx * yy):
+                    continue
+                rotated = True
+                zeta = (yy - xx) / (2.0 * xy)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                x[:], y[:] = [c * a - c * t * b for a, b in zip(x, y)], [
+                    c * t * a + c * b for a, b in zip(x, y)]
+        if not rotated:
+            break
+    return [math.hypot(*c) for c in columns]
+
+
+def _unit(residuals):
+    """(r / 2^k, k), k the exponent of max |r|: the largest entry of r / 2^k
+    lies in [0.5, 1), so what is taken on it and scaled back by 2^k has the
+    plain formula's bits wherever they are normal floats, and stays finite
+    where r.r or |r L| overflows."""
+    k = _exponent(residuals)
+    return [math.ldexp(x, -k) for x in residuals], k
+
+
+def _solve(terms, grid, values):
+    """Least squares of the real ``values`` on the terms' basis over ``grid``:
+    (coefficients, residuals, dof, stderr).
+
+    Householder QR runs on the design with each column, and the values,
+    scaled by a power of two to a largest entry in [0.5, 1), so the scaling
+    is exact.  The rank is that of the unscaled design, read on the singular
+    values of its R with the cut of ``numpy.linalg.lstsq``'s default rcond,
+    2^-52 max(m, n) times the largest, and a rank below n, or a basis that
+    overflows, is refused.  (R's
+    diagonal does not show it: on a ln-power basis its smallest entry can
+    exceed the smallest singular value by 14 orders of magnitude.)  The
+    stderr is sqrt(diag(sigma^2 (D^T D)^-1)), sigma^2 = r.r / dof, with
+    (D^T D)^-1 = R^-1 R^-T, taken on r / 2^k (see :func:`_unit`).
+    A value that overflows is inf.
+    """
+    m, n = len(grid), len(terms)
+    design = _basis(terms, grid)
+    if not all(math.isfinite(x) for column in design for x in column):
+        raise IllPosedFitError("model basis overflows on the window")
+    shifts = [_exponent(column) for column in design]
+    columns = [[math.ldexp(x, -e) for x in col] for col, e in zip(design, shifts)]
+    kb = _exponent(values)
+    r, qtb = _householder([list(c) for c in columns], [math.ldexp(y, -kb) for y in values])
+    # R's columns, each scaled back by 2^e_j, and all by 2^-max(e_j), which
+    # keeps every entry finite
+    top = max(shifts)
+    unscaled = [[math.ldexp(r[i][j], e - top) for i in range(n)] for j, e in enumerate(shifts)]
+    sizes = _singular_values(unscaled)
+    rank = sum(size > 2.0**-52 * max(m, n) * max(sizes) for size in sizes)
+    if 0.0 in (r[j][j] for j in range(n)):  # singular, however its values round
+        rank = min(rank, n - 1)
+    if rank < n:
+        raise IllPosedFitError(f"model basis has rank {rank} < {n} on the window")
+    x = [0.0] * n
+    for j in reversed(range(n)):
+        x[j] = (qtb[j] - _dot(r[j][j + 1 :], x[j + 1 :])) / r[j][j]
+    scaled = [
+        math.fsum([math.ldexp(y, -kb), *(-c[i] * xj for c, xj in zip(columns, x))])
+        for i, y in enumerate(values)
+    ]
+    residuals = [_ldexp(ri, kb) for ri in scaled]
+    unit, k = _unit(residuals)
+    dof = max(m - n, 1)
+    spread = math.fsum(u * u for u in unit) / dof
+    stderr = [
+        _ldexp(math.sqrt(spread * math.fsum(zj * zj for zj in row)), k - e)
+        for row, e in zip(_inverse(r), shifts)
+    ]
+    coefficients = [_ldexp(xj, kb - e) for xj, e in zip(x, shifts)]
+    return tuple(coefficients), tuple(residuals), dof, tuple(stderr)
 
 
 def fit(samples, kind, tail_fraction=0.5, degree=2):
@@ -237,31 +375,24 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
             f"need more than {ncoef} tail samples for {ncoef} coefficients, "
             f"got {len(grid)}"
         )
-    scale = np.abs(values)
-    bad = np.abs(values.real) > 1e-6 * np.where(scale > 0, scale, 1.0)
-    if np.any(bad):
+    if any(abs(v.real) > 1e-6 * (abs(v) or 1.0) for v in values):
         raise ModelMismatchError(
             "samples have non-negligible real parts on the tail; the divergence "
             "models are purely imaginary"
         )
-    design = _basis(_kind_terms(kind, degree).values(), grid)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, values.imag, rcond=None)
-    if rank < ncoef:
-        raise IllPosedFitError(f"model basis has rank {rank} < {ncoef} on the window")
-    residuals = values.imag - design @ coeffs
-    # r / 2^k, k the exponent of max |r|, has its largest entry in [0.5, 1): scaled
-    # back by 2^k, what is taken on it has the plain formula's bits wherever they
-    # are normal floats, and stays finite where r.r or |r L| overflows
-    k = np.frexp(np.max(np.abs(residuals)))[1]
-    unit = np.ldexp(residuals, -k)
-    stderr = _stderr(unit, k, design, max(len(grid) - ncoef, 1), kind)
+    imag = [v.imag for v in values]
+    terms = tuple(_kind_terms(kind, degree).values())
+    coefficients, residuals, _, stderr = _solve(terms, grid, imag)
+    # a coefficient that overflows leaves no finite standard error either
+    if not all(map(math.isfinite, (*coefficients, *stderr))):
+        raise ValueError(f"the {kind} fit's standard errors overflow")
+    unit, k = _unit(residuals)
     half = max(len(grid) // 2, 1)
-    floor = 1e-9 * np.max(np.abs(values.imag))
-    scaled = np.abs(unit) * grid
-    with np.errstate(over="ignore"):
-        decay_ok = bool(np.max(scaled) <= max(10.0 * _median(scaled[:half]), np.ldexp(floor, -k)))
+    floor = 1e-9 * max(map(abs, imag))
+    scaled = [abs(u) * L for u, L in zip(unit, grid)]
+    decay_ok = max(scaled) <= max(10.0 * _median(scaled[:half]), _ldexp(floor, -k))
     return FitReport(
-        model=_Model(kind, tuple(coeffs)),
+        model=_Model(kind, coefficients),
         stderr=stderr,
         residuals=residuals,
         grid=grid,

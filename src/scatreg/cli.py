@@ -20,14 +20,12 @@ if __name__ == "__main__":
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
-import numpy as np
-
-# Library modules are imported by the commands that use them, so a fresh
-# process loads only what its subcommand runs.  parse_integrand forwards to
-# the parser, so the stage that parses can still be wrapped through this name.
+# Library modules, numpy among them, are imported by the commands that use
+# them, so a fresh process loads only what its subcommand runs: fit and
+# regularize load no numpy.  parse_integrand forwards to the parser, so the
+# stage that parses can still be wrapped through this name.
 
 EXIT_CHECK_FAILED = 1
 
@@ -46,6 +44,8 @@ def _write_rows(path, head, entry, rows, fmt, sep="", tail=""):
     its ``%s`` slots filled by ``fmt % value`` and joined by ``sep``, then
     ``tail``.  Each distinct value (by its bits, so -0.0 is not 0.0) is formatted
     once; a block of rows finds its strings by binary search among them."""
+    import numpy as np
+
     bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
     # not np.unique, which imports numpy.ma in numpy >= 2.3 (≈12 ms a process)
     ordered = np.sort(bits, axis=None)
@@ -64,6 +64,18 @@ def _write_rows(path, head, entry, rows, fmt, sep="", tail=""):
 
 
 def _write_csv(path, header, rows):
+    """``header``, then each row's values as ``%.17g``, comma-separated."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join("%.17g" % float(x) for x in row) + "\n" for row in rows)
+
+
+def _write_table(path, header, rows):
+    """The bytes of ``_write_csv`` for a 2-D float array, from numpy: on
+    ``spectra``'s thousands of rows, formatting each distinct value once pays
+    for the import."""
+    import numpy as np
+
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
     _write_rows(path, ",".join(header) + "\n", ",".join(["%s"] * len(header)) + "\n",
                 values, "%.17g")
@@ -83,6 +95,8 @@ def _write_json_rows(path, columns):
     """The bytes of ``_write_json(path, [{name: column[i].tolist() ...} ...])``
     for named float arrays of one length, from one entry that ``json`` lays out
     with a ``%s`` slot per value (``json`` writes a finite float as its repr)."""
+    import numpy as np
+
     columns = dict(sorted(columns.items()))
     n = len(next(iter(columns.values())))
     flat = np.hstack([a.reshape(n, np.prod(a.shape[1:], dtype=int)) for a in columns.values()])
@@ -158,6 +172,8 @@ def _out_dir(config):
 
 
 def _l_grid(config):
+    import numpy as np
+
     spec = _get(config, "L_grid", dict, keys=("start", "ratio", "count"))
     start = _get(spec, "start", float)
     ratio = _get(spec, "ratio", float)
@@ -186,6 +202,37 @@ def _parse_expr(config, key):
     return None if source is None else parse_integrand(source)
 
 
+def _number(field, row, column):
+    """The float that ``np.loadtxt`` reads in ``field``: Python's float syntax
+    between whitespace, without its underscores and non-ASCII digits."""
+    text = field.strip()
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        return float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string {field!r:.100} to float64 "
+                         f"at row {row}, column {column}.") from None
+
+
+def _rows(lines):
+    """The rows of comma-separated floats in ``lines``, read as ``np.loadtxt``
+    reads them, with its refusals: text from a ``#`` on is a comment, a line
+    left empty is skipped, and every row has the first row's field count."""
+    rows = []
+    for line in lines:
+        line = line.split("#", 1)[0].rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if rows and len(fields) != len(rows[0]):
+            raise ValueError(
+                f"the number of columns changed from {len(rows[0])} to {len(fields)} at row "
+                f"{len(rows) + 1}; use `usecols` to select a subset and avoid this error")
+        rows.append([_number(f, len(rows), i) for i, f in enumerate(fields, 1)])
+    return rows
+
+
 def _read_samples(config):
     """The cutoff samples of the CSV file ``samples_file``, which ``integrate``
     writes: a header line ``L,re,im`` or ``L,re,im,err``, then one row per cutoff."""
@@ -200,18 +247,15 @@ def _read_samples(config):
         columns = {"": 0, "L,re,im": 3, "L,re,im,err": 4}.get(fh.readline().strip())
         if columns is None:
             raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
-        with warnings.catch_warnings():
-            # numpy warns on a file without rows, which is refused below instead
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not data.size:
+        rows = _rows(fh)
+    if not rows:
         raise ValueError(f"samples file {path} has no rows")
-    if data.shape[1] != columns:
+    if len(rows[0]) != columns:
         raise ValueError(f"samples file {path} needs columns L,re,im[,err]")
-    err = data[:, 3] if data.shape[1] > 3 else None
-    # re and im read as one complex column: re + 1j * im would turn -0.0 into +0.0
-    values = np.ascontiguousarray(data[:, 1:3]).view(complex)[:, 0]
-    return CutoffSamples(grid=data[:, 0], values=values, errors=err)
+    grid, re, im, *err = zip(*rows)
+    # complex(re, im) keeps a -0.0 real part, which re + 1j * im would not
+    values = [complex(a, b) for a, b in zip(re, im)]
+    return CutoffSamples(grid=grid, values=values, errors=err[0] if err else None)
 
 
 def _fit(config, samples):
@@ -229,6 +273,8 @@ def _fit(config, samples):
 def _eigen_residuals(q, m, solved):
     """Per momentum, max_k ||H v_k - lambda_k v_k|| / ||H||_F of the eigenpairs
     ``solved`` of H(q, m)."""
+    import numpy as np
+
     from . import dirac
 
     vals, vecs = solved.values, solved.vectors
@@ -243,6 +289,8 @@ def _eigen_residuals(q, m, solved):
 
 
 def cmd_spectra(config):
+    import numpy as np
+
     from . import dirac
 
     m = _get(config, "m", float)
@@ -266,7 +314,7 @@ def cmd_spectra(config):
     vals, vecs = solved.values, solved.vectors
     worst = float(np.max(_eigen_residuals(points, m, solved), initial=0.0))
     out = _out_dir(config)
-    _write_csv(
+    _write_table(
         out / "spectra.csv",
         ["q1", "q2", "q3", "m", "lambda1", "lambda2", "lambda3", "lambda4"],
         np.column_stack([points, np.full(len(points), m), vals]),
@@ -291,16 +339,15 @@ def cmd_integrate(config):
     if f_re is None and f_im is None:
         raise ValueError("config needs 'integrand_re' and/or 'integrand_im'")
     samples = ballquad.sample_over_cutoffs(f_re, f_im, q, m, grid, spec)
-    out = _out_dir(config)
+    grid, values, errors = samples.grid, samples.values, samples.errors
     _write_csv(
-        out / "samples.csv",
+        _out_dir(config) / "samples.csv",
         ["L", "re", "im", "err"],
-        np.column_stack([samples.grid, samples.values.real, samples.values.imag, samples.errors]),
+        [(L, v.real, v.imag, e) for L, v, e in zip(grid, values, errors)],
     )
-    grid = samples.grid
     print(
         f"integrate: {len(samples)} cutoffs in [{grid[0]:g}, {grid[-1]:g}], "
-        f"max error estimate {np.max(samples.errors):.3e}"
+        f"max error estimate {max(errors):.3e}"
     )
     return 0
 
@@ -339,25 +386,20 @@ def cmd_regularize(config):
     factor = deviation.factor_from_model(model, eps)
     out = _out_dir(config)
     _write_json(out / "deviation_factor.json", factor.to_dict())
+    values = regular.values
     _write_csv(
         out / "regularized.csv",
         ["L", "re", "im"],
-        np.column_stack([regular.grid, regular.values.real, regular.values.imag]),
+        [(L, v.real, v.imag) for L, v in zip(regular.grid, values)],
     )
-    diffs = np.abs(np.diff(regular.values))
-    converged = bool(diffs.size and diffs[-1] <= 1e-2 and np.all(np.diff(diffs) <= 0))
+    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
+    last = diffs[-1] if diffs else 0.0
+    converged = bool(diffs) and last <= 1e-2 and all(b - a <= 0 for a, b in zip(diffs, diffs[1:]))
     _write_json(
         out / "convergence.json",
-        {
-            "last_difference": float(diffs[-1]) if diffs.size else 0.0,
-            "differences": [float(d) for d in diffs],
-            "shrinking": converged,
-        },
+        {"last_difference": last, "differences": diffs, "shrinking": converged},
     )
-    print(
-        "regularize: last |difference| "
-        f"{diffs[-1] if diffs.size else 0.0:.3e}, shrinking={converged}"
-    )
+    print(f"regularize: last |difference| {last:.3e}, shrinking={converged}")
     return 0
 
 
@@ -372,6 +414,8 @@ def _check_spectra_suite(rng, trials):
     or 8x8 choice), then the Haar blocks of its 4x4 and of its 8x8 trials; a
     trial whose eigen-residual fails is reported and skips the joint check.
     Failures name the trial's index, so seed, trials and index reproduce one."""
+    import numpy as np
+
     from . import dirac
 
     failures = []
@@ -402,6 +446,8 @@ def _check_spectra_suite(rng, trials):
 
 
 def cmd_check(config):
+    import numpy as np
+
     seed = _get(config, "seed", int, 20260826)
     trials = _get(config, "trials", int, 200)
     if seed < 0:
@@ -420,6 +466,8 @@ def cmd_check(config):
 
 
 def cmd_resum(config):
+    import numpy as np
+
     from . import deviation
 
     psi = _get(config, "psi", [float])
@@ -486,6 +534,19 @@ def _build_parser():
     return parser
 
 
+# (library module, its error classes, exit code); the first match wins, and
+# any other error (bad config, extreme values) exits 2
+_EXIT_CODES = (
+    ("integrand", ("IntegrandSyntaxError",), 3),
+    ("ballquad", ("SingularIntegrandError",), 4),
+    ("integrand", ("EvaluationError",), 4),
+    ("asymfit", ("ModelMismatchError", "UnclassifiedDivergenceError", "IllPosedFitError"), 5),
+)
+
+# the subcommands that run numpy; the others never load it
+_NUMPY_COMMANDS = ("spectra", "integrate", "check", "resum")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -493,26 +554,25 @@ def main(argv=None):
         return globals()[f"cmd_{args.command}"](_settings(args))
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        # first match wins; any other error (bad config, extreme values) exits 2
-        from .asymfit import IllPosedFitError, ModelMismatchError, UnclassifiedDivergenceError
-        from .ballquad import SingularIntegrandError
-        from .integrand import EvaluationError, IntegrandSyntaxError
-
-        codes = (
-            (IntegrandSyntaxError, 3),
-            ((SingularIntegrandError, EvaluationError), 4),
-            ((ModelMismatchError, UnclassifiedDivergenceError, IllPosedFitError), 5),
-        )
-        return next((code for kinds, code in codes if isinstance(exc, kinds)), 2)
+        # an error cannot come from a module that was never imported, so the
+        # classes are looked up only in the loaded ones, and none is loaded here
+        for module, names, code in _EXIT_CODES:
+            home = sys.modules.get(f"{__package__}.{module}")
+            if home and isinstance(exc, tuple(getattr(home, name) for name in names)):
+                return code
+        return 2
 
 
 def entry():
     """The program's entry point, for ``python -m scatreg.cli`` and the
     ``scatreg`` script.  What start-up loaded lives until exit, so it is
     frozen out of the collector's passes (and the final one at exit); the
-    collector stays on for the garbage the run itself makes.  ``main`` leaves
-    the collector alone, so a caller in a longer-lived process keeps its own
+    collector stays on for the garbage the run itself makes, and a subcommand
+    that runs numpy loads it first, so it is frozen too.  ``main`` leaves the
+    collector alone, so a caller in a longer-lived process keeps its own
     policy."""
+    if sys.argv[1:2] and sys.argv[1] in _NUMPY_COMMANDS:
+        import numpy  # noqa: F401
     gc.freeze()
     gc.enable()
     return main()

@@ -9,14 +9,17 @@ Coulomb-type resummation identity where dividing by L^(i eps phi) turns the
 log-laden series coefficients back into their generating constants.  Both
 series expansions convolve the terms x^k/k! of exp(x), each the last one
 times x/k, and refuse by name a term, sum or coefficient that overflows.
+
+Building a factor from a model and regularizing cutoff samples run on Python
+floats; numpy is imported only by the helpers that take arrays, so
+``regularize`` loads none.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 __all__ = [
     "DeviationFactor",
@@ -52,6 +55,8 @@ class DeviationFactor:
                 raise ValueError(f"exponent coefficients must be finite reals: {c!r}")
 
     def exponent(self, L):
+        import numpy as np
+
         L = np.asarray(L, dtype=float)
         if not np.all((L > 0) & (L < np.inf)):
             raise ValueError("the cutoff must be positive and finite")
@@ -66,6 +71,8 @@ class DeviationFactor:
 
     def exponent_shift(self, L, shift):
         """exponent(L + shift) - exponent(L), computed without cancellation."""
+        import numpy as np
+
         L = np.asarray(L, dtype=float)
         out = self.quad_coeff * shift * (2 * L + shift) + self.linear_coeff * shift
         dlog = np.log1p(shift / L)
@@ -79,6 +86,8 @@ class DeviationFactor:
         return out
 
     def __call__(self, L):
+        import numpy as np
+
         return np.exp(1j * self.exponent(L))
 
     @property
@@ -110,12 +119,14 @@ def factor_from_model(model, eps):
         raise ValueError(f"the coupling must be finite, got eps={eps!r}")
     try:
         power = eps**model.order
-        with np.errstate(over="raise"):
-            slots = {term: power * c for term, c in model.divergent_terms()}
     except OverflowError:
         raise ValueError(f"eps^order overflows at eps={eps!r}, order={model.order}") from None
-    except FloatingPointError:
-        raise ValueError(f"eps^order c overflows at eps={eps!r}, order={model.order}") from None
+    slots = {}
+    for term, c in model.divergent_terms():
+        slots[term] = power * c
+        # a c that is not finite is DeviationFactor's to refuse
+        if math.isinf(slots[term]) and math.isfinite(c):
+            raise ValueError(f"eps^order c overflows at eps={eps!r}, order={model.order}")
     quad, linear = slots.pop((2, 0), 0.0), slots.pop((1, 0), 0.0)
     return DeviationFactor(quad, linear, tuple(slots.values()), eps_order=model.order)
 
@@ -128,18 +139,19 @@ def regularize_coefficient(samples, model):
     matches the samples' divergence.  A divergent part or regularized value
     that overflows is refused by name, at its first cutoff.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        divergent = model.divergent_part(samples.grid)
-        values = samples.values - 1j * divergent
+    divergent = [model.divergent_part(L) for L in samples.grid]
+    values = [v - 1j * d for v, d in zip(samples.values, divergent)]
     for name, part in (("the divergent part", divergent), ("the regularized value", values)):
-        if not np.isfinite(part).all():
-            first = samples.grid[~np.isfinite(part)][0].item()
-            raise ValueError(f"{name} overflows at L={first!r}")
+        for L, x in zip(samples.grid, part):
+            if not cmath.isfinite(x):
+                raise ValueError(f"{name} overflows at L={L!r}")
     return replace(samples, values=values)
 
 
 def _finite(values, name, where):
     """``values``, or a ValueError naming them as ``name`` if any is not finite."""
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} overflows at {where}")
     return values
@@ -147,6 +159,8 @@ def _finite(values, name, where):
 
 def _exp_terms(x, n, name, where):
     """x^k/k! for k = 0..n, each term the last one times x/k; refused if one overflows."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.cumprod(np.concatenate([[1.0], x / np.arange(1, n + 1)]))
     return _finite(terms, name, where)
@@ -170,6 +184,8 @@ def regularized_series(a_coeffs, factor, eps, L):
     the whole series and is kept out of the per-order expansion.  A sum d,
     value or coefficient that overflows is refused by name.
     """
+    import numpy as np
+
     a_coeffs = np.asarray(a_coeffs, dtype=complex)
     n = len(a_coeffs)
     where = f"eps={eps!r}, L={L!r}"
@@ -204,6 +220,8 @@ def class_a_check(factor, shift, grid):
     terms vanish, since ln-power increments ln^p(L + L0) - ln^p(L) all decay.
     The numerical ratio curve is returned as a diagnostic.
     """
+    import numpy as np
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be 1-d and strictly ascending")
@@ -231,6 +249,8 @@ def resum_coulomb_series(psi, phi, eps, nmax, L):
     order-by-order expansion of L^{-i eps phi} d(q, L) returns psi_m exactly.
     A coupling that is not finite, or an eps phi, power, a_m or sum d that
     overflows, is refused by name."""
+    import numpy as np
+
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi.size == 0 or psi[0] != 1.0:
         raise ValueError("the constant list must start with psi_0 = 1")

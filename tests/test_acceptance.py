@@ -138,7 +138,7 @@ def test_criterion_04_log_fit(log_samples):
 
 def test_criterion_05_subtracted_coefficient_converges(log_samples):
     rep = fit(log_samples, "log", tail_fraction=0.6)
-    subtracted = log_samples.values.imag - rep.model.phi * np.log(log_samples.grid)
+    subtracted = np.imag(log_samples.values) - rep.model.phi * np.log(log_samples.grid)
     diffs = np.abs(np.diff(subtracted))
     ok = diffs[-1] <= 1e-2 and np.all(np.diff(diffs[len(diffs) // 2 :]) <= 0)
     report(

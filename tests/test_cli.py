@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,8 +128,8 @@ def test_spectra_eigenvalues_survive_overflow_of_the_square(tmp_path, capsys, co
 
 
 def reference_write_csv(path, header, rows):
-    """The per-value CSV writer that ``cli._write_csv`` replaced: the reference
-    for its bytes."""
+    """The per-value CSV writer: the reference for the bytes of
+    ``cli._write_csv`` and ``cli._write_table``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -245,9 +246,11 @@ def csv_rows(draw, values=VALUES):
 
 
 def assert_csv_rows_match_per_value_format(root, rows):
+    # the plain writer, and numpy's, which spectra's table takes
     reference_write_csv(root / "reference.csv", ["a", "b", "c"], rows)
-    cli._write_csv(root / "rows.csv", ["a", "b", "c"], rows)
-    assert (root / "rows.csv").read_bytes() == (root / "reference.csv").read_bytes()
+    for write in (cli._write_csv, cli._write_table):
+        write(root / "rows.csv", ["a", "b", "c"], rows)
+        assert (root / "rows.csv").read_bytes() == (root / "reference.csv").read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1011,6 +1014,25 @@ def test_cli_import_loads_no_quadrature_module():
     assert not set(QUADRATURE_MODULES) & set(json.loads(probe.stdout))
 
 
+def test_cli_import_loads_no_numpy():
+    # fit and regularize never load it, and the other subcommands load it themselves
+    probe = probe_process("import sys, scatreg.cli; print('numpy' in sys.modules)")
+    assert probe.stdout.strip() == "False", probe.stderr
+
+
+def test_a_refused_fit_loads_no_numpy_to_pick_its_exit_code(tmp_path):
+    # the exit-code table looks error classes up only in loaded modules
+    grid = np.geomspace(10, 1e3, 24)
+    (tmp_path / "samples.csv").write_text(
+        "L,re,im\n" + "".join(f"{l!r},0.0,{math.exp(l / 100.0)!r}\n" for l in grid.tolist()))
+    probe = probe_process(MODULE_PROBE, "fit", "--samples", "samples.csv", "--model", "auto",
+                          "--out", "out", cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    code, modules = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 5 and probe.stderr.startswith("fit: no divergence model fits")
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize(
     "command, config, code",
     [
@@ -1024,7 +1046,7 @@ def test_cli_import_loads_no_quadrature_module():
     ],
 )
 def test_errors_exit_with_one_line_in_a_fresh_process(tmp_path, command, config, code):
-    # the exit-code table imports the library's error classes on this path only
+    # the exit-code table reads the error classes of the modules the command loaded
     (tmp_path / "config.json").write_text(json.dumps(config))
     run = probe_process(
         "import sys, scatreg.cli; sys.exit(scatreg.cli.main(sys.argv[1:]))",
@@ -1131,12 +1153,16 @@ def test_import_and_main_leave_the_collector_alone(tmp_path):
 
 
 # runs the CLI as the program on argv[1:]; prints its exit code, the
-# collector's state after it, and the number of collections that started
-# while the module's own code ran before the freeze
+# collector's state after it, the number of collections that started while
+# the module's own code ran before the freeze, and whether numpy was loaded
+# when the freeze came
 ENTRY_PROBE = """
 import gc, json, runpy, sys
 sys.argv = ["scatreg", *sys.argv[1:]]
 early = []
+frozen_with_numpy = []
+freeze = gc.freeze
+gc.freeze = lambda: frozen_with_numpy.append("numpy" in sys.modules) or freeze()
 
 def in_module_code():
     frame = sys._getframe()
@@ -1152,18 +1178,35 @@ try:
     runpy.run_module("scatreg.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), len(early)]))
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), len(early), frozen_with_numpy]))
 """
+
+
+def assert_entry_freezes_start_up_with_numpy(tmp_path, command, config):
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    probe = probe_process(ENTRY_PROBE, command, "--config", "config.json", "--out", "out",
+                          cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    code, enabled, frozen, early, frozen_with_numpy = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 0 and enabled and frozen > 0
+    assert early == 0
+    assert frozen_with_numpy == [True]
 
 
 def test_program_entry_freezes_start_up_and_keeps_the_collector_on(tmp_path):
     # run as the program, the module turns the collector off for its imports,
-    # then freezes what they loaded and turns it back on before main runs
-    probe = probe_process(ENTRY_PROBE, "check", "--seed", "3", "--out", str(tmp_path))
-    assert probe.returncode == 0, probe.stderr
-    code, enabled, frozen, early = json.loads(probe.stdout.splitlines()[-1])
-    assert code == 0 and enabled and frozen > 0
-    assert early == 0
+    # numpy's among them, then freezes what they loaded and turns it back on
+    # before main runs
+    assert_entry_freezes_start_up_with_numpy(tmp_path, "check", {"trials": 5, "seed": 3})
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spectra", {"q": [0, 0, 0], "m": 1}),
+    ("integrate", integrate_config()),
+])
+def test_program_entry_freezes_numpy_for_each_subcommand_that_runs_it(tmp_path, command,
+                                                                      config):
+    assert_entry_freezes_start_up_with_numpy(tmp_path, command, config)
 
 
 @pytest.mark.parametrize(
@@ -1171,20 +1214,25 @@ def test_program_entry_freezes_start_up_and_keeps_the_collector_on(tmp_path):
     [
         ("integrate", integrate_config(), [], ["scatreg.dirac", "scatreg.deviation"]),
         ("fit", None, ["--samples", "log.csv", "--model", "auto"],
-         ["scatreg.dirac", "scatreg.deviation", "numpy.ma", "scatreg.ballquad",
+         ["scatreg.dirac", "scatreg.deviation", "numpy", "scatreg.ballquad",
           "scatreg.integrand"]),
         ("regularize", None, ["--samples", "log.csv", "--model", "log"],
-         ["scatreg.dirac", "numpy.ma", "scatreg.ballquad", "scatreg.integrand"]),
+         ["scatreg.dirac", "numpy", "scatreg.ballquad", "scatreg.integrand"]),
         ("spectra", {"q": [0, 0, 0], "m": 1}, [], ["scatreg.deviation"]),
         ("spectra", {"q": [0, 0, 0], "m": 1}, [], QUADRATURE_MODULES),
         ("check", {"trials": 5}, [], [*QUADRATURE_MODULES, "scatreg.deviation"]),
+        ("regularize", None, ["--samples", "log.csv", "--model", "auto"],
+         ["scatreg.dirac", "numpy", "scatreg.ballquad", "scatreg.integrand"]),
+        ("regularize", {"model": {"kind": "log", "phi": 3.0, "psi": 2.0}},
+         ["--samples", "log.csv"],
+         ["scatreg.dirac", "numpy", "scatreg.ballquad", "scatreg.integrand"]),
     ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(
     tmp_path, command, config, extra, unloaded
 ):
     # every subcommand runs in a fresh process, which pays for each module it
-    # loads; numpy.ma comes with np.median
+    # loads; fit and regularize load no numpy
     grid = np.geomspace(10, 1e4, 17)
     (tmp_path / "log.csv").write_text(
         "\n".join(["L,re,im"] + [f"{l},0.0,{3*np.log(l)+2}" for l in grid]) + "\n"

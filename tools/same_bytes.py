@@ -10,7 +10,9 @@ input files are written there, and each of its steps runs as a fresh
 ``python -m scatreg.cli`` process in that directory, so relative paths, and
 the messages that name them, agree.  After each step the two runs' stdout,
 stderr, exit code and the bytes of every file in the directory are compared.
-One line is printed per difference; the exit code is 1 if there is any, and
+One line is printed per step that differs, naming what differs; a file or
+stdout whose texts differ only in their numbers is named with the largest
+relative difference among them.  The exit code is 1 if any step differs, and
 0 otherwise.
 
 The scenarios: the README configs, a ``spectra`` grid of 343 momenta, whose
@@ -70,12 +72,22 @@ not numeric, which is refused for its header; ``fit --model powerlog`` on the
 samples i (1e300 ln L +- 1e305); and ``regularize`` on log samples whose real
 parts are all -0.0, with the poly-log model dict {kind: polylog, table: [2,
 -0.0, -0.0]}, whose every divergent coefficient is -0.0.
+Then eleven ``regularize`` steps, by the zero log model, which writes the
+samples as read, on how a samples file's rows are read: a blank line, a
+``#`` comment line and a comment after a row, both skipped; spaces and a tab
+around fields, which are stripped; ``NaN`` and ``Inf`` in capitals, read and
+then refused as not finite; an underscored number ``1_00.0``, a non-ASCII digit
+and an empty field, which are not numbers; a trailing comma on every row and
+on one row, which adds a column; and a line of spaces, which is a row of one
+field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -204,6 +216,30 @@ def _unchecked_samples():
         files[name] = _csv(log_grid, 3 * np.log(log_grid) + 2, err=err)
     return files
 
+
+# samples files that test how rows are read, each with a header and log samples
+# on three cutoffs where a row is not broken; regularize by the zero log model
+# writes the values as read
+ZERO_LOG = {"kind": "log", "phi": 0.0, "psi": 0.0}
+_LOG_ROWS = ["10.0,0.0,2.302585092994046", "100.0,0.0,4.605170185988092",
+             "1000.0,0.0,6.907755278982137"]
+READER_FILES = {
+    name: "L,re,im\n" + "\n".join(rows) + "\n"
+    for name, rows in {
+        "blank-line": [_LOG_ROWS[0], "", *_LOG_ROWS[1:]],
+        "comment-lines": ["# cutoffs", _LOG_ROWS[0], _LOG_ROWS[1] + " # mid", _LOG_ROWS[2]],
+        "spaces-around-fields": [" 10.0 , 0.0 ,2.302585092994046", "100.0,\t0.0,4.6  ",
+                                 _LOG_ROWS[2]],
+        "capital-nan": [_LOG_ROWS[0], "100.0,0.0,NaN", _LOG_ROWS[2]],
+        "capital-inf": [_LOG_ROWS[0], "100.0,0.0,Inf", _LOG_ROWS[2]],
+        "underscored-number": [_LOG_ROWS[0], "1_00.0,0.0,4.6", _LOG_ROWS[2]],
+        "non-ascii-digit": [_LOG_ROWS[0], "100.0,0.0,\u0664", _LOG_ROWS[2]],
+        "empty-field": [_LOG_ROWS[0], "100.0,,4.6", _LOG_ROWS[2]],
+        "trailing-commas": [row + "," for row in _LOG_ROWS],
+        "one-trailing-comma": [_LOG_ROWS[0], _LOG_ROWS[1] + ",", _LOG_ROWS[2]],
+        "line-of-spaces": [_LOG_ROWS[0], "   ", *_LOG_ROWS[1:]],
+    }.items()
+}
 
 # the integrate configs of the benchmark's radial_sweep and kinematic_bubble
 # workloads, the latter with the q its seed 777 draws
@@ -434,6 +470,9 @@ def scenarios():
             ["regularize", "--config", "zero_model.json", "--samples", "negative_zero.csv"],
     }.items():
         yield name, last, [[*argv, "--out", "out"]]
+    for name, text in READER_FILES.items():
+        yield (f"reader-{name}", {"s.csv": text, "zero.json": json.dumps({"model": ZERO_LOG})},
+               [["regularize", "--config", "zero.json", "--samples", "s.csv", "--out", "out"]])
 
 
 def _tree(directory):
@@ -454,10 +493,32 @@ def _run(src, directory, argv):
             "exit code": done.returncode, "files": _tree(directory)}
 
 
+# a number as %.17g, %.6g, %.3e or repr write it
+_NUMBER = re.compile(r"(-?(?:inf|nan|\d+\.?\d*(?:e[-+]?\d+)?))")
+
+
+def _relative(left, right):
+    """The largest relative difference between the numbers of two texts that
+    differ in nothing else, as `` (largest relative difference x)``; "" for
+    texts that differ elsewhere too."""
+    if left is None or right is None:
+        return ""
+    a, b = (_NUMBER.split(text.decode(errors="replace")) for text in (left, right))
+    if len(a) != len(b) or a[0::2] != b[0::2]:
+        return ""
+    worst = 0.0
+    for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return f" (largest relative difference {worst:.2g})"
+
+
 def _differences(left, right):
-    found = [key for key in ("stdout", "stderr", "exit code") if left[key] != right[key]]
+    found = [key + _relative(left[key], right[key]) * (key == "stdout")
+             for key in ("stdout", "stderr", "exit code") if left[key] != right[key]]
     names = sorted(set(left["files"]) | set(right["files"]))
-    found += [f"file {n}" for n in names if left["files"].get(n) != right["files"].get(n)]
+    found += [f"file {n}" + _relative(left["files"].get(n), right["files"].get(n))
+              for n in names if left["files"].get(n) != right["files"].get(n)]
     return found
 
 
