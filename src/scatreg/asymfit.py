@@ -15,8 +15,9 @@ sup over the tail of |residual * L| must not exceed 10x the median of
 largest |Im| on the tail, whichever is larger.  The floor is relative, so the
 verdict does not depend on the samples' units.
 
-The fits run on Python floats, by Householder QR (see :func:`_solve`): the
-module imports no numpy, so neither do the stages that fit.
+The fits run on Python floats, by a one-sided Jacobi SVD of the design (see
+:func:`_solve`): the module imports no numpy, so neither do the stages that
+fit.
 """
 
 from __future__ import annotations
@@ -233,63 +234,43 @@ def _dot(x, y):
     return math.fsum(p * q for p, q in zip(x, y))
 
 
-def _householder(columns, rhs):
-    """The Householder QR of ``columns`` (lists of equal length m >= their
-    number n), applied to ``rhs`` as well: R's rows and the first n entries of
-    Q^T rhs.  ``columns`` and ``rhs`` are overwritten."""
+def _rotate(x, y, c, s):
+    """Overwrite the columns x, y with c x - s y and s x + c y."""
+    x[:], y[:] = [c * a - s * b for a, b in zip(x, y)], [s * a + c * b for a, b in zip(x, y)]
+
+
+def _jacobi(columns):
+    """The one-sided Jacobi SVD of the matrix A of ``columns``: (W, V), lists of
+    columns with W = A V and V orthogonal, W's columns orthogonal to round-off,
+    so that A = U Sigma V^T with sigma_k = |W_k| and U_k = W_k / sigma_k.  Each
+    sweep rotates every pair of columns of W orthogonal, and V's alike, until
+    no pair is off by more than round-off.  Small singular values keep their
+    relative accuracy, whatever the scales of A's columns."""
     n = len(columns)
-    r = [[0.0] * n for _ in range(n)]
-    for j, column in enumerate(columns):
-        x = column[j:]
-        # the reflector v maps x onto alpha e_1; alpha takes the sign opposite
-        # to x_0, so x_0 - alpha does not cancel
-        alpha = -math.copysign(math.hypot(*x), x[0])
-        v = [x[0] - alpha, *x[1:]]
-        vv = _dot(v, v)
-        for target in (*columns[j + 1 :], rhs):
-            if vv:
-                s = 2.0 * _dot(v, target[j:]) / vv
-                target[j:] = [t - s * p for t, p in zip(target[j:], v)]
-        r[j][j] = alpha
-        for k in range(j + 1, n):
-            r[j][k] = columns[k][j]
-    return r, rhs[:n]
-
-
-def _inverse(r):
-    """The rows of R^-1 for the upper-triangular, invertible R of rows ``r``."""
-    n = len(r)
-    z = [[0.0] * n for _ in range(n)]
-    for c in range(n):
-        z[c][c] = 1.0 / r[c][c]
-        for j in range(c - 1, -1, -1):
-            z[j][c] = -_dot(r[j][j + 1 : c + 1], [z[k][c] for k in range(j + 1, c + 1)]) / r[j][j]
-    return z
-
-
-def _singular_values(columns):
-    """The singular values of the square matrix of ``columns``, by one-sided
-    Jacobi rotations: each sweep rotates every pair of columns orthogonal,
-    until no pair is off by more than round-off, and the values are the
-    columns' norms.  Small values keep their relative accuracy."""
-    columns = [list(c) for c in columns]
+    w = [list(column) for column in columns]
+    v = [[float(i == k) for i in range(n)] for k in range(n)]
     for _ in range(64):
         rotated = False
-        for p, x in enumerate(columns):
-            for q in range(p + 1, len(columns)):
-                y = columns[q]
-                xx, yy, xy = _dot(x, x), _dot(y, y), _dot(x, y)
+        for p in range(n):
+            for q in range(p + 1, n):
+                xx, yy, xy = _dot(w[p], w[p]), _dot(w[q], w[q]), _dot(w[p], w[q])
                 if abs(xy) <= 2.0**-53 * math.sqrt(xx * yy):
                     continue
                 rotated = True
                 zeta = (yy - xx) / (2.0 * xy)
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
-                x[:], y[:] = [c * a - c * t * b for a, b in zip(x, y)], [
-                    c * t * a + c * b for a, b in zip(x, y)]
+                s = c * t
+                _rotate(w[p], w[q], c, s)
+                _rotate(v[p], v[q], c, s)
         if not rotated:
             break
-    return [math.hypot(*c) for c in columns]
+    return w, v
+
+
+def _residual(columns, x, b):
+    """b - A x, A the matrix of ``columns``, each entry summed by fsum."""
+    return [math.fsum([y, *(-c[i] * xj for c, xj in zip(columns, x))]) for i, y in enumerate(b)]
 
 
 def _unit(residuals):
@@ -303,55 +284,50 @@ def _unit(residuals):
 
 def _solve(terms, grid, values):
     """Least squares of the real ``values`` on the terms' basis over ``grid``:
-    (coefficients, residuals, dof, stderr).
+    (coefficients, residuals, (unit, k), stderr), with (unit, k) the
+    residuals' :func:`_unit`.
 
-    Householder QR runs on the design with each column, and the values,
-    scaled by a power of two to a largest entry in [0.5, 1), so the scaling
-    is exact.  The rank is that of the unscaled design, read on the singular
-    values of its R with the cut of ``numpy.linalg.lstsq``'s default rcond,
-    2^-52 max(m, n) times the largest, and a rank below n, or a basis that
-    overflows, is refused.  (R's
-    diagonal does not show it: on a ln-power basis its smallest entry can
-    exceed the smallest singular value by 14 orders of magnitude.)  The
-    stderr is sqrt(diag(sigma^2 (D^T D)^-1)), sigma^2 = r.r / dof, with
-    (D^T D)^-1 = R^-1 R^-T, taken on r / 2^k (see :func:`_unit`).
-    A value that overflows is inf.
+    The design D and the values are each scaled by a power of two to a
+    largest entry in [0.5, 1), which is exact, and the scaled D is taken
+    apart by :func:`_jacobi`.  The rank is read on its singular values with
+    the cut of ``numpy.linalg.lstsq``'s default rcond, 2^-52 max(m, n) times
+    the largest, and a rank below n, or a basis that overflows, is refused.
+    The coefficients are V Sigma^-1 U^T b, refined once, and the stderr is
+    sqrt(s^2 diag (D^T D)^-1), s^2 = r.r / dof, with
+    diag (D^T D)^-1 = sum_k V_jk^2 / sigma_k^2, taken on r / 2^k.  A value
+    that overflows is inf.
     """
     m, n = len(grid), len(terms)
     design = _basis(terms, grid)
     if not all(math.isfinite(x) for column in design for x in column):
         raise IllPosedFitError("model basis overflows on the window")
-    shifts = [_exponent(column) for column in design]
-    columns = [[math.ldexp(x, -e) for x in col] for col, e in zip(design, shifts)]
-    kb = _exponent(values)
-    r, qtb = _householder([list(c) for c in columns], [math.ldexp(y, -kb) for y in values])
-    # R's columns, each scaled back by 2^e_j, and all by 2^-max(e_j), which
-    # keeps every entry finite
-    top = max(shifts)
-    unscaled = [[math.ldexp(r[i][j], e - top) for i in range(n)] for j, e in enumerate(shifts)]
-    sizes = _singular_values(unscaled)
+    ka, kb = max(map(_exponent, design)), _exponent(values)
+    columns = [[math.ldexp(x, -ka) for x in column] for column in design]
+    b = [math.ldexp(y, -kb) for y in values]
+    w, v = _jacobi(columns)
+    squares = [_dot(c, c) for c in w]
+    sizes = list(map(math.sqrt, squares))
     rank = sum(size > 2.0**-52 * max(m, n) * max(sizes) for size in sizes)
-    if 0.0 in (r[j][j] for j in range(n)):  # singular, however its values round
-        rank = min(rank, n - 1)
     if rank < n:
         raise IllPosedFitError(f"model basis has rank {rank} < {n} on the window")
-    x = [0.0] * n
-    for j in reversed(range(n)):
-        x[j] = (qtb[j] - _dot(r[j][j + 1 :], x[j + 1 :])) / r[j][j]
-    scaled = [
-        math.fsum([math.ldexp(y, -kb), *(-c[i] * xj for c, xj in zip(columns, x))])
-        for i, y in enumerate(values)
-    ]
-    residuals = [_ldexp(ri, kb) for ri in scaled]
+    rows = list(zip(*v))  # V's rows, one per coefficient
+    # x = V Sigma^-1 U^T b, from -0.0, the identity of float addition; then
+    # once more on the residual of that x, which takes out most of the first
+    # pass's round-off (iterative refinement)
+    x = [-0.0] * n
+    for _ in range(2):
+        r = _residual(columns, x, b)
+        weights = [_dot(c, r) / square for c, square in zip(w, squares)]
+        x = [xj + _dot(row, weights) for xj, row in zip(x, rows)]
+    residuals = [_ldexp(ri, kb) for ri in _residual(columns, x, b)]
     unit, k = _unit(residuals)
-    dof = max(m - n, 1)
-    spread = math.fsum(u * u for u in unit) / dof
+    spread = math.fsum(u * u for u in unit) / (m - n)
     stderr = [
-        _ldexp(math.sqrt(spread * math.fsum(zj * zj for zj in row)), k - e)
-        for row, e in zip(_inverse(r), shifts)
+        _ldexp(math.sqrt(spread * math.fsum(vj * vj / s for vj, s in zip(row, squares))), k - ka)
+        for row in rows
     ]
-    coefficients = [_ldexp(xj, kb - e) for xj, e in zip(x, shifts)]
-    return tuple(coefficients), tuple(residuals), dof, tuple(stderr)
+    coefficients = [_ldexp(xj, kb - ka) for xj in x]
+    return tuple(coefficients), tuple(residuals), (unit, k), tuple(stderr)
 
 
 def fit(samples, kind, tail_fraction=0.5, degree=2):
@@ -375,18 +351,18 @@ def fit(samples, kind, tail_fraction=0.5, degree=2):
             f"need more than {ncoef} tail samples for {ncoef} coefficients, "
             f"got {len(grid)}"
         )
-    if any(abs(v.real) > 1e-6 * (abs(v) or 1.0) for v in values):
+    # math.hypot, not abs, which raises where |v| overflows
+    if any(abs(v.real) > 1e-6 * (math.hypot(v.real, v.imag) or 1.0) for v in values):
         raise ModelMismatchError(
             "samples have non-negligible real parts on the tail; the divergence "
             "models are purely imaginary"
         )
     imag = [v.imag for v in values]
     terms = tuple(_kind_terms(kind, degree).values())
-    coefficients, residuals, _, stderr = _solve(terms, grid, imag)
+    coefficients, residuals, (unit, k), stderr = _solve(terms, grid, imag)
     # a coefficient that overflows leaves no finite standard error either
     if not all(map(math.isfinite, (*coefficients, *stderr))):
         raise ValueError(f"the {kind} fit's standard errors overflow")
-    unit, k = _unit(residuals)
     half = max(len(grid) // 2, 1)
     floor = 1e-9 * max(map(abs, imag))
     scaled = [abs(u) * L for u, L in zip(unit, grid)]

@@ -19,6 +19,7 @@ if __name__ == "__main__":
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -392,7 +393,8 @@ def cmd_regularize(config):
         ["L", "re", "im"],
         [(L, v.real, v.imag) for L, v in zip(regular.grid, values)],
     )
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
+    # math.hypot, not abs, which raises where |b - a| overflows
+    diffs = [math.hypot(b.real - a.real, b.imag - a.imag) for a, b in zip(values, values[1:])]
     last = diffs[-1] if diffs else 0.0
     converged = bool(diffs) and last <= 1e-2 and all(b - a <= 0 for a, b in zip(diffs, diffs[1:]))
     _write_json(
@@ -543,8 +545,8 @@ _EXIT_CODES = (
     ("asymfit", ("ModelMismatchError", "UnclassifiedDivergenceError", "IllPosedFitError"), 5),
 )
 
-# the subcommands that run numpy; the others never load it
-_NUMPY_COMMANDS = ("spectra", "integrate", "check", "resum")
+# the subcommands that load no numpy; entry() loads it for every other one
+_NUMPY_FREE = ("fit", "regularize")
 
 
 def main(argv=None):
@@ -567,11 +569,12 @@ def entry():
     """The program's entry point, for ``python -m scatreg.cli`` and the
     ``scatreg`` script.  What start-up loaded lives until exit, so it is
     frozen out of the collector's passes (and the final one at exit); the
-    collector stays on for the garbage the run itself makes, and a subcommand
-    that runs numpy loads it first, so it is frozen too.  ``main`` leaves the
-    collector alone, so a caller in a longer-lived process keeps its own
-    policy."""
-    if sys.argv[1:2] and sys.argv[1] in _NUMPY_COMMANDS:
+    collector stays on for the garbage the run itself makes.  Every
+    subcommand but fit and regularize runs numpy, so numpy is loaded first
+    and frozen too.  ``main`` leaves the collector alone, so a caller in a
+    longer-lived process keeps its own policy."""
+    command = sys.argv[1] if len(sys.argv) > 1 else None
+    if command not in _NUMPY_FREE:
         import numpy  # noqa: F401
     gc.freeze()
     gc.enable()

@@ -329,18 +329,48 @@ def test_shared_terms_match_the_per_kind_formulas_bit_for_bit(model, cutoffs, ep
     assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
 
 
-def reference_stderr(residuals, terms, grid):
+def reference_svd(design):
+    """The one-sided Jacobi SVD of the matrix of the columns ``design``, written
+    out: (sigma_k^2, the rows of V).  Each sweep takes the pairs of columns
+    (p, q), p < q, in order, and rotates each pair whose inner product exceeds
+    2^-53 times the product of their norms by the angle that makes it zero,
+    and V's columns p and q alike; the sweeps end when none rotates."""
+    a = [list(column) for column in design]
+    n = len(a)
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    while True:
+        rotated = False
+        for p in range(n):
+            for q in range(p + 1, n):
+                pp = math.fsum(x * x for x in a[p])
+                qq = math.fsum(y * y for y in a[q])
+                pq = math.fsum(x * y for x, y in zip(a[p], a[q]))
+                if abs(pq) <= 2.0**-53 * math.sqrt(pp * qq):
+                    continue
+                rotated = True
+                zeta = (qq - pp) / (2.0 * pq)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                for i, (x, y) in enumerate(zip(a[p], a[q])):
+                    a[p][i], a[q][i] = c * x - s * y, s * x + c * y
+                for row in v:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+        if not rotated:
+            return [math.fsum(x * x for x in column) for column in a], v
+
+
+def reference_stderr(residuals, model, grid):
     """The standard errors as the plain products form them, on the residuals
     r as they are: sqrt(r.r / dof d_j), d_j the diagonal of (D^T D)^-1 =
-    R^-1 R^-T, with R that of the design whose columns are scaled by 2^-e_j
-    to a largest entry in [0.5, 1), so d_j = sum_k (R^-1)_jk^2 / 4^e_j."""
-    design = asymfit._basis(terms, grid)
-    shifts = [math.frexp(max(map(abs, column)))[1] for column in design]
-    columns = [[math.ldexp(x, -e) for x in col] for col, e in zip(design, shifts)]
-    r, _ = asymfit._householder(columns, [0.0] * len(grid))
-    variances = [math.ldexp(math.fsum(z * z for z in row), -2 * e)
-                 for row, e in zip(asymfit._inverse(r), shifts)]
-    spread = math.fsum(x * x for x in residuals) / (len(grid) - len(terms))
+    V Sigma^-2 V^T, from the SVD of D scaled by 2^-e to a largest entry in
+    [0.5, 1), so d_j = sum_k V_jk^2 / sigma_k^2 / 4^e."""
+    design = reference_basis(model, grid)
+    e = math.frexp(max(abs(x) for column in design for x in column))[1]
+    squares, v = reference_svd([[math.ldexp(x, -e) for x in column] for column in design])
+    variances = [math.ldexp(math.fsum(x * x / s for x, s in zip(row, squares)), -2 * e)
+                 for row in v]
+    spread = math.fsum(x * x for x in residuals) / (len(grid) - len(design))
     return [math.sqrt(spread * d) for d in variances]
 
 
@@ -348,7 +378,7 @@ def reference_stderr(residuals, terms, grid):
 def test_standard_errors_keep_the_plain_products_bits(kind):
     samples = make_samples(GRID, 0.5 * GRID**2 + 3 * np.log(GRID) ** 2 + 2 + 1 / GRID)
     report = fit(samples, kind)
-    want = reference_stderr(report.residuals, report.model.terms, report.grid)
+    want = reference_stderr(report.residuals, report.model, report.grid)
     assert bits(*report.stderr) == bits(*want)
 
 
@@ -408,8 +438,8 @@ def test_scaled_residual_statistics_keep_the_plain_formulas_bits(kind, scale):
     for grid, unscaled in noisy_log_samples():
         imag = (scale * unscaled).tolist()
         report = fit(make_samples(grid, imag), kind)
-        r, L, terms = report.residuals, report.grid, report.model.terms
-        assert bits(*report.stderr) == bits(*reference_stderr(r, terms, L))
+        r, L = report.residuals, report.grid
+        assert bits(*report.stderr) == bits(*reference_stderr(r, report.model, L))
         scaled = [abs(x * y) for x, y in zip(r, L)]
         floor = 1e-9 * max(map(abs, imag[-len(L):]))
         want = max(scaled) <= max(10.0 * reference_median(scaled[: len(L) // 2]), floor)
@@ -485,6 +515,10 @@ KINDS = st.sampled_from([("log", 2), ("powerlog", 2), ("polylog", 2), ("polylog"
                          ("polylog", 4)])
 
 
+def norm(x):
+    return math.hypot(*np.ravel(x))
+
+
 @settings(max_examples=300, deadline=None)
 @given(window=WINDOWS, kind=KINDS)
 # windows where lstsq reads the basis as rank deficient: five cutoffs 1e-9
@@ -514,11 +548,19 @@ def test_fit_matches_lstsq_within_round_off_times_the_condition_number(window, k
         return  # near lstsq's cut, either verdict on the rank is round-off
     report = fit(samples, kind, tail_fraction=1.0, degree=degree)
     # the sensitivity of least squares to round-off in D and in the values:
-    # kappa |x| + kappa^2 |r| / |D|, in units of 2^-52
-    residual = np.linalg.norm(imag - design @ reference)
-    bound = 2.0**-52 * (kappa * np.linalg.norm(reference) + kappa**2 * residual / singular[0])
-    error = np.linalg.norm(np.subtract(report.model.coefficients, reference))
+    # kappa |x| + kappa^2 |r| / |D|, in units of 2^-52; the norms are taken by
+    # math.hypot, whose squares do not underflow on tiny coefficients
+    residual = norm(imag - design @ reference)
+    bound = 2.0**-52 * (kappa * norm(reference) + kappa**2 * residual / singular[0])
+    error = norm(np.subtract(report.model.coefficients, reference))
     assert error <= 8 * bound
+    # the standard errors, sqrt(r.r / dof diag (D^T D)^-1), with the diagonal
+    # from numpy's SVD of D: to the residual's sensitivity, sigma_max times the
+    # coefficients', the inverse adds kappa^2 |r|
+    _, _, vt = np.linalg.svd(design, full_matrices=False)
+    scale = np.sqrt(np.sum((vt / singular[:, None]) ** 2, axis=0) / (m - n))
+    slack = 2.0**-52 * (kappa * singular[0] * norm(reference) + kappa**2 * residual)
+    assert np.all(np.abs(np.subtract(report.stderr, residual * scale)) <= 8 * scale * slack)
 
 
 def test_a_basis_that_overflows_on_the_window_is_refused_by_name():

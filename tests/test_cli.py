@@ -986,6 +986,25 @@ def test_orders_above_the_cap_exit_2_at_once(tmp_path, capsys):
     assert not (out / "samples.csv").exists()
 
 
+def test_samples_whose_modulus_overflows_are_fitted_and_refused_by_name(
+        tmp_path, monkeypatch, capsys):
+    # |re + i im| at re = im = 1.7e308 overflows: the real-part check reads it
+    # as inf, so fit goes on, and regularize's |difference| from a zero sample
+    # is inf, which convergence.json cannot hold
+    monkeypatch.chdir(tmp_path)
+    grid = np.geomspace(10, 1e4, 9).tolist()
+    (tmp_path / "big.csv").write_text(
+        "L,re,im\n" + "".join(f"{l!r},1.7e308,1.7e308\n" for l in grid))
+    (tmp_path / "step.csv").write_text("L,re,im\n10,0,0\n100,1.7e308,1.7e308\n")
+    code, out = run(tmp_path, "fit", None, ["--model", "log", "--samples", "big.csv"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads((out / "fit.json").read_text())["model"]["psi"] == pytest.approx(1.7e308)
+    zero = {"model": {"kind": "log", "phi": 0.0, "psi": 0.0}}
+    assert run(tmp_path, "regularize", zero, ["--samples", "step.csv"])[0] == 2
+    assert capsys.readouterr().err == (
+        "regularize: convergence.json: non-finite value, which JSON cannot hold\n")
+
+
 def probe_process(code, *argv, cwd=None):
     """A fresh interpreter's run of ``code`` with the package on its path."""
     src = Path(scatreg.__file__).resolve().parents[1]
@@ -1182,15 +1201,16 @@ print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), len(early), froze
 """
 
 
-def assert_entry_freezes_start_up_with_numpy(tmp_path, command, config):
+def assert_entry_freezes_start_up_with_numpy(tmp_path, command, config, extra=(),
+                                           numpy=True):
     (tmp_path / "config.json").write_text(json.dumps(config))
     probe = probe_process(ENTRY_PROBE, command, "--config", "config.json", "--out", "out",
-                          cwd=tmp_path)
+                          *extra, cwd=tmp_path)
     assert probe.returncode == 0, probe.stderr
     code, enabled, frozen, early, frozen_with_numpy = json.loads(probe.stdout.splitlines()[-1])
     assert code == 0 and enabled and frozen > 0
     assert early == 0
-    assert frozen_with_numpy == [True]
+    assert frozen_with_numpy == [numpy]
 
 
 def test_program_entry_freezes_start_up_and_keeps_the_collector_on(tmp_path):
@@ -1203,10 +1223,20 @@ def test_program_entry_freezes_start_up_and_keeps_the_collector_on(tmp_path):
 @pytest.mark.parametrize("command, config", [
     ("spectra", {"q": [0, 0, 0], "m": 1}),
     ("integrate", integrate_config()),
+    ("resum", {"psi": [1.0, 0.5], "phi": 2.0}),
 ])
 def test_program_entry_freezes_numpy_for_each_subcommand_that_runs_it(tmp_path, command,
                                                                       config):
     assert_entry_freezes_start_up_with_numpy(tmp_path, command, config)
+
+
+@pytest.mark.parametrize("command", ["fit", "regularize"])
+def test_program_entry_leaves_numpy_out_of_fit_and_regularize(tmp_path, command):
+    grid = np.geomspace(10, 1e4, 17)
+    (tmp_path / "log.csv").write_text(
+        "L,re,im\n" + "".join(f"{l!r},0.0,{3 * math.log(l) + 2!r}\n" for l in grid.tolist()))
+    assert_entry_freezes_start_up_with_numpy(
+        tmp_path, command, {"model": "log"}, ["--samples", "log.csv"], numpy=False)
 
 
 @pytest.mark.parametrize(

@@ -67,7 +67,7 @@ table: [1]}, {kind: polylog, order: 2}, which has no table, {kind: polylog,
 table: [1], order: 0} and the same with order true, and {kind: log,
 phi: "1.5", psi: 0}, whose coefficient is a string; and ``resum --epsilon
 1e300`` at phi = 1e10, where eps phi overflows.
-Last, three steps: ``fit`` on a headerless samples file whose second row is
+Then three steps: ``fit`` on a headerless samples file whose second row is
 not numeric, which is refused for its header; ``fit --model powerlog`` on the
 samples i (1e300 ln L +- 1e305); and ``regularize`` on log samples whose real
 parts are all -0.0, with the poly-log model dict {kind: polylog, table: [2,
@@ -80,6 +80,10 @@ then refused as not finite; an underscored number ``1_00.0``, a non-ASCII digit
 and an empty field, which are not numbers; a trailing comma on every row and
 on one row, which adds a column; and a line of spaces, which is a row of one
 field.
+Last, three steps on samples whose modulus |re + i im| overflows though both
+parts are finite, re = im = 1.7e308: ``fit --model log`` and ``regularize
+--model auto`` on nine such rows, and ``regularize`` by the zero log model on
+a row of zeros and one such row, whose |difference| overflows.
 """
 
 from __future__ import annotations
@@ -473,6 +477,19 @@ def scenarios():
     for name, text in READER_FILES.items():
         yield (f"reader-{name}", {"s.csv": text, "zero.json": json.dumps({"model": ZERO_LOG})},
                [["regularize", "--config", "zero.json", "--samples", "s.csv", "--out", "out"]])
+    # samples whose modulus |re + i im| overflows though re and im are finite
+    modulus = {
+        "big.csv": _csv(np.geomspace(10, 1e4, 9), np.full(9, 1.7e308), real=np.full(9, 1.7e308)),
+        "step.csv": "L,re,im\n10,0,0\n100,1.7e308,1.7e308\n",
+        "zero.json": json.dumps({"model": ZERO_LOG}),
+    }
+    for name, argv in {
+        "modulus-overflow-fit": ["fit", "--model", "log", "--samples", "big.csv"],
+        "modulus-overflow-auto-regularize": ["regularize", "--model", "auto", "--samples", "big.csv"],
+        "modulus-overflow-difference-regularize":
+            ["regularize", "--config", "zero.json", "--samples", "step.csv"],
+    }.items():
+        yield name, modulus, [[*argv, "--out", "out"]]
 
 
 def _tree(directory):
@@ -514,7 +531,7 @@ def _relative(left, right):
 
 
 def _differences(left, right):
-    found = [key + _relative(left[key], right[key]) * (key == "stdout")
+    found = [key + (_relative(left[key], right[key]) if key == "stdout" else "")
              for key in ("stdout", "stderr", "exit code") if left[key] != right[key]]
     names = sorted(set(left["files"]) | set(right["files"]))
     found += [f"file {n}" + _relative(left["files"].get(n), right["files"].get(n))
